@@ -16,14 +16,21 @@
 //	s, _ := sitam.LoadBenchmark("p93791")
 //	patterns, _ := sitam.GeneratePatterns(s, sitam.GenConfig{N: 10000, Seed: 1})
 //	groups, _ := sitam.BuildGroups(s, patterns, sitam.GroupingOptions{Parts: 4, Seed: 1})
-//	res, _ := sitam.Optimize(s, 32, groups.Groups, sitam.DefaultModel())
+//	res, _ := sitam.Solve(context.Background(),
+//		sitam.Problem{SOC: s, Wmax: 32, Groups: groups.Groups, Model: sitam.DefaultModel()},
+//		sitam.Options{}) // Method "" is MethodSI, the paper's Algorithm 2
 //	fmt.Println(res.Breakdown.TimeSOC)
+//
+// Solve is the one optimization entry point: Options.Method selects
+// the SI-aware optimizer (MethodSI), the TR-Architect baseline
+// (MethodBaseline) or iterated local search (MethodILS), and the
+// embedded ParallelConfig sets workers, cache, budget and tracing.
 //
 // # Cancellation, deadlines, and partial results
 //
-// Every expensive entry point has a context-aware variant (OptimizeCtx,
-// OptimizeILSCtx, BuildGroupsCtx, GeneratePatternsCtx,
-// ExactScheduleSICtx, RunTableCtx). They are anytime algorithms: when
+// Every expensive entry point takes a context or has a context-aware
+// variant (Solve, BuildGroupsCtx, GeneratePatternsCtx, ExactScheduleSI,
+// RunTableCtx). They are anytime algorithms: when
 // the context is cancelled or its deadline expires mid-search, the best
 // valid result found so far is returned with its Partial flag set and a
 // nil error; the context's error comes back only when nothing usable
@@ -32,7 +39,7 @@
 // # Observability
 //
 // The optimizers expose a structured search trace and a metrics
-// registry through ParallelConfig: set Trace to a collector from
+// registry through Options' ParallelConfig: set Trace to a collector from
 // NewTracer to record typed events (phase spans, candidate
 // evaluations, merge decisions, ILS kicks, SI group placements,
 // interruptions) and Metrics to a registry from NewMetricsRegistry to
@@ -213,15 +220,17 @@ type (
 func DefaultModel() Model { return sischedule.DefaultModel() }
 
 // ScheduleSI schedules SI test groups on an architecture (Algorithm 1)
-// and returns the schedule with T_soc_si. Invalid architectures (e.g.
-// cores missing from every rail, non-positive rail widths) are rejected
-// with an error.
-func ScheduleSI(a *Architecture, groups []*Group, m Model) (sch *Schedule, err error) {
+// under a compiled constraint set (nil = unconstrained; see
+// CompileConstraints) and returns the schedule with T_soc_si: power
+// budget, precedence and exclusion are honored by the same list
+// scheduler. Invalid architectures (e.g. cores missing from every
+// rail, non-positive rail widths) are rejected with an error.
+func ScheduleSI(a *Architecture, groups []*Group, m Model, cons *Constraints) (sch *Schedule, err error) {
 	defer guard(&err)
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return sischedule.ScheduleSITest(a, groups, m)
+	return sischedule.ScheduleSITestCons(a, groups, m, cons)
 }
 
 // ScheduleSIPower is ScheduleSI under a test power ceiling: the summed
@@ -244,48 +253,16 @@ func CompileConstraints(s *SOC, groups []*Group) (c *Constraints, err error) {
 	return core.CompileSOCConstraints(s, groups)
 }
 
-// ScheduleSICons is ScheduleSI under a compiled constraint set: power
-// budget, precedence and exclusion are honored by the same Algorithm 1
-// list scheduler. A nil cons is exactly ScheduleSI.
-func ScheduleSICons(a *Architecture, groups []*Group, m Model, cons *Constraints) (sch *Schedule, err error) {
-	defer guard(&err)
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return sischedule.ScheduleSITestCons(a, groups, m, cons)
-}
-
 // ExactScheduleSI returns the provably minimal SI testing time for at
-// most sischedule.MaxExactGroups groups, via branch and bound. Used to
-// audit Algorithm 1's schedules.
-func ExactScheduleSI(a *Architecture, groups []*Group, m Model) (t int64, err error) {
-	defer guard(&err)
-	if err := a.Validate(); err != nil {
-		return 0, err
-	}
-	t, _, err = sischedule.ExactSchedule(a, groups, m)
-	return t, err
-}
-
-// ExactScheduleSICtx is ExactScheduleSI as an anytime algorithm. On
-// cancellation or deadline expiry the best complete schedule found so
-// far is returned with partial set — a valid achievable makespan and
-// an upper bound on the optimum, never below it. The context's error
-// is returned only when no complete schedule was found.
-func ExactScheduleSICtx(ctx context.Context, a *Architecture, groups []*Group, m Model) (t int64, partial bool, err error) {
-	defer guard(&err)
-	if err := a.Validate(); err != nil {
-		return 0, false, err
-	}
-	t, _, partial, err = sischedule.ExactScheduleCtx(ctx, a, groups, m)
-	return t, partial, err
-}
-
-// ExactScheduleSIConsCtx is ExactScheduleSICtx under a compiled
-// constraint set: branch and bound over precedence-feasible schedules
-// respecting the power budget and exclusions. A nil cons is exactly
-// ExactScheduleSICtx.
-func ExactScheduleSIConsCtx(ctx context.Context, a *Architecture, groups []*Group, m Model, cons *Constraints) (t int64, partial bool, err error) {
+// most sischedule.MaxExactGroups groups under a compiled constraint set
+// (nil = unconstrained), via branch and bound over precedence-feasible
+// schedules respecting the power budget and exclusions. Used to audit
+// Algorithm 1's schedules. It is an anytime algorithm: on cancellation
+// or deadline expiry the best complete schedule found so far is
+// returned with partial set — a valid achievable makespan and an upper
+// bound on the optimum, never below it. The context's error is
+// returned only when no complete schedule was found.
+func ExactScheduleSI(ctx context.Context, a *Architecture, groups []*Group, m Model, cons *Constraints) (t int64, partial bool, err error) {
 	defer guard(&err)
 	if err := a.Validate(); err != nil {
 		return 0, false, err
@@ -300,8 +277,16 @@ type (
 	Result = core.Result
 	// Breakdown reports T_in, T_si and their sum.
 	Breakdown = core.Breakdown
-	// ParallelConfig bundles the concurrency and memoization knobs of
-	// the *With optimization entry points: Workers bounds concurrent
+	// Problem is one optimization instance: the SOC, its total TAM
+	// width W_max, the SI test groups and their cost model.
+	Problem = core.Problem
+	// Options selects the optimization method (with its ILS kicks,
+	// restarts and seed) and embeds the ParallelConfig of the run.
+	Options = core.Options
+	// Method selects the optimizer Solve runs.
+	Method = core.Method
+	// ParallelConfig bundles the concurrency, memoization and
+	// observability knobs of a Solve run: Workers bounds concurrent
 	// candidate evaluations (0 = GOMAXPROCS, 1 = serial) and CacheSize
 	// caps the evaluation cache (0 = default, negative = disabled).
 	ParallelConfig = core.ParallelConfig
@@ -313,6 +298,19 @@ type (
 	// and append its new entries back. The caller owns the lifecycle
 	// (OpenCacheFile / Close).
 	CacheFile = core.CacheFile
+)
+
+// The optimization methods of Options.Method. The zero Method is
+// MethodSI.
+const (
+	// MethodSI is the paper's SI-aware TAM_Optimization (Algorithm 2).
+	MethodSI = core.MethodSI
+	// MethodBaseline is the SI-oblivious TR-Architect baseline with the
+	// SI groups scheduled on its architecture (the paper's T_[8]).
+	MethodBaseline = core.MethodBaseline
+	// MethodILS is MethodSI followed by iterated local search (an
+	// extension beyond the paper's greedy fixed point).
+	MethodILS = core.MethodILS
 )
 
 // ErrCacheLocked reports that another process holds the cache file's
@@ -386,110 +384,35 @@ func ValidateTrace(events []TraceEvent) (err error) {
 	return obs.ValidateTrace(events)
 }
 
-// Optimize runs the paper's SI-aware TAM_Optimization (Algorithm 2).
-func Optimize(s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
-	defer guard(&err)
-	return core.TAMOptimization(s, wmax, groups, m)
-}
-
-// OptimizeCtx is Optimize as an anytime algorithm: on cancellation or
-// deadline expiry mid-search the best architecture found so far is
+// Solve optimizes a Problem with the method Options selects and
+// returns the architecture with its time breakdown and SI schedule. The
+// returned architecture is byte-identical at any worker count and
+// cache setting; Result.Cache carries the cache counters of the run
+// and Result.Metrics its metrics snapshot.
+//
+// Solve is an anytime algorithm: on cancellation, deadline expiry or
+// budget exhaustion mid-search the best architecture found so far is
 // evaluated and returned with Result.Partial set and a nil error. The
+// best-so-far objective is monotonically non-increasing, so a partial
+// result's T_soc is never below what the complete run achieves. The
 // context's error comes back only when no valid architecture was
-// produced at all (the context was done before the search started, or
-// it fired while the start solution was still infeasible).
-func OptimizeCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
+// produced (the context was done before the search started, or it
+// fired while the start solution was still infeasible).
+func Solve(ctx context.Context, p Problem, o Options) (res *Result, err error) {
 	defer guard(&err)
-	return core.TAMOptimizationCtx(ctx, s, wmax, groups, m)
+	return core.Solve(ctx, p, o)
 }
 
-// OptimizeWith is OptimizeCtx with parallel candidate evaluation and a
-// memoized evaluation cache per cfg. The independent candidates of each
-// optimization step fan out across a cfg.Workers-sized pool; selection
-// is deterministic, so the returned architecture is byte-identical to a
-// serial run's at any worker count. Result.Cache carries the cache
-// counters of the run.
-func OptimizeWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, cfg ParallelConfig) (res *Result, err error) {
-	defer guard(&err)
-	return core.TAMOptimizationWith(ctx, s, wmax, groups, m, cfg)
-}
-
-// OptimizeBaseline runs the SI-oblivious TR-Architect baseline and then
-// schedules the SI groups on the resulting architecture (the paper's
-// T_[8] protocol).
-func OptimizeBaseline(s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
-	defer guard(&err)
-	return trarchitect.OptimizeThenScheduleSI(s, wmax, groups, m)
-}
-
-// OptimizeBaselineCtx is OptimizeBaseline as an anytime algorithm, with
-// the same partial-result semantics as OptimizeCtx.
-func OptimizeBaselineCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model) (res *Result, err error) {
-	defer guard(&err)
-	return trarchitect.OptimizeThenScheduleSICtx(ctx, s, wmax, groups, m)
-}
-
-// OptimizeBaselineWith is OptimizeBaselineCtx with parallel candidate
-// evaluation and memoization per cfg, with the same determinism
-// guarantee as OptimizeWith.
-func OptimizeBaselineWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, cfg ParallelConfig) (res *Result, err error) {
-	defer guard(&err)
-	return trarchitect.OptimizeThenScheduleSIWith(ctx, s, wmax, groups, m, cfg)
-}
-
-// OptimizeILS runs the SI-aware optimization followed by the given
-// number of iterated-local-search perturbation rounds (an extension
-// beyond the paper's greedy fixed point; 0 kicks equals Optimize).
-func OptimizeILS(s *SOC, wmax int, groups []*Group, m Model, kicks int, seed int64) (res *Result, err error) {
-	defer guard(&err)
-	return OptimizeILSCtx(context.Background(), s, wmax, groups, m, kicks, seed)
-}
-
-// OptimizeILSCtx is OptimizeILS as an anytime algorithm: the context is
-// checked throughout the greedy optimization and between ILS kicks, and
-// interruption mid-search returns the best architecture found so far
-// with Result.Partial set and a nil error. The best-so-far objective is
-// monotonically non-increasing, so a partial result's T_soc is never
-// below what the complete run would achieve. The context's error comes
-// back only when no valid architecture was produced.
-func OptimizeILSCtx(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, kicks int, seed int64) (res *Result, err error) {
-	defer guard(&err)
-	cons, err := core.CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(s, wmax, core.NewIncrementalSIEvaluatorCons(groups, m, cons))
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeILSCtx(ctx, kicks, seed)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, nil)
-}
-
-// OptimizeILSWith is OptimizeILSCtx with parallel candidate evaluation,
-// memoization, and `restarts` independent ILS searches seeded seed,
-// seed+1, ... whose best architecture wins (ties broken by the lowest
-// seed, so the outcome is byte-identical at any worker count).
-// restarts < 1 is an error; restarts == 1 matches OptimizeILSCtx run
-// with cfg exactly. Result.Cache carries the cache counters of the run.
+// OptimizeILSWith is Solve with MethodILS: `restarts` independent ILS
+// searches of `kicks` rounds each, seeded seed, seed+1, ..., whose best
+// architecture wins (ties broken by the lowest seed, so the outcome is
+// byte-identical at any worker count). restarts 0 runs one search. It
+// is kept, with its signature, because the benchmark module e2ebench
+// calls it.
 func OptimizeILSWith(ctx context.Context, s *SOC, wmax int, groups []*Group, m Model, kicks, restarts int, seed int64, cfg ParallelConfig) (res *Result, err error) {
 	defer guard(&err)
-	cons, err := core.CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, cache, err := core.NewParallelEngine(s, wmax, core.NewIncrementalSIEvaluatorCons(groups, m, cons), cfg)
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeILSRestartsCtx(ctx, kicks, restarts, seed)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, cache)
+	return core.Solve(ctx, Problem{SOC: s, Wmax: wmax, Groups: groups, Model: m},
+		Options{Method: MethodILS, Kicks: kicks, Restarts: restarts, Seed: seed, ParallelConfig: cfg})
 }
 
 // InTestLowerBound returns the Goel-Marinissen lower bound on the

@@ -2,9 +2,15 @@ package sitam
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
+
+// optimize is Solve under a background context with the default model.
+func optimize(s *SOC, wmax int, groups []*Group, o Options) (*Result, error) {
+	return Solve(context.Background(), Problem{SOC: s, Wmax: wmax, Groups: groups, Model: DefaultModel()}, o)
+}
 
 // TestFacadeEndToEnd drives the whole public API the way the package
 // documentation advertises.
@@ -29,14 +35,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Errorf("Original = %d", groups.Stats.Original)
 	}
 
-	res, err := Optimize(s, 16, groups.Groups, DefaultModel())
+	res, err := optimize(s, 16, groups.Groups, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := res.Architecture.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	base, err := OptimizeBaseline(s, 16, groups.Groups, DefaultModel())
+	base, err := optimize(s, 16, groups.Groups, Options{Method: MethodBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +54,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 			base.Breakdown.TimeIn, res.Breakdown.TimeIn)
 	}
 
-	sched, err := ScheduleSI(res.Architecture, groups.Groups, DefaultModel())
+	sched, err := ScheduleSI(res.Architecture, groups.Groups, DefaultModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +145,7 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OptimizeILS(s, 12, gr.Groups, DefaultModel(), 5, 1)
+	res, err := optimize(s, 12, gr.Groups, Options{Method: MethodILS, Kicks: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +153,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plain, err := Optimize(s, 12, gr.Groups, DefaultModel())
+	plain, err := optimize(s, 12, gr.Groups, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +161,7 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("ILS %d worse than plain %d", res.Breakdown.TimeSOC, plain.Breakdown.TimeSOC)
 	}
 
-	opt, err := ExactScheduleSI(res.Architecture, gr.Groups, DefaultModel())
+	opt, _, err := ExactScheduleSI(context.Background(), res.Architecture, gr.Groups, DefaultModel(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"sitam/internal/soc"
 	"sitam/internal/tam"
 	"sitam/internal/topology"
-	"sitam/internal/trarchitect"
 	"sitam/internal/wrapper"
 )
 
@@ -193,11 +192,18 @@ func BenchmarkWrapperCombine(b *testing.B) {
 	}
 }
 
+// solveSerial is core.Solve on a serial, uncached engine, the
+// configuration the single-run benchmarks measure.
+func solveSerial(s *soc.SOC, wmax int, groups []*sischedule.Group, m core.Method) (*core.Result, error) {
+	return core.Solve(context.Background(), core.Problem{SOC: s, Wmax: wmax, Groups: groups, Model: sischedule.DefaultModel()},
+		core.Options{Method: m, ParallelConfig: core.ParallelConfig{Workers: 1, CacheSize: -1}})
+}
+
 func BenchmarkTRArchitectP93791W32(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := trarchitect.Optimize(s, 32); err != nil {
+		if _, err := solveSerial(s, 32, nil, core.MethodBaseline); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -215,7 +221,7 @@ func BenchmarkTAMOptimizationP93791W32(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.TAMOptimization(s, 32, gr.Groups, sischedule.DefaultModel()); err != nil {
+		if _, err := solveSerial(s, 32, gr.Groups, core.MethodSI); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,10 +237,11 @@ func BenchmarkScheduleSITest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch, _, err := trarchitect.Optimize(s, 32)
+	base, err := solveSerial(s, 32, nil, core.MethodBaseline)
 	if err != nil {
 		b.Fatal(err)
 	}
+	arch := base.Architecture
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sischedule.ScheduleSITest(arch, gr.Groups, sischedule.DefaultModel()); err != nil {
@@ -292,7 +299,7 @@ func Benchmark_AblationGrouping(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := core.TAMOptimization(s, 32, gr.Groups, sischedule.DefaultModel())
+				res, err := solveSerial(s, 32, gr.Groups, core.MethodSI)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -327,7 +334,7 @@ func Benchmark_AblationILS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, obj, err = eng.OptimizeILS(kicks, 1)
+				_, obj, _, err = eng.OptimizeILSCtx(context.Background(), kicks, 1)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -397,9 +404,8 @@ func Benchmark_CacheColdVsWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng, cache, err := core.NewParallelEngine(s, 64,
-		&core.SIEvaluator{Groups: gr.Groups, Model: sischedule.DefaultModel()},
-		core.ParallelConfig{Workers: 1})
+	cache := core.NewCachedEvaluator(&core.SIEvaluator{Groups: gr.Groups, Model: sischedule.DefaultModel()}, 0)
+	eng, err := core.NewEngine(s, 64, cache)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -518,7 +524,7 @@ func Benchmark_IncrementalEval(b *testing.B) {
 	}
 	m := sischedule.DefaultModel()
 	run := func(b *testing.B, eval core.Evaluator) {
-		eng, _, err := core.NewParallelEngine(s, 64, eval, core.ParallelConfig{Workers: 1, CacheSize: -1})
+		eng, err := core.NewEngine(s, 64, eval)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -534,7 +540,7 @@ func Benchmark_IncrementalEval(b *testing.B) {
 		run(b, &core.SIEvaluator{Groups: gr.Groups, Model: m})
 	})
 	b.Run("incremental", func(b *testing.B) {
-		run(b, core.NewIncrementalSIEvaluator(gr.Groups, m))
+		run(b, core.NewIncrementalSIEvaluator(gr.Groups, m, nil))
 	})
 }
 
@@ -591,10 +597,11 @@ func Benchmark_AblationSchedulingOverlap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	arch, _, err := trarchitect.Optimize(s, 32)
+	base, err := solveSerial(s, 32, nil, core.MethodBaseline)
 	if err != nil {
 		b.Fatal(err)
 	}
+	arch := base.Architecture
 	var overlap, serial int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

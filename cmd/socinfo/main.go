@@ -105,8 +105,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		arch, _, st, err := trarchitect.OptimizeWithCtx(ctx, s, w,
-			core.ParallelConfig{Workers: 1, CacheSize: -1, Metrics: metrics})
+		res, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: w}, core.Options{
+			Method: core.MethodBaseline, ParallelConfig: core.ParallelConfig{Workers: 1, CacheSize: -1, Metrics: metrics},
+		})
 		if err != nil {
 			if cli.IsCtxErr(err) {
 				// Deadline fired before W=w produced anything usable
@@ -118,12 +119,12 @@ func main() {
 			}
 			log.Fatal(err)
 		}
-		got := arch.InTestTime()
+		got := res.Breakdown.TimeIn
 		fmt.Printf("%-8d %14d %14d %8.1f%%\n", w, lb, got, 100*float64(got-lb)/float64(lb))
-		if st.Partial {
+		if res.Partial {
 			stop()
 			fmt.Printf("RESULT PARTIAL (%s): W=%d row is the best architecture found before interruption (%s)\n",
-				cli.Cause(ctx), w, st.Reason)
+				cli.Cause(ctx), w, res.Reason)
 			printStats()
 			os.Exit(cli.ExitPartial)
 		}

@@ -38,8 +38,6 @@ import (
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
-	"sitam/internal/tam"
-	"sitam/internal/trarchitect"
 )
 
 func main() {
@@ -190,33 +188,14 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 		fmt.Printf("  %-4s: %5d patterns over %d cores\n", g.Name, g.Patterns, len(g.Cores))
 	}
 
-	model := sischedule.DefaultModel()
-	var res *core.Result
+	opts := core.Options{Method: core.MethodSI, Kicks: o.ils, Restarts: o.restarts, Seed: o.seed, ParallelConfig: o.cfg}
 	switch {
 	case o.baseline:
-		res, err = trarchitect.OptimizeThenScheduleSIWith(ctx, s, o.wmax, grouping.Groups, model, o.cfg)
+		opts.Method = core.MethodBaseline
 	case o.ils > 0:
-		var cons *sischedule.Constraints
-		cons, err = core.CompileSOCConstraints(s, grouping.Groups)
-		if err != nil {
-			break
-		}
-		var eng *core.Engine
-		var cache *core.CachedEvaluator
-		eng, cache, err = core.NewParallelEngine(s, o.wmax, &core.SIEvaluator{Groups: grouping.Groups, Model: model, Cons: cons}, o.cfg)
-		if err != nil {
-			break
-		}
-		var arch *tam.Architecture
-		var st core.Status
-		arch, _, st, err = eng.OptimizeILSRestartsCtx(ctx, o.ils, o.restarts, o.seed)
-		if err != nil {
-			break
-		}
-		res, err = eng.Finish(arch, st, grouping.Groups, model, cache)
-	default:
-		res, err = core.TAMOptimizationWith(ctx, s, o.wmax, grouping.Groups, model, o.cfg)
+		opts.Method = core.MethodILS
 	}
+	res, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: o.wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()}, opts)
 	if err != nil {
 		return false, "", "", err
 	}

@@ -1,6 +1,7 @@
 package sitam_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,10 +23,10 @@ func demoSOC() *sitam.SOC {
 	return s
 }
 
-// ExampleOptimize runs the full pipeline — pattern generation,
+// ExampleSolve runs the full pipeline — pattern generation,
 // two-dimensional compaction, SI-aware TAM optimization — on a small
 // SOC and prints the resulting architecture size and time breakdown.
-func ExampleOptimize() {
+func ExampleSolve() {
 	s := demoSOC()
 	patterns, err := sitam.GeneratePatterns(s, sitam.GenConfig{N: 500, Seed: 1})
 	if err != nil {
@@ -35,7 +36,9 @@ func ExampleOptimize() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := sitam.Optimize(s, 4, groups.Groups, sitam.DefaultModel())
+	res, err := sitam.Solve(context.Background(),
+		sitam.Problem{SOC: s, Wmax: 4, Groups: groups.Groups, Model: sitam.DefaultModel()},
+		sitam.Options{Method: sitam.MethodSI})
 	if err != nil {
 		log.Fatal(err)
 	}

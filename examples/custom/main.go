@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -100,11 +101,12 @@ func main() {
 	for _, w := range []int{8, 16, 24, 32} {
 		var base, aware int64
 		for _, g := range []int{1, 2, 3} {
-			b, err := sitam.OptimizeBaseline(s, w, bestGroups[g], sitam.DefaultModel())
+			p := sitam.Problem{SOC: s, Wmax: w, Groups: bestGroups[g], Model: sitam.DefaultModel()}
+			b, err := sitam.Solve(context.Background(), p, sitam.Options{Method: sitam.MethodBaseline})
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := sitam.Optimize(s, w, bestGroups[g], sitam.DefaultModel())
+			a, err := sitam.Solve(context.Background(), p, sitam.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -120,7 +122,8 @@ func main() {
 	}
 
 	// Show the winning architecture at W=16 in detail.
-	res, err := sitam.Optimize(s, 16, bestGroups[2], sitam.DefaultModel())
+	res, err := sitam.Solve(context.Background(),
+		sitam.Problem{SOC: s, Wmax: 16, Groups: bestGroups[2], Model: sitam.DefaultModel()}, sitam.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

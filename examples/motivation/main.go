@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,8 @@ func main() {
 	fmt.Printf("\n2-D compaction of the MA set: %d -> %d patterns (%.1fx)\n",
 		groups.Stats.Original, groups.TotalCompacted(), groups.Stats.Ratio())
 
-	res, err := sitam.Optimize(s, 32, groups.Groups, sitam.DefaultModel())
+	res, err := sitam.Solve(context.Background(),
+		sitam.Problem{SOC: s, Wmax: 32, Groups: groups.Groups, Model: sitam.DefaultModel()}, sitam.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,8 @@ func main() {
 		groups.Stats.Ratio(), groups.CutPatterns)
 
 	const wmax = 32
-	res, err := sitam.Optimize(s, wmax, groups.Groups, sitam.DefaultModel())
+	p := sitam.Problem{SOC: s, Wmax: wmax, Groups: groups.Groups, Model: sitam.DefaultModel()}
+	res, err := sitam.Solve(context.Background(), p, sitam.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func main() {
 	fmt.Printf("T_in=%d  T_si=%d  T_soc=%d clock cycles\n",
 		res.Breakdown.TimeIn, res.Breakdown.TimeSI, res.Breakdown.TimeSOC)
 
-	base, err := sitam.OptimizeBaseline(s, wmax, groups.Groups, sitam.DefaultModel())
+	base, err := sitam.Solve(context.Background(), p, sitam.Options{Method: sitam.MethodBaseline})
 	if err != nil {
 		log.Fatal(err)
 	}

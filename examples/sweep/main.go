@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -38,11 +39,12 @@ func main() {
 
 		var base, aware []int64
 		for _, w := range widths {
-			b, err := sitam.OptimizeBaseline(s, w, gr.Groups, sitam.DefaultModel())
+			p := sitam.Problem{SOC: s, Wmax: w, Groups: gr.Groups, Model: sitam.DefaultModel()}
+			b, err := sitam.Solve(context.Background(), p, sitam.Options{Method: sitam.MethodBaseline})
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := sitam.Optimize(s, w, gr.Groups, sitam.DefaultModel())
+			a, err := sitam.Solve(context.Background(), p, sitam.Options{})
 			if err != nil {
 				log.Fatal(err)
 			}

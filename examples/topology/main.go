@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sitam.Optimize(s, 32, groups.Groups, sitam.DefaultModel())
+		res, err := sitam.Solve(context.Background(),
+			sitam.Problem{SOC: s, Wmax: 32, Groups: groups.Groups, Model: sitam.DefaultModel()}, sitam.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

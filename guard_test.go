@@ -53,13 +53,13 @@ func TestGuardConvertsPanics(t *testing.T) {
 // escapes the public API: the caller sees ErrInternal instead of a
 // crash.
 func TestFacadePanicBoundary(t *testing.T) {
-	if _, err := Optimize(nil, 16, nil, DefaultModel()); !errors.Is(err, ErrInternal) {
-		t.Errorf("Optimize(nil SOC) err = %v, want ErrInternal", err)
+	if _, err := Solve(context.Background(), Problem{Wmax: 16, Model: DefaultModel()}, Options{}); !errors.Is(err, ErrInternal) {
+		t.Errorf("Solve(nil SOC) err = %v, want ErrInternal", err)
 	}
-	if _, err := ExactScheduleSI(nil, nil, DefaultModel()); !errors.Is(err, ErrInternal) {
+	if _, _, err := ExactScheduleSI(context.Background(), nil, nil, DefaultModel(), nil); !errors.Is(err, ErrInternal) {
 		t.Errorf("ExactScheduleSI(nil arch) err = %v, want ErrInternal", err)
 	}
-	if _, err := ScheduleSI(nil, nil, DefaultModel()); !errors.Is(err, ErrInternal) {
+	if _, err := ScheduleSI(nil, nil, DefaultModel(), nil); !errors.Is(err, ErrInternal) {
 		t.Errorf("ScheduleSI(nil arch) err = %v, want ErrInternal", err)
 	}
 	if _, err := GeneratePatterns(nil, GenConfig{N: 1}); !errors.Is(err, ErrInternal) {
@@ -82,11 +82,12 @@ func TestCtxFacades(t *testing.T) {
 	if _, _, err := GeneratePatternsCtx(cancelled, s, GenConfig{N: 100, Seed: 1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("GeneratePatternsCtx pre-cancelled err = %v", err)
 	}
-	if _, err := OptimizeCtx(cancelled, s, 16, nil, DefaultModel()); !errors.Is(err, context.Canceled) {
-		t.Errorf("OptimizeCtx pre-cancelled err = %v", err)
+	p := Problem{SOC: s, Wmax: 16, Model: DefaultModel()}
+	if _, err := Solve(cancelled, p, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Solve pre-cancelled err = %v", err)
 	}
-	if _, err := OptimizeILSCtx(cancelled, s, 16, nil, DefaultModel(), 3, 1); !errors.Is(err, context.Canceled) {
-		t.Errorf("OptimizeILSCtx pre-cancelled err = %v", err)
+	if _, err := Solve(cancelled, p, Options{Method: MethodILS, Kicks: 3, Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Solve(MethodILS) pre-cancelled err = %v", err)
 	}
 
 	patterns, partial, err := GeneratePatternsCtx(context.Background(), s, GenConfig{N: 1000, Seed: 1})
@@ -102,9 +103,10 @@ func TestCtxFacades(t *testing.T) {
 	// error: a huge kick budget guarantees the run cannot finish.
 	ctx, cancelT := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancelT()
-	res, err := OptimizeILSCtx(ctx, s, 16, gr.Groups, DefaultModel(), 1000000, 1)
+	p.Groups = gr.Groups
+	res, err := Solve(ctx, p, Options{Method: MethodILS, Kicks: 1000000, Seed: 1})
 	if err != nil {
-		t.Fatalf("OptimizeILSCtx deadline run errored: %v", err)
+		t.Fatalf("Solve(MethodILS) deadline run errored: %v", err)
 	}
 	if !res.Partial || res.Reason == "" {
 		t.Fatalf("deadline run Result not flagged partial: %+v", res)
@@ -114,16 +116,15 @@ func TestCtxFacades(t *testing.T) {
 	}
 
 	// The exact scheduler facade: pre-cancelled context errors out...
-	if _, _, err := ExactScheduleSICtx(cancelled, res.Architecture, gr.Groups, DefaultModel()); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExactScheduleSICtx pre-cancelled err = %v", err)
+	if _, _, err := ExactScheduleSI(cancelled, res.Architecture, gr.Groups, DefaultModel(), nil); !errors.Is(err, context.Canceled) {
+		t.Errorf("ExactScheduleSI pre-cancelled err = %v", err)
 	}
-	// ...and an unconstrained run matches the plain facade.
-	exact, partial, err := ExactScheduleSICtx(context.Background(), res.Architecture, gr.Groups, DefaultModel())
+	// ...and an unconstrained run completes at or below Algorithm 1.
+	exact, partial, err := ExactScheduleSI(context.Background(), res.Architecture, gr.Groups, DefaultModel(), nil)
 	if err != nil || partial {
-		t.Fatalf("ExactScheduleSICtx = (%d, partial=%v, %v)", exact, partial, err)
+		t.Fatalf("ExactScheduleSI = (%d, partial=%v, %v)", exact, partial, err)
 	}
-	plain, err := ExactScheduleSI(res.Architecture, gr.Groups, DefaultModel())
-	if err != nil || plain != exact {
-		t.Fatalf("ExactScheduleSI = (%d, %v), ctx variant found %d", plain, err, exact)
+	if exact > res.Breakdown.TimeSI {
+		t.Fatalf("ExactScheduleSI = %d above Algorithm 1's %d", exact, res.Breakdown.TimeSI)
 	}
 }

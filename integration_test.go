@@ -5,6 +5,7 @@ package sitam
 // SOCs.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -67,7 +68,7 @@ func TestPipelinePropertyRandomSOCs(t *testing.T) {
 			return false
 		}
 		wmax := 1 + rng.Intn(2*s.NumCores())
-		res, err := Optimize(s, wmax, gr.Groups, DefaultModel())
+		res, err := optimize(s, wmax, gr.Groups, Options{})
 		if err != nil {
 			t.Logf("seed %d: optimize: %v", seed, err)
 			return false
@@ -117,7 +118,7 @@ func TestPipelineBothBenchmarksAllGroupings(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s g=%d: %v", name, g, err)
 			}
-			res, err := Optimize(s, 24, gr.Groups, DefaultModel())
+			res, err := optimize(s, 24, gr.Groups, Options{})
 			if err != nil {
 				t.Fatalf("%s g=%d: %v", name, g, err)
 			}
@@ -130,7 +131,7 @@ func TestPipelineBothBenchmarksAllGroupings(t *testing.T) {
 			// Scheduling the same groups on the same architecture again
 			// must reproduce T_si exactly (determinism across the
 			// subsystem boundary).
-			sched, err := ScheduleSI(res.Architecture, gr.Groups, DefaultModel())
+			sched, err := ScheduleSI(res.Architecture, gr.Groups, DefaultModel(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +155,7 @@ func TestSerialSchedulingNeverFaster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Optimize(s, 32, gr.Groups, DefaultModel())
+	res, err := optimize(s, 32, gr.Groups, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestBaselineMatchesEngineInTestObjective(t *testing.T) {
 		t.Fatal(err)
 	}
 	groups := []*Group{{Name: "g", Cores: s.SortedIDs(), Patterns: 100}}
-	res, err := OptimizeBaseline(s, 24, groups, DefaultModel())
+	res, err := optimize(s, 24, groups, Options{Method: MethodBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestBaselineMatchesEngineInTestObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, obj, err := eng.Optimize()
+	_, obj, _, err := eng.OptimizeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,14 @@ import (
 // lookups additionally verify the per-rail sub-hashes and fall back to
 // a fresh evaluation on any mismatch, so a collision can cost
 // performance but never correctness.
+//
+// The composition alone does not determine the cost: the SOC, the
+// objective, the groups and the model do too. One engine's in-memory
+// cache sees a single problem, but a persistent cache file is shared
+// by every run and job that opens it, so Solve XORs a fingerprint of
+// the problem (salt) into every key. An entry stored under another
+// problem then sits under another key, and the sub-hash check keeps a
+// cross-problem key collision from ever restoring a wrong cost.
 
 // DefaultCacheSize is the entry capacity used when a CachedEvaluator
 // is built with a non-positive capacity.
@@ -88,6 +96,7 @@ type CachedEvaluator struct {
 	Inner Evaluator
 
 	capacity     int
+	salt         uint64 // problem fingerprint mixed into every key
 	hits, misses atomic.Int64
 	loads        atomic.Int64
 	evictions    atomic.Int64
@@ -101,7 +110,7 @@ type CachedEvaluator struct {
 	persist *CacheFile
 
 	// sink receives per-lookup cache_hit/cache_miss events. Set only
-	// for single-worker runs (NewParallelEngine): under concurrency
+	// for single-worker runs (Engine.configure): under concurrency
 	// the hit/miss split is timing-dependent, which would break trace
 	// determinism — the totals are always on the metrics snapshot.
 	sink obs.Sink
@@ -212,7 +221,7 @@ func (ent *cacheEntry) restore(a *tam.Architecture) bool {
 // on a miss it forwards to the inner evaluator and caches the outcome.
 // Errors are never cached.
 func (c *CachedEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
-	key := a.Hash() // refreshes dirty rails: TimeIn and sub-hashes are now current
+	key := a.Hash() ^ c.salt // Hash refreshes dirty rails: TimeIn and sub-hashes are now current
 	c.mu.Lock()
 	ent, ok := c.entries[key]
 	c.mu.Unlock()

@@ -41,7 +41,7 @@ var ErrCacheLocked = errors.New("core: cache file locked by another process")
 
 const (
 	cacheFileMagic   = "SITCACHE"
-	cacheFileVersion = 1
+	cacheFileVersion = 2 // 2 mixes the problem fingerprint into keys; version-1 files cold-start
 	cacheHeaderSize  = 16
 
 	// maxCacheFileRails bounds a single record's rail count during the

@@ -36,7 +36,7 @@ func TestEmptyConstraintsByteIdentical(t *testing.T) {
 			m := sischedule.DefaultModel()
 			cs := withEmptyConstraints(s)
 			for _, w := range diffWidths {
-				plain, err := TAMOptimization(s, w, groups, m)
+				plain, err := solveSerial(s, w, groups, m)
 				if err != nil {
 					t.Fatalf("W=%d plain: %v", w, err)
 				}
@@ -80,11 +80,11 @@ func TestNoOpConstraintsSameResult(t *testing.T) {
 	cp := *s
 	cp.Constraints = &soc.ConstraintSet{PowerBudget: 1 << 40}
 	for _, w := range []int{16, 64} {
-		plain, err := TAMOptimization(s, w, groups, m)
+		plain, err := solveSerial(s, w, groups, m)
 		if err != nil {
 			t.Fatalf("W=%d plain: %v", w, err)
 		}
-		capped, err := TAMOptimization(&cp, w, groups, m)
+		capped, err := solveSerial(&cp, w, groups, m)
 		if err != nil {
 			t.Fatalf("W=%d capped: %v", w, err)
 		}

@@ -20,7 +20,7 @@ func TestOptimizeILSRestartsSameSeedIdenticalHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.OptimizeILSRestarts(12, 4, 99)
+		arch, obj, err := optimizeILSRestarts(eng, 12, 4, 99)
 		if err != nil {
 			t.Fatal(err)
 		}

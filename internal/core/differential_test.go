@@ -66,7 +66,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			groups := diffGroups(t, s)
 			m := sischedule.DefaultModel()
 			for _, w := range diffWidths {
-				serial, err := TAMOptimization(s, w, groups, m)
+				serial, err := solveSerial(s, w, groups, m)
 				if err != nil {
 					t.Fatalf("W=%d serial: %v", w, err)
 				}
@@ -119,7 +119,7 @@ func TestParallelILSMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serialArch, serialObj, err := eng.OptimizeILS(ilsKicks, ilsSeed)
+			serialArch, serialObj, err := optimizeILS(eng, ilsKicks, ilsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,12 +128,12 @@ func TestParallelILSMatchesSerial(t *testing.T) {
 			}
 			dump := serialArch.String()
 			for _, workers := range []int{1, 2, 8} {
-				peng, _, err := NewParallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
+				peng, _, err := parallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
 					ParallelConfig{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				arch, obj, err := peng.OptimizeILS(ilsKicks, ilsSeed)
+				arch, obj, err := optimizeILS(peng, ilsKicks, ilsSeed)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -159,18 +159,18 @@ func TestParallelILSRestartsDeterministic(t *testing.T) {
 	var baseObj int64
 	var baseDump string
 	for i, workers := range []int{1, 2, 8} {
-		eng, _, err := NewParallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
+		eng, _, err := parallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
 			ParallelConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.OptimizeILSRestarts(ilsKicks, 3, ilsSeed)
+		arch, obj, err := optimizeILSRestarts(eng, ilsKicks, 3, ilsSeed)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if i == 0 {
 			baseObj, baseDump = obj, arch.String()
-			single, singleObj, err := eng.OptimizeILS(ilsKicks, ilsSeed)
+			single, singleObj, err := optimizeILS(eng, ilsKicks, ilsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestParallelILSRestartsDeterministic(t *testing.T) {
 			t.Errorf("workers=%d: restarts result differs from workers=1 (obj %d vs %d)", workers, obj, baseObj)
 		}
 	}
-	if _, _, err := mustEngine(t, s, groups, m).OptimizeILSRestarts(ilsKicks, 0, ilsSeed); err == nil {
+	if _, _, err := optimizeILSRestarts(mustEngine(t, s, groups, m), ilsKicks, 0, ilsSeed); err == nil {
 		t.Error("restarts=0 accepted")
 	}
 }

@@ -47,6 +47,10 @@ type Engine struct {
 	// bound applies to each restart independently.
 	MaxEvals int64
 
+	// cache is the memoization layer configure wrapped around Eval;
+	// nil when the engine evaluates uncached.
+	cache *CachedEvaluator
+
 	// evals counts objective evaluations. A pointer so that the
 	// shallow engine copies the ILS restart fan-out makes share one
 	// total (each restart still counts into its own — see
@@ -82,8 +86,10 @@ func statusOf(err error, phase string) Status {
 	return Status{Partial: true, Reason: stopReason(err, phase), Cause: CauseOf(err)}
 }
 
-// NewEngine builds an engine, precomputing the per-core InTest time
-// table up to Wmax.
+// NewEngine builds a serial, uncached engine over a given objective,
+// precomputing the per-core InTest time table up to Wmax. Solve is the
+// production entry point; NewEngine remains for objectives Solve does
+// not offer (custom evaluators in tests, the Test-Bus ablation).
 func NewEngine(s *soc.SOC, wmax int, eval Evaluator) (*Engine, error) {
 	if wmax < 1 {
 		return nil, fmt.Errorf("core: Wmax must be >= 1, got %d", wmax)
@@ -166,15 +172,10 @@ func (e *Engine) emitCandidates(phase string, res []candResult) {
 	}
 }
 
-// Optimize runs the full procedure: start solution, bottom-up merging,
-// top-down merging, the remaining-rails sweep, and core reshuffling. It
-// returns the best architecture found and its objective value.
-func (e *Engine) Optimize() (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeCtx(context.Background())
-	return a, obj, err
-}
-
-// OptimizeCtx is Optimize as an anytime algorithm: the procedure checks
+// OptimizeCtx runs the full procedure: start solution, bottom-up
+// merging, top-down merging, the remaining-rails sweep, and core
+// reshuffling. It returns the best architecture found and its
+// objective value. It is an anytime algorithm: the procedure checks
 // ctx between candidate evaluations, and when the context is cancelled
 // or its deadline expires mid-run (or the evaluation budget runs out)
 // it returns the best architecture found so far with Status.Partial set

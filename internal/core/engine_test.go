@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
+	"sitam/internal/tam"
 )
 
 func smallSOC() *soc.SOC {
@@ -30,6 +32,42 @@ func smallGroups() []*sischedule.Group {
 	}
 }
 
+// optimize runs e to completion.
+func optimize(e *Engine) (*tam.Architecture, int64, error) {
+	a, obj, _, err := e.OptimizeCtx(context.Background())
+	return a, obj, err
+}
+
+// optimizeILS runs e's ILS to completion.
+func optimizeILS(e *Engine, kicks int, seed int64) (*tam.Architecture, int64, error) {
+	a, obj, _, err := e.OptimizeILSCtx(context.Background(), kicks, seed)
+	return a, obj, err
+}
+
+// optimizeILSRestarts runs e's restarted ILS to completion.
+func optimizeILSRestarts(e *Engine, kicks, restarts int, seed int64) (*tam.Architecture, int64, error) {
+	a, obj, _, err := e.OptimizeILSRestartsCtx(context.Background(), kicks, restarts, seed)
+	return a, obj, err
+}
+
+// parallelEngine is Solve's engine wiring around a caller-chosen
+// objective, so the differential suites can pin the scratch evaluator
+// against the incremental one under the same pool and cache.
+func parallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig) (*Engine, *CachedEvaluator, error) {
+	eng, err := NewEngine(s, wmax, eval)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng.configure(cfg, 0)
+	return eng, eng.cache, nil
+}
+
+// solveSerial is Solve with MethodSI on a serial, uncached engine.
+func solveSerial(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
+	return Solve(context.Background(), Problem{SOC: s, Wmax: wmax, Groups: groups, Model: m},
+		Options{ParallelConfig: ParallelConfig{Workers: 1, CacheSize: -1}})
+}
+
 func TestEngineValidation(t *testing.T) {
 	if _, err := NewEngine(smallSOC(), 0, InTestEvaluator{}); err == nil {
 		t.Error("accepted Wmax=0")
@@ -47,7 +85,7 @@ func TestOptimizeInTestProducesValidArchitecture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.Optimize()
+		arch, obj, err := optimize(eng)
 		if err != nil {
 			t.Fatalf("Wmax=%d: %v", wmax, err)
 		}
@@ -70,7 +108,7 @@ func TestOptimizeFewerWiresThanCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +130,7 @@ func TestOptimizeMonotonicOverWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, obj, err := eng.Optimize()
+		_, obj, err := optimize(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +148,7 @@ func TestOptimizeSIAwareValid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.Optimize()
+		arch, obj, err := optimize(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +181,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, obj, err := eng.Optimize()
+		arch, obj, err := optimize(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +209,7 @@ func TestSIAwareBeatsBaselineOnSIHeavyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseArch, _, err := engBase.Optimize()
+	baseArch, _, err := optimize(engBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +222,7 @@ func TestSIAwareBeatsBaselineOnSIHeavyWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, siObj, err := engSI.Optimize()
+	_, siObj, err := optimize(engSI)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +241,7 @@ func TestSingleCoreSOC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +258,7 @@ func TestWmaxEqualsCoreCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +281,7 @@ func TestFreeWiresGoToBottleneck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +301,7 @@ func TestBottleneckRails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch, _, err := eng.Optimize()
+	arch, _, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +330,7 @@ func TestTestBusEvaluatorSerializesSI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, railObj, err := engRail.Optimize()
+	_, railObj, err := optimize(engRail)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +338,7 @@ func TestTestBusEvaluatorSerializesSI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	busArch, busObj, err := engBus.Optimize()
+	busArch, busObj, err := optimize(engBus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +370,7 @@ func TestEvaluateBreakdownMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TAMOptimization(s, 16, gr.Groups, sischedule.DefaultModel())
+	res, err := solveSerial(s, 16, gr.Groups, sischedule.DefaultModel())
 	if err != nil {
 		t.Fatal(err)
 	}

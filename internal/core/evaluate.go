@@ -106,31 +106,26 @@ type Breakdown struct {
 	TimeSOC int64
 }
 
-// Evaluate computes the breakdown of an architecture under the given
-// groups and model, also refreshing the rails' bookkeeping. When the
-// SOC carries a Constraints stanza, the schedule honors it (see
+// EvaluateBreakdown computes the breakdown of an architecture under the
+// given groups and model, also refreshing the rails' bookkeeping. When
+// the SOC carries a Constraints stanza, the schedule honors it (see
 // CompileSOCConstraints); an unconstrained SOC takes the exact code
-// path it always did.
+// path it always did. It is kept, with its signature, because the
+// benchmark module e2ebench calls it.
 func EvaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model) (Breakdown, *sischedule.Schedule, error) {
-	return EvaluateBreakdownObs(a, groups, m, nil)
-}
-
-// EvaluateBreakdownObs is EvaluateBreakdown with tracing: the final
-// schedule's slots are reported as si_group_scheduled events inside an
-// "si schedule" phase span whose Best carries T_soc — the endpoint of
-// the run's convergence curve.
-func EvaluateBreakdownObs(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
 	cons, err := CompileSOCConstraints(a.SOC, groups)
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
-	return EvaluateBreakdownConsObs(a, groups, m, cons, sink)
+	return evaluateBreakdown(a, groups, m, cons, nil)
 }
 
-// EvaluateBreakdownConsObs is EvaluateBreakdownObs with a pre-compiled
-// constraint set (nil = unconstrained), for callers that already hold
-// one and must not pay recompilation.
-func EvaluateBreakdownConsObs(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
+// evaluateBreakdown is EvaluateBreakdown under a compiled constraint
+// set (nil = unconstrained), with tracing: the final schedule's slots
+// are reported as si_group_scheduled events inside an "si schedule"
+// phase span whose Best carries T_soc — the endpoint of the run's
+// convergence curve.
+func evaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)
 	}

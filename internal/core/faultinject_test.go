@@ -43,7 +43,7 @@ func TestEvaluatorErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Optimize(); err != nil {
+	if _, _, err := optimize(eng); err != nil {
 		t.Fatal(err)
 	}
 	total := probe.calls
@@ -79,7 +79,7 @@ func TestStalledEvaluatorYieldsPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fullObj, err := eng.Optimize()
+	_, fullObj, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +127,12 @@ func TestStalledEvaluatorDuringILS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Optimize(); err != nil {
+	if _, _, err := optimize(eng); err != nil {
 		t.Fatal(err)
 	}
 	greedyCalls := probe.calls
 
-	_, greedyObj, err := eng.Optimize()
+	_, greedyObj, err := optimize(eng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,16 +19,11 @@ import (
 // natural next step its Section 6 leaves open, and the ablation bench
 // quantifies what it buys.
 
-// OptimizeILS runs Optimize and then `kicks` perturbation rounds,
-// returning the best architecture found. With kicks == 0 it is exactly
-// Optimize. Results are deterministic in seed.
-func (e *Engine) OptimizeILS(kicks int, seed int64) (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeILSCtx(context.Background(), kicks, seed)
-	return a, obj, err
-}
-
-// OptimizeILSCtx is OptimizeILS as an anytime algorithm: the context is
-// checked before and during every kick round, and cancellation or
+// OptimizeILSCtx runs OptimizeCtx and then `kicks` perturbation
+// rounds, returning the best architecture found. With kicks == 0 it is
+// exactly OptimizeCtx. Results are deterministic in seed. It is an
+// anytime algorithm: the context is checked before and during every
+// kick round, and cancellation or
 // deadline expiry mid-search returns the best architecture found so far
 // with Status.Partial set and a nil error. The best-so-far objective is
 // monotonically non-increasing, so a partial result is never better
@@ -86,20 +81,14 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks int, seed int64) (*ta
 	return best, bestObj, Status{}, nil
 }
 
-// OptimizeILSRestarts runs `restarts` independent ILS searches with
+// OptimizeILSRestartsCtx runs `restarts` independent ILS searches with
 // seeds seed, seed+1, ..., seed+restarts-1 and returns the best
 // architecture found. Restarts are mutually independent, so with a
 // parallel evaluator they fan out across the worker pool (each restart
 // then evaluates serially inside, keeping total concurrency bounded);
 // the reduction picks the smallest objective, ties broken by the
 // lowest seed, so the outcome is byte-identical at any worker count.
-func (e *Engine) OptimizeILSRestarts(kicks, restarts int, seed int64) (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeILSRestartsCtx(context.Background(), kicks, restarts, seed)
-	return a, obj, err
-}
-
-// OptimizeILSRestartsCtx is OptimizeILSRestarts as an anytime
-// algorithm: on cancellation or deadline expiry the best architecture
+// It is an anytime algorithm: on cancellation or deadline expiry the best architecture
 // any restart produced so far is returned with Status.Partial set and
 // a nil error; the context's error comes back only when no restart
 // produced anything.

@@ -15,11 +15,11 @@ func TestOptimizeILSZeroKicksEqualsOptimize(t *testing.T) {
 		}
 		return eng
 	}
-	_, plain, err := mk().Optimize()
+	_, plain, err := optimize(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ils, err := mk().OptimizeILS(0, 1)
+	_, ils, err := optimizeILS(mk(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +35,11 @@ func TestOptimizeILSNeverWorse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, plain, err := eng.Optimize()
+		_, plain, err := optimize(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch, ils, err := eng.OptimizeILS(20, 7)
+		arch, ils, err := optimizeILS(eng, 20, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestOptimizeILSDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, obj, err := eng.OptimizeILS(15, 42)
+		_, obj, err := optimizeILS(eng, 15, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestOptimizeILSRejectsNegativeKicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.OptimizeILS(-1, 0); err == nil {
+	if _, _, err := optimizeILS(eng, -1, 0); err == nil {
 		t.Error("accepted negative kicks")
 	}
 }

@@ -37,17 +37,11 @@ type IncrementalSIEvaluator struct {
 }
 
 // NewIncrementalSIEvaluator builds an incremental evaluator over the
-// given groups and cost model.
-func NewIncrementalSIEvaluator(groups []*sischedule.Group, m sischedule.Model) *IncrementalSIEvaluator {
-	return NewIncrementalSIEvaluatorCons(groups, m, nil)
-}
-
-// NewIncrementalSIEvaluatorCons is NewIncrementalSIEvaluator under a
-// compiled constraint set (nil = unconstrained): the planner packs
-// groups under the same power/precedence/exclusion rules the final
-// scheduler enforces, so the optimizer's objective and the reported
-// schedule agree.
-func NewIncrementalSIEvaluatorCons(groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints) *IncrementalSIEvaluator {
+// given groups and cost model under a compiled constraint set (nil =
+// unconstrained): the planner packs groups under the same
+// power/precedence/exclusion rules the final scheduler enforces, so the
+// optimizer's objective and the reported schedule agree.
+func NewIncrementalSIEvaluator(groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints) *IncrementalSIEvaluator {
 	return &IncrementalSIEvaluator{
 		Groups:  groups,
 		Model:   m,
@@ -70,8 +64,8 @@ func (e *IncrementalSIEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	e.groupsMemoized.Add(int64(st.GroupsMemoized))
 	if e.sink != nil {
 		e.sink.Emit(obs.Event{
-			Type: obs.EvalIncremental,
-			N:    int64(dirty),
+			Type:       obs.EvalIncremental,
+			N:          int64(dirty),
 			Recomputed: st.GroupsRecomputed,
 			Memoized:   st.GroupsMemoized,
 		})

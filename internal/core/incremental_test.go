@@ -20,12 +20,12 @@ import (
 
 func incrEngines(t *testing.T, s *soc.SOC, w int, groups []*sischedule.Group, m sischedule.Model, workers int) (scratch, incr *Engine) {
 	t.Helper()
-	se, _, err := NewParallelEngine(s, w, &SIEvaluator{Groups: groups, Model: m},
+	se, _, err := parallelEngine(s, w, &SIEvaluator{Groups: groups, Model: m},
 		ParallelConfig{Workers: workers, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie, _, err := NewParallelEngine(s, w, NewIncrementalSIEvaluator(groups, m),
+	ie, _, err := parallelEngine(s, w, NewIncrementalSIEvaluator(groups, m, nil),
 		ParallelConfig{Workers: workers, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 			m := sischedule.DefaultModel()
 			for _, w := range diffWidths {
 				scratch, _ := incrEngines(t, s, w, groups, m, 1)
-				sArch, sObj, err := scratch.Optimize()
+				sArch, sObj, err := optimize(scratch)
 				if err != nil {
 					t.Fatalf("W=%d scratch: %v", w, err)
 				}
@@ -54,7 +54,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				dump := sArch.String()
 				for _, workers := range []int{1, 2, 8} {
 					_, incr := incrEngines(t, s, w, groups, m, workers)
-					iArch, iObj, err := incr.Optimize()
+					iArch, iObj, err := optimize(incr)
 					if err != nil {
 						t.Fatalf("W=%d workers=%d incremental: %v", w, workers, err)
 					}
@@ -81,7 +81,7 @@ func TestIncrementalILSMatchesScratch(t *testing.T) {
 			groups := diffGroups(t, s)
 			m := sischedule.DefaultModel()
 			scratch, _ := incrEngines(t, s, diffILSW, groups, m, 1)
-			sArch, sObj, err := scratch.OptimizeILS(ilsKicks, ilsSeed)
+			sArch, sObj, err := optimizeILS(scratch, ilsKicks, ilsSeed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestIncrementalILSMatchesScratch(t *testing.T) {
 			dump := sArch.String()
 			for _, workers := range []int{1, 2, 8} {
 				_, incr := incrEngines(t, s, diffILSW, groups, m, workers)
-				_, iObj, err := incr.OptimizeILSRestarts(ilsKicks, 2, ilsSeed)
+				_, iObj, err := optimizeILSRestarts(incr, ilsKicks, 2, ilsSeed)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -101,7 +101,7 @@ func TestIncrementalILSMatchesScratch(t *testing.T) {
 					t.Errorf("workers=%d: incremental ILS(2 restarts) objective = %d worse than scratch single run %d",
 						workers, iObj, sObj)
 				}
-				sIArch, sIObj, err := incr.OptimizeILS(ilsKicks, ilsSeed)
+				sIArch, sIObj, err := optimizeILS(incr, ilsKicks, ilsSeed)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -196,12 +196,12 @@ func TestIncrementalStatsAccount(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
 	groups := diffGroups(t, s)
 	m := sischedule.DefaultModel()
-	eval := NewIncrementalSIEvaluator(groups, m)
-	eng, _, err := NewParallelEngine(s, 32, eval, ParallelConfig{Workers: 1, CacheSize: -1})
+	eval := NewIncrementalSIEvaluator(groups, m, nil)
+	eng, _, err := parallelEngine(s, 32, eval, ParallelConfig{Workers: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := eng.Optimize(); err != nil {
+	if _, _, err := optimize(eng); err != nil {
 		t.Fatal(err)
 	}
 	st := eval.Stats()
@@ -244,7 +244,7 @@ func FuzzIncrementalMutations(f *testing.F) {
 		for _, c := range s.Cores() {
 			a.AddRail([]int{c.ID}, 1)
 		}
-		incr := NewIncrementalSIEvaluator(groups, m)
+		incr := NewIncrementalSIEvaluator(groups, m, nil)
 		scratch := &SIEvaluator{Groups: groups, Model: m}
 
 		check := func(step int) {

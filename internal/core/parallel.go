@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"sitam/internal/obs"
-	"sitam/internal/sischedule"
-	"sitam/internal/soc"
 	"sitam/internal/tam"
 )
 
@@ -33,7 +31,7 @@ type ParallelEvaluator struct {
 	Workers int
 
 	// Pool counters, nil unless a metrics registry was attached (see
-	// NewParallelEngine). busyNS sums per-candidate evaluation time
+	// Engine.configure). busyNS sums per-candidate evaluation time
 	// across workers and wallNS the batches' elapsed time, so
 	// busy/(wall*workers) is the pool utilization. Timestamps are
 	// taken only when timed is set.
@@ -203,7 +201,9 @@ func rebuild(base *tam.Architecture, i int, job func(cand *tam.Architecture, i i
 }
 
 // ParallelConfig bundles the concurrency, memoization and
-// observability knobs of the optimization entry points.
+// observability knobs of Solve. Options embeds it rather than listing
+// the fields itself because the benchmark module e2ebench builds a
+// ParallelConfig directly.
 type ParallelConfig struct {
 	// Workers bounds concurrent candidate evaluations: 0 means
 	// runtime.GOMAXPROCS(0), 1 runs serially.
@@ -236,72 +236,4 @@ type ParallelConfig struct {
 	// negative. The CacheFile outlives the run — the caller owns its
 	// lifecycle (a daemon keeps one file across jobs and restarts).
 	Persist *CacheFile
-}
-
-// NewParallelEngine builds an Engine whose candidate evaluations run
-// on a cfg.Workers-sized pool against a shared memoization cache. The
-// returned CachedEvaluator exposes the cache counters; it is nil when
-// cfg.CacheSize is negative.
-func NewParallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig) (*Engine, *CachedEvaluator, error) {
-	var cache *CachedEvaluator
-	if cfg.CacheSize >= 0 {
-		cache = NewCachedEvaluator(eval, cfg.CacheSize)
-		eval = cache
-	}
-	eng, err := NewEngine(s, wmax, eval)
-	if err != nil {
-		return nil, nil, err
-	}
-	par := &ParallelEvaluator{Workers: cfg.Workers}
-	eng.Par = par
-	eng.MaxEvals = cfg.MaxEvals
-	if cfg.Trace != nil {
-		eng.Trace = cfg.Trace
-		if par.workers() == 1 {
-			// Per-lookup cache and eval_incremental events are
-			// deterministic only when one goroutine evaluates; see the
-			// obs package comment.
-			if cache != nil {
-				cache.sink = cfg.Trace
-			}
-			if inc, ok := innerEvaluator(eng.Eval).(*IncrementalSIEvaluator); ok {
-				inc.sink = cfg.Trace
-			}
-		}
-	}
-	if cache != nil && cfg.Persist != nil {
-		// After the sink decision above, so a single-worker traced run
-		// records its one deterministic cache_load event.
-		cache.AttachPersistent(cfg.Persist)
-	}
-	if cfg.Metrics != nil {
-		eng.Metrics = cfg.Metrics
-		par.batches = cfg.Metrics.Counter("pool_batches")
-		par.candidates = cfg.Metrics.Counter("pool_candidates")
-		par.busyNS = cfg.Metrics.Counter("pool_busy_ns")
-		par.wallNS = cfg.Metrics.Counter("pool_wall_ns")
-		par.timed = true
-		cfg.Metrics.Gauge("pool_workers").Set(int64(par.workers()))
-	}
-	return eng, cache, nil
-}
-
-// TAMOptimizationWith is TAMOptimizationCtx with parallel candidate
-// evaluation, memoization and observability per cfg; the result
-// additionally carries the cache statistics and metrics snapshot of
-// the run.
-func TAMOptimizationWith(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model, cfg ParallelConfig) (*Result, error) {
-	cons, err := CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, cache, err := NewParallelEngine(s, wmax, NewIncrementalSIEvaluatorCons(groups, m, cons), cfg)
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, cache)
 }

@@ -289,46 +289,14 @@ func pinKey(pins []int) string {
 	return string(b)
 }
 
-// TAMOptimization is the paper's Algorithm 2: it designs a TestRail
-// architecture of total width wmax for SOC s minimizing
-// T_soc = T_in + T_si over the given SI test groups, and returns the
-// architecture with its objective breakdown and SI schedule.
-func TAMOptimization(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
-	return TAMOptimizationCtx(context.Background(), s, wmax, groups, m)
-}
-
-// TAMOptimizationCtx is TAMOptimization as an anytime algorithm: on
-// cancellation or deadline expiry mid-search the best architecture
-// found so far is evaluated and returned with Result.Partial set and a
-// nil error. Only when no valid architecture was produced at all does
-// the context's error come back.
-func TAMOptimizationCtx(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
-	cons, err := CompileSOCConstraints(s, groups)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := NewEngine(s, wmax, NewIncrementalSIEvaluatorCons(groups, m, cons))
-	if err != nil {
-		return nil, err
-	}
-	arch, _, st, err := eng.OptimizeCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return eng.Finish(arch, st, groups, m, nil)
-}
-
 // Finish assembles the Result of an optimization run: it evaluates the
-// final architecture's breakdown and SI schedule (emitting the
-// si_group_scheduled events when the engine traces), snapshots the
-// cache counters and metrics onto the result, and carries the anytime
-// status. Every entry point that produces a Result funnels through it.
-func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.Group, m sischedule.Model, cache *CachedEvaluator) (*Result, error) {
-	cons, err := CompileSOCConstraints(arch.SOC, groups)
-	if err != nil {
-		return nil, err
-	}
-	bd, sched, err := EvaluateBreakdownConsObs(arch, groups, m, cons, e.Trace)
+// final architecture's breakdown and SI schedule under cons, the
+// groups' compiled constraints (emitting the si_group_scheduled events
+// when the engine traces), snapshots the cache counters and metrics
+// onto the result, and carries the anytime status. Solve returns
+// through it.
+func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints) (*Result, error) {
+	bd, sched, err := evaluateBreakdown(arch, groups, m, cons, e.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -341,10 +309,10 @@ func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.
 		Architecture: arch, Breakdown: bd, Schedule: sched,
 		Partial: st.Partial, Reason: st.Reason, Cause: st.Cause,
 	}
-	if cache != nil {
-		res.Cache = cache.Stats()
+	if e.cache != nil {
+		res.Cache = e.cache.Stats()
 	}
-	res.Metrics = e.snapshotMetrics(cache)
+	res.Metrics = e.snapshotMetrics()
 	return res, nil
 }
 
@@ -352,11 +320,11 @@ func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.
 // and adds the counters every run has regardless of a registry: total
 // evaluations, the cache totals, and the incremental evaluator's
 // recompute accounting.
-func (e *Engine) snapshotMetrics(cache *CachedEvaluator) *obs.Snapshot {
+func (e *Engine) snapshotMetrics() *obs.Snapshot {
 	snap := e.Metrics.Snapshot() // nil-safe: empty snapshot without a registry
 	snap.Counters["evals"] = e.evalCount()
-	if cache != nil {
-		st := cache.Stats()
+	if e.cache != nil {
+		st := e.cache.Stats()
 		snap.Counters["cache_hits"] = st.Hits
 		snap.Counters["cache_misses"] = st.Misses
 		snap.Counters["cache_loads"] = st.Loads
@@ -405,8 +373,7 @@ type Result struct {
 	Cause StopCause
 
 	// Cache holds the evaluation-cache counters of the run, when the
-	// optimization ran with memoization (TAMOptimizationWith and the
-	// cfg-aware facade entry points); zero otherwise.
+	// optimization ran with memoization; zero otherwise.
 	Cache CacheStats
 
 	// Metrics is the run's metrics snapshot. Always non-nil on results

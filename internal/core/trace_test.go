@@ -159,7 +159,7 @@ func TestTraceILSRestartsDeterministic(t *testing.T) {
 	run := func(workers int) []obs.Event {
 		t.Helper()
 		tr := obs.NewTracer()
-		eng, cache, err := NewParallelEngine(s, traceW, &SIEvaluator{Groups: groups, Model: m},
+		eng, _, err := parallelEngine(s, traceW, &SIEvaluator{Groups: groups, Model: m},
 			ParallelConfig{Workers: workers, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestTraceILSRestartsDeterministic(t *testing.T) {
 			if err != nil {
 				return nil, st, err
 			}
-			res, err := eng.Finish(a, st, groups, m, cache)
+			res, err := eng.Finish(a, st, groups, m, nil)
 			return res, st, err
 		}()
 		if err2 != nil {

@@ -161,18 +161,16 @@ func Gap(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (
 	if err != nil {
 		return 0, err
 	}
-	var eval core.Evaluator = core.InTestEvaluator{}
-	if len(groups) > 0 {
-		eval = &core.SIEvaluator{Groups: groups, Model: m}
+	method := core.MethodSI
+	if len(groups) == 0 {
+		method = core.MethodBaseline
 	}
-	eng, err := core.NewEngine(s, wmax, eval)
+	res, err := core.Solve(context.Background(), core.Problem{SOC: s, Wmax: wmax, Groups: groups, Model: m},
+		core.Options{Method: method, ParallelConfig: core.ParallelConfig{Workers: 1, CacheSize: -1}})
 	if err != nil {
 		return 0, err
 	}
-	_, heur, err := eng.Optimize()
-	if err != nil {
-		return 0, err
-	}
+	heur := res.Breakdown.TimeSOC
 	if heur < opt.Objective {
 		return 0, fmt.Errorf("exact: heuristic %d beat the exhaustive optimum %d — enumeration bug", heur, opt.Objective)
 	}

@@ -49,6 +49,13 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		sample = 800
 	}
 	wmax := 32
+	// A section in flight runs to completion: cancellation is checked
+	// between sections, so no section reports a partial number.
+	sectionCtx := context.WithoutCancel(ctx)
+	solve := func(groups []*sischedule.Group) (*core.Result, error) {
+		return core.Solve(sectionCtx, core.Problem{SOC: s, Wmax: wmax, Groups: groups, Model: sischedule.DefaultModel()},
+			core.Options{ParallelConfig: core.ParallelConfig{Workers: 1, CacheSize: -1}})
+	}
 
 	fmt.Fprintf(w, "Ablation study on %s (Nr=%d, Wmax=%d, seed=%d)\n", s.Name, nr, wmax, seed)
 
@@ -86,7 +93,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		if err != nil {
 			return err
 		}
-		res, err := core.TAMOptimization(s, wmax, gr.Groups, sischedule.DefaultModel())
+		res, err := solve(gr.Groups)
 		if err != nil {
 			return err
 		}
@@ -149,7 +156,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	if err != nil {
 		return err
 	}
-	res, err := core.TAMOptimization(s, wmax, gr.Groups, sischedule.DefaultModel())
+	res, err := solve(gr.Groups)
 	if err != nil {
 		return err
 	}
@@ -170,11 +177,10 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	if err != nil {
 		return err
 	}
-	busArch, busObj, err := engBus.Optimize()
+	_, busObj, _, err := engBus.OptimizeCtx(sectionCtx)
 	if err != nil {
 		return err
 	}
-	_ = busArch
 	fmt.Fprintf(w, "    TestRail (parallel ExTest): T_soc=%d; Test Bus (serial ExTest): T_soc=%d (+%.1f%%)\n",
 		res.Breakdown.TimeSOC, busObj,
 		100*float64(busObj-res.Breakdown.TimeSOC)/float64(res.Breakdown.TimeSOC))

@@ -16,7 +16,6 @@ import (
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
-	"sitam/internal/trarchitect"
 )
 
 // TableConfig parameterizes one table run (the paper's Table 2/3 setup).
@@ -229,15 +228,16 @@ func RunTableCtx(ctx context.Context, s *soc.SOC, cfg TableConfig) (*Table, erro
 			// Baseline: InTest-only architecture, then the SI tests
 			// (best grouping for that fixed architecture, so the
 			// baseline is not penalized by the grouping choice).
-			arch, _, st, err := trarchitect.OptimizeWithCtx(ctx, s, w, parCfg(cfg))
+			base, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: w},
+				core.Options{Method: core.MethodBaseline, ParallelConfig: parCfg(cfg)})
 			if err != nil {
 				return nil, err
 			}
-			if st.Partial {
+			if base.Partial {
 				return finish(fmt.Sprintf("baseline optimization (Nr=%d, W=%d)", nr, w))
 			}
 			for _, g := range cfg.Groupings {
-				bd, _, err := core.EvaluateBreakdown(arch, groupsByG[g], cfg.Model)
+				bd, _, err := core.EvaluateBreakdown(base.Architecture, groupsByG[g], cfg.Model)
 				if err != nil {
 					return nil, err
 				}
@@ -249,7 +249,8 @@ func RunTableCtx(ctx context.Context, s *soc.SOC, cfg TableConfig) (*Table, erro
 
 			// SI-aware optimization per grouping count.
 			for _, g := range cfg.Groupings {
-				res, err := core.TAMOptimizationWith(ctx, s, w, groupsByG[g], cfg.Model, parCfg(cfg))
+				res, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: w, Groups: groupsByG[g], Model: cfg.Model},
+					core.Options{ParallelConfig: parCfg(cfg)})
 				if err != nil {
 					return nil, err
 				}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -22,7 +23,8 @@ func optimizedResult(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.TAMOptimization(s, 16, gr.Groups, sischedule.DefaultModel())
+	res, err := core.Solve(context.Background(),
+		core.Problem{SOC: s, Wmax: 16, Groups: gr.Groups, Model: sischedule.DefaultModel()}, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

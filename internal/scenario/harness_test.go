@@ -119,7 +119,8 @@ func TestEngineOnScenarios(t *testing.T) {
 		if err := sc.Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		res, err := core.TAMOptimization(sc.SOC, 24, sc.Groups, sc.Model())
+		res, err := core.Solve(context.Background(),
+			core.Problem{SOC: sc.SOC, Wmax: 24, Groups: sc.Groups, Model: sc.Model()}, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: optimization: %v", seed, err)
 		}

@@ -23,7 +23,6 @@ import (
 	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
-	"sitam/internal/trarchitect"
 )
 
 // State is a job's position in its lifecycle. The machine is
@@ -105,18 +104,18 @@ type ChaosHook struct {
 
 // Validate normalizes the request and rejects out-of-range values with
 // limits (resource sanity is part of admission control: a hostile nr or
-// wmax must fail fast with 400, not OOM a worker).
+// wmax must fail fast with 400, not OOM a worker). It resolves the SOC
+// as the run will, so an unknown benchmark, an unparsable source or
+// more groups than cores is rejected before the job is journaled.
 func (r *Request) Validate(lim Limits) error {
 	if (r.SOC == "") == (r.Source == "") {
 		return fmt.Errorf("exactly one of soc or source must be set")
 	}
 	if r.Algo == "" {
-		r.Algo = "si"
+		r.Algo = string(core.MethodSI)
 	}
-	switch r.Algo {
-	case "si", "baseline", "ils":
-	default:
-		return fmt.Errorf("unknown algo %q (want si, baseline or ils)", r.Algo)
+	if err := core.Method(r.Algo).Validate(); err != nil {
+		return err
 	}
 	if r.Wmax < 1 || r.Wmax > lim.MaxWmax {
 		return fmt.Errorf("wmax %d out of range [1, %d]", r.Wmax, lim.MaxWmax)
@@ -144,6 +143,13 @@ func (r *Request) Validate(lim Limits) error {
 	}
 	if r.MaxEvals < 0 {
 		return fmt.Errorf("budget must be >= 0")
+	}
+	s, err := r.loadSOC()
+	if err != nil {
+		return err
+	}
+	if r.Parts > s.NumCores() {
+		return fmt.Errorf("groups %d exceeds the %d cores of %s", r.Parts, s.NumCores(), s.Name)
 	}
 	return nil
 }
@@ -342,7 +348,7 @@ func (j *Job) run(ctx context.Context, hooks bool, maxJobWorkers int, persist *c
 		}
 	}
 
-	s, err := j.loadSOC()
+	s, err := req.loadSOC()
 	if err != nil {
 		return nil, err
 	}
@@ -375,33 +381,12 @@ func (j *Job) run(ctx context.Context, hooks bool, maxJobWorkers int, persist *c
 	if workers < 1 || workers > maxJobWorkers {
 		workers = maxJobWorkers
 	}
-	cfg := core.ParallelConfig{Workers: workers, MaxEvals: req.MaxEvals, Trace: j.Trace, Persist: persist}
-	model := sischedule.DefaultModel()
-
-	var res *core.Result
-	switch req.Algo {
-	case "baseline":
-		res, err = trarchitect.OptimizeThenScheduleSIWith(ctx, s, req.Wmax, grouping.Groups, model, cfg)
-	case "ils":
-		cons, cerr := core.CompileSOCConstraints(s, grouping.Groups)
-		if cerr != nil {
-			err = cerr
-			break
-		}
-		eng, cache, eerr := core.NewParallelEngine(s, req.Wmax, core.NewIncrementalSIEvaluatorCons(grouping.Groups, model, cons), cfg)
-		if eerr != nil {
-			err = eerr
-			break
-		}
-		arch, _, st, oerr := eng.OptimizeILSRestartsCtx(ctx, req.Kicks, req.Restarts, req.Seed)
-		if oerr != nil {
-			err = oerr
-			break
-		}
-		res, err = eng.Finish(arch, st, grouping.Groups, model, cache)
-	default:
-		res, err = core.TAMOptimizationWith(ctx, s, req.Wmax, grouping.Groups, model, cfg)
-	}
+	res, err := core.Solve(ctx,
+		core.Problem{SOC: s, Wmax: req.Wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()},
+		core.Options{
+			Method: core.Method(req.Algo), Kicks: req.Kicks, Restarts: req.Restarts, Seed: req.Seed,
+			ParallelConfig: core.ParallelConfig{Workers: workers, MaxEvals: req.MaxEvals, Trace: j.Trace, Persist: persist},
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -420,9 +405,11 @@ func (j *Job) run(ctx context.Context, hooks bool, maxJobWorkers int, persist *c
 	return out, nil
 }
 
-func (j *Job) loadSOC() (*soc.SOC, error) {
-	if j.Req.Source != "" {
-		return soc.Parse(strings.NewReader(j.Req.Source))
+// loadSOC resolves the request's design: the inline source when set,
+// otherwise the embedded benchmark.
+func (r *Request) loadSOC() (*soc.SOC, error) {
+	if r.Source != "" {
+		return soc.Parse(strings.NewReader(r.Source))
 	}
-	return soc.LoadBenchmark(j.Req.SOC)
+	return soc.LoadBenchmark(r.SOC)
 }

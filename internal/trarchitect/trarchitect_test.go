@@ -1,17 +1,26 @@
 package trarchitect
 
 import (
+	"context"
 	"testing"
 
+	"sitam/internal/core"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
+	"sitam/internal/tam"
 )
+
+// optimize runs the baseline serially and uncached, like socinfo.
+func optimize(s *soc.SOC, wmax int) (*tam.Architecture, int64, error) {
+	a, obj, _, err := OptimizeWithCtx(context.Background(), s, wmax, core.ParallelConfig{Workers: 1, CacheSize: -1})
+	return a, obj, err
+}
 
 func TestOptimizeBenchmarksValid(t *testing.T) {
 	for _, name := range soc.Benchmarks() {
 		s := soc.MustLoadBenchmark(name)
 		for _, w := range []int{8, 24, 64} {
-			arch, obj, err := Optimize(s, w)
+			arch, obj, err := optimize(s, w)
 			if err != nil {
 				t.Fatalf("%s W=%d: %v", name, w, err)
 			}
@@ -30,15 +39,15 @@ func TestOptimizeBenchmarksValid(t *testing.T) {
 
 func TestOptimizeImprovesWithWidth(t *testing.T) {
 	s := soc.MustLoadBenchmark("p93791")
-	t8, _, err := Optimize(s, 8)
+	t8, _, err := optimize(s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t32, _, err := Optimize(s, 32)
+	t32, _, err := optimize(s, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t64, _, err := Optimize(s, 64)
+	t64, _, err := optimize(s, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +63,11 @@ func TestP34392BottleneckFlattening(t *testing.T) {
 	// wires stop helping — the flattening visible in the paper's
 	// Table 2 for Wmax >= 40.
 	s := soc.MustLoadBenchmark("p34392")
-	a48, _, err := Optimize(s, 48)
+	a48, _, err := optimize(s, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a64, _, err := Optimize(s, 64)
+	a64, _, err := optimize(s, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestLowerBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			arch, _, err := Optimize(s, w)
+			arch, _, err := optimize(s, w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +128,8 @@ func TestOptimizeThenScheduleSI(t *testing.T) {
 		{Name: "g1", Cores: s.SortedIDs(), Patterns: 1000},
 		{Name: "g2", Cores: []int{1, 2, 3}, Patterns: 500},
 	}
-	res, err := OptimizeThenScheduleSI(s, 16, groups, sischedule.DefaultModel())
+	res, err := core.Solve(context.Background(), core.Problem{SOC: s, Wmax: 16, Groups: groups, Model: sischedule.DefaultModel()},
+		core.Options{Method: core.MethodBaseline})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +146,8 @@ func TestOptimizeThenScheduleSI(t *testing.T) {
 		t.Error(err)
 	}
 	// The baseline optimizes InTest only, so its InTest time matches a
-	// plain Optimize run.
-	arch, _, err := Optimize(s, 16)
+	// run without SI groups.
+	arch, _, err := optimize(s, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
