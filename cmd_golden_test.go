@@ -9,6 +9,9 @@ package sitam
 // Each case is also a CLI-level differential check: the same command
 // re-run at a different -workers count must reproduce the golden
 // stdout exactly (cache counters go to stderr, which is not golden).
+// Cases with a cache leg also re-run on a persistent -cache-file,
+// fresh and then warm: a cache file must never change a printed
+// number.
 
 import (
 	"flag"
@@ -79,6 +82,11 @@ var goldenCases = []struct {
 	args     []string
 	wantCode int
 	workers  []string // -workers values to sweep; empty = run args as-is once
+
+	// cacheFill, when non-nil, adds the cache leg: a run with these
+	// extra args fills a fresh -cache-file unless empty, then two runs
+	// of the golden command on that file must match the golden stdout.
+	cacheFill []string
 }{
 	{
 		name: "tamopt_d695",
@@ -87,6 +95,9 @@ var goldenCases = []struct {
 		args: []string{"-soc", "d695", "-w", "12", "-nr", "1500", "-g", "2", "-seed", "1"},
 
 		workers: []string{"1", "2", "8"},
+		// The file first holds the InTest-only baseline's entries,
+		// which must not answer the SI-aware run's lookups.
+		cacheFill: []string{"-baseline"},
 	},
 	{
 		name: "tamopt_d695_ils_restarts",
@@ -116,6 +127,9 @@ var goldenCases = []struct {
 		tool:    "socbench",
 		args:    []string{"-quick", "-soc", "p34392", "-markdown", "-seed", "1"},
 		workers: []string{"1", "8"},
+		// One file across the sweep: baseline and SI-aware runs of
+		// every grouping share it, fresh and then warm.
+		cacheFill: []string{},
 	},
 }
 
@@ -148,7 +162,36 @@ func TestGoldenCLI(t *testing.T) {
 					t.Errorf("workers=%q stdout differs from workers=%q:\n%s", w, sweeps[0], diffHint(first, out))
 				}
 			}
+			if tc.cacheFill != nil {
+				checkCacheLeg(t, tc.tool, tc.args, tc.cacheFill, first)
+			}
 		})
+	}
+}
+
+// checkCacheLeg fills a fresh cache file with a run of args+fill (when
+// fill is non-empty), then runs args on that file twice and compares
+// both outputs with want.
+func checkCacheLeg(t *testing.T, tool string, args, fill []string, want string) {
+	t.Helper()
+	cf := []string{"-cache-file", filepath.Join(t.TempDir(), "eval.cache")}
+	with := func(extra ...[]string) []string {
+		out := append([]string{}, args...)
+		for _, e := range extra {
+			out = append(out, e...)
+		}
+		return out
+	}
+	if len(fill) > 0 {
+		if _, code := goldenRun(t, tool, with(fill, cf)...); code != 0 {
+			t.Fatalf("cache fill %v: exit code %d", fill, code)
+		}
+	}
+	for _, leg := range []string{"first", "warm"} {
+		out, code := goldenRun(t, tool, with(cf)...)
+		if code != 0 || out != want {
+			t.Errorf("%s run on the cache file: exit code %d, stdout vs golden:\n%s", leg, code, diffHint(want, out))
+		}
 	}
 }
 

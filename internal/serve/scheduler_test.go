@@ -415,6 +415,42 @@ func TestSchedulerPersistentCache(t *testing.T) {
 	if got := s2.Metrics().Snapshot().Gauges["serve_cache_entries"]; got == 0 {
 		t.Error("serve_cache_entries gauge not maintained")
 	}
+
+	// Jobs of other objectives, groupings and SOCs share the file: each
+	// must still match its memory-only outcome.
+	var mixed []Request
+	for _, algo := range []string{"baseline", "si", "ils"} {
+		for _, parts := range []int{1, 2} {
+			r := quickReq()
+			r.Algo, r.Parts, r.Kicks = algo, parts, 3
+			mixed = append(mixed, r)
+		}
+	}
+	other := quickReq()
+	other.SOC = "p34392"
+	mixed = append(mixed, other)
+	mem := newTestScheduler(t, Config{Workers: 1})
+	for _, req := range mixed {
+		want := runJob(t, mem, req)
+		if got := runJob(t, s2, req); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s %s g=%d: outcome on the shared cache file diverged from memory-only:\n%+v\n%+v",
+				req.SOC, req.Algo, req.Parts, got, want)
+		}
+	}
+}
+
+// runJob submits req, waits for it and returns its outcome.
+func runJob(t *testing.T, s *Scheduler, req Request) *Outcome {
+	t.Helper()
+	job, err := s.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, job)
+	if st.State != StateDone {
+		t.Fatalf("%s %s: job state = %s (%s)", req.SOC, req.Algo, st.State, st.Error)
+	}
+	return st.Result
 }
 
 // TestSchedulerCacheFileLocked: a second daemon generation pointed at a
