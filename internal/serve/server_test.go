@@ -114,10 +114,17 @@ func TestHTTPSubmitAndResult(t *testing.T) {
 
 func TestHTTPValidationAndNotFound(t *testing.T) {
 	_, ts := newTestServer(t, ServerConfig{Config: Config{Workers: 1}})
-	bad := quickReq()
-	bad.Algo = "quantum"
-	if _, resp := postJob(t, ts, bad); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid algo: status = %d, want 400", resp.StatusCode)
+	for name, mutate := range map[string]func(*Request){
+		"invalid algo":           func(r *Request) { r.Algo = "quantum" },
+		"unknown benchmark":      func(r *Request) { r.SOC = "nope" },
+		"unparsable source":      func(r *Request) { r.SOC, r.Source = "", "Module x" },
+		"more groups than cores": func(r *Request) { r.Parts = 64 },
+	} {
+		bad := quickReq()
+		mutate(&bad)
+		if _, resp := postJob(t, ts, bad); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status = %d, want 400", name, resp.StatusCode)
+		}
 	}
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"nonsense`))
 	if err != nil {
