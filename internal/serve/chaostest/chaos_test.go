@@ -75,19 +75,14 @@ func TestChaos(t *testing.T) {
 	writeBench(t, res)
 }
 
-// writeBench records the latency percentiles at the repo root so CI
-// diffs serving latency across commits. CHAOS_BENCH_OUT redirects the
-// file (sitperf measures a fresh run without clobbering the committed
-// baseline).
+// writeBench records the latency percentiles as BENCH_serve.json in
+// the test's temporary directory, so a test run never rewrites the
+// committed baseline. CHAOS_BENCH_OUT names the file instead: CI
+// uploads it as an artifact and sitperf measures through it.
 func writeBench(t *testing.T, res *Result) {
 	path := os.Getenv("CHAOS_BENCH_OUT")
 	if path == "" {
-		root, err := repoRoot()
-		if err != nil {
-			t.Logf("skipping BENCH_serve.json: %v", err)
-			return
-		}
-		path = filepath.Join(root, "BENCH_serve.json")
+		path = filepath.Join(t.TempDir(), "BENCH_serve.json")
 	}
 	out := struct {
 		*Result
@@ -101,22 +96,4 @@ func writeBench(t *testing.T, res *Result) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %s", path)
-}
-
-// repoRoot walks up from the test's working directory to go.mod.
-func repoRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", os.ErrNotExist
-		}
-		dir = parent
-	}
 }
