@@ -187,7 +187,7 @@ type (
 // compaction within each resulting group.
 func BuildGroups(s *SOC, patterns []*Pattern, opts GroupingOptions) (gr *GroupingResult, err error) {
 	defer guard(&err)
-	return core.BuildGroups(s, patterns, opts)
+	return core.BuildGroupsCtx(context.Background(), s, patterns, opts)
 }
 
 // BuildGroupsCtx is BuildGroups with graceful degradation under a done
@@ -230,7 +230,7 @@ func ScheduleSI(a *Architecture, groups []*Group, m Model, cons *Constraints) (s
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	return sischedule.ScheduleSITestCons(a, groups, m, cons)
+	return sischedule.ScheduleSITestCons(a, groups, m, cons, nil)
 }
 
 // ScheduleSIPower is ScheduleSI under a test power ceiling: the summed
@@ -250,7 +250,7 @@ func ScheduleSIPower(a *Architecture, groups []*Group, m Model, budget int64) (s
 // cyclic group order) wrap ErrInvalidConstraints.
 func CompileConstraints(s *SOC, groups []*Group) (c *Constraints, err error) {
 	defer guard(&err)
-	return core.CompileSOCConstraints(s, groups)
+	return sischedule.CompileConstraints(s, s.Constraints, groups)
 }
 
 // ExactScheduleSI returns the provably minimal SI testing time for at
@@ -267,7 +267,7 @@ func ExactScheduleSI(ctx context.Context, a *Architecture, groups []*Group, m Mo
 	if err := a.Validate(); err != nil {
 		return 0, false, err
 	}
-	t, _, partial, err = sischedule.ExactScheduleCons(ctx, a, groups, m, cons)
+	t, _, partial, err = sischedule.ExactSchedule(ctx, a, groups, m, cons)
 	return t, partial, err
 }
 
@@ -441,7 +441,7 @@ type (
 // RunTable regenerates one of the paper's evaluation tables for s.
 func RunTable(s *SOC, cfg TableConfig) (t *Table, err error) {
 	defer guard(&err)
-	return experiments.RunTable(s, cfg)
+	return experiments.RunTableCtx(context.Background(), s, cfg)
 }
 
 // RunTableCtx is RunTable with graceful degradation under a done

@@ -41,7 +41,7 @@ func benchTable(b *testing.B, name string) {
 	var lastD8, lastDg float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.RunTable(s, cfg)
+		tbl, err := experiments.RunTableCtx(context.Background(), s, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func BenchmarkTAMOptimizationP93791W32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func BenchmarkScheduleSITest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func Benchmark_AblationGrouping(b *testing.B) {
 		b.Run(map[int]string{1: "g1", 2: "g2", 4: "g4", 8: "g8"}[g], func(b *testing.B) {
 			var tsoc int64
 			for i := 0; i < b.N; i++ {
-				gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: g, Seed: 1})
+				gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: g, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -318,7 +318,7 @@ func Benchmark_AblationILS(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func benchParallelEval(b *testing.B, name string, wmax int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func Benchmark_CacheColdVsWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func Benchmark_CachePersistentRestart(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -518,7 +518,7 @@ func Benchmark_IncrementalEval(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -557,7 +557,7 @@ func Benchmark_ColdCacheGuard(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 4, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -593,7 +593,7 @@ func Benchmark_AblationSchedulingOverlap(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 8, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

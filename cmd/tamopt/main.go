@@ -92,11 +92,17 @@ func main() {
 			cfg.Persist = cf
 		}
 	}
+	method := core.MethodSI
+	switch {
+	case *baseline:
+		method = core.MethodBaseline
+	case *ils > 0:
+		method = core.MethodILS
+	}
 	o := options{
 		socName: *socName, file: *file, wmax: *wmax, nr: *nr, parts: *parts,
-		seed: *seed, baseline: *baseline, gantt: *gantt, jsonOut: *jsonOut,
-		ils: *ils, restarts: *restarts, stats: *stats, traceFile: *traceOut,
-		compactWorkers: *cworkers,
+		seed: *seed, gantt: *gantt, jsonOut: *jsonOut,
+		stats: *stats, traceFile: *traceOut, compactWorkers: *cworkers,
 	}
 	if *traceOut != "" {
 		o.tracer = obs.NewTracer()
@@ -105,7 +111,7 @@ func main() {
 	if *stats {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	o.cfg = cfg
+	o.solve = core.Options{Method: method, Kicks: *ils, Restarts: *restarts, Seed: *seed, ParallelConfig: cfg}
 
 	partial, reason, cause, err := run(ctx, o)
 	stop()
@@ -128,14 +134,14 @@ func main() {
 }
 
 type options struct {
-	socName, file, jsonOut         string
-	wmax, nr, parts, ils, restarts int
-	compactWorkers                 int
-	seed                           int64
-	baseline, gantt, stats         bool
-	traceFile                      string
-	tracer                         *obs.Tracer
-	cfg                            core.ParallelConfig
+	socName, file, jsonOut string
+	wmax, nr, parts        int
+	compactWorkers         int
+	seed                   int64
+	gantt, stats           bool
+	traceFile              string
+	tracer                 *obs.Tracer
+	solve                  core.Options
 }
 
 // sink adapts the optional tracer to the Sink interface without ever
@@ -173,7 +179,7 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 
 	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{
 		Parts: o.parts, Seed: o.seed, Trace: o.sink(),
-		CompactWorkers: o.compactWorkers, Metrics: o.cfg.Metrics,
+		CompactWorkers: o.compactWorkers, Metrics: o.solve.Metrics,
 	})
 	if err != nil {
 		return false, "", "", err
@@ -188,14 +194,7 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 		fmt.Printf("  %-4s: %5d patterns over %d cores\n", g.Name, g.Patterns, len(g.Cores))
 	}
 
-	opts := core.Options{Method: core.MethodSI, Kicks: o.ils, Restarts: o.restarts, Seed: o.seed, ParallelConfig: o.cfg}
-	switch {
-	case o.baseline:
-		opts.Method = core.MethodBaseline
-	case o.ils > 0:
-		opts.Method = core.MethodILS
-	}
-	res, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: o.wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()}, opts)
+	res, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: o.wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()}, o.solve)
 	if err != nil {
 		return false, "", "", err
 	}

@@ -191,7 +191,7 @@ func TestOptimizeILSCtxDeadlineP93791(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 1})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

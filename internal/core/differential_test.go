@@ -49,7 +49,7 @@ func diffGroups(t *testing.T, s *soc.SOC) []*sischedule.Group {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
 	if err != nil {
 		t.Fatal(err)
 	}

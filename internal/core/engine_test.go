@@ -366,7 +366,7 @@ func TestEvaluateBreakdownMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 3})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ package core
 import (
 	"sitam/internal/obs"
 	"sitam/internal/sischedule"
-	"sitam/internal/soc"
 	"sitam/internal/tam"
 )
 
@@ -61,7 +60,7 @@ func (e *SIEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)
 	}
-	sched, err := sischedule.ScheduleSITestCons(a, e.Groups, e.Model, e.Cons)
+	sched, err := sischedule.ScheduleSITestCons(a, e.Groups, e.Model, e.Cons, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -108,12 +107,12 @@ type Breakdown struct {
 
 // EvaluateBreakdown computes the breakdown of an architecture under the
 // given groups and model, also refreshing the rails' bookkeeping. When
-// the SOC carries a Constraints stanza, the schedule honors it (see
-// CompileSOCConstraints); an unconstrained SOC takes the exact code
-// path it always did. It is kept, with its signature, because the
-// benchmark module e2ebench calls it.
+// the SOC carries a Constraints stanza, the schedule honors it; an
+// unconstrained SOC takes the exact code path it always did. It is
+// kept, with its signature, because the benchmark module e2ebench
+// calls it.
 func EvaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model) (Breakdown, *sischedule.Schedule, error) {
-	cons, err := CompileSOCConstraints(a.SOC, groups)
+	cons, err := sischedule.CompileConstraints(a.SOC, a.SOC.Constraints, groups)
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
@@ -130,21 +129,11 @@ func evaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sische
 		a.RefreshTimeIn(r)
 	}
 	span := obs.Span(sink, "si schedule")
-	sched, err := sischedule.ScheduleSITestConsObs(a, groups, m, cons, sink)
+	sched, err := sischedule.ScheduleSITestCons(a, groups, m, cons, sink)
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
 	in := a.InTestTime()
 	span.End(in+sched.TotalSI, int64(len(groups)))
 	return Breakdown{TimeIn: in, TimeSI: sched.TotalSI, TimeSOC: in + sched.TotalSI}, sched, nil
-}
-
-// CompileSOCConstraints compiles the SOC's optional Constraints stanza
-// against a group list. SOCs without constraints (every embedded paper
-// fixture) compile to nil, keeping the unconstrained hot paths
-// untouched. This is the single funnel through which the engine, the
-// evaluators and the CLIs become constraint-aware: constraints travel
-// on the SOC, so no entry-point signature changes.
-func CompileSOCConstraints(s *soc.SOC, groups []*sischedule.Group) (*sischedule.Constraints, error) {
-	return sischedule.CompileConstraints(s, s.Constraints, groups)
 }

@@ -22,9 +22,6 @@ import (
 // evaluation; the engine wires it only for single-worker runs, where
 // the event order is deterministic.
 type IncrementalSIEvaluator struct {
-	Groups []*sischedule.Group
-	Model  sischedule.Model
-
 	planner *sischedule.Planner
 	sink    obs.Sink
 
@@ -42,11 +39,7 @@ type IncrementalSIEvaluator struct {
 // power/precedence/exclusion rules the final scheduler enforces, so the
 // optimizer's objective and the reported schedule agree.
 func NewIncrementalSIEvaluator(groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints) *IncrementalSIEvaluator {
-	return &IncrementalSIEvaluator{
-		Groups:  groups,
-		Model:   m,
-		planner: sischedule.NewPlannerCons(groups, m, cons),
-	}
+	return &IncrementalSIEvaluator{planner: sischedule.NewPlanner(groups, m, cons)}
 }
 
 // Evaluate implements Evaluator.

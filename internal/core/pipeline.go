@@ -63,7 +63,7 @@ func (g *GroupingResult) TotalCompacted() int {
 	return n
 }
 
-// GroupingOptions configures BuildGroups.
+// GroupingOptions configures BuildGroupsCtx.
 type GroupingOptions struct {
 	// Parts is the number of hypergraph partition parts (the paper's
 	// g). 1 disables horizontal compaction (pure pattern-count
@@ -108,23 +108,20 @@ func (o GroupingOptions) compactWorkers() int {
 	}
 }
 
-// BuildGroups runs the paper's two-dimensional SI test-set compaction
-// (Section 3): it partitions the cores into opts.Parts groups with a
-// hypergraph partitioner (vertices: cores weighted by WOC count;
-// hyperedges: patterns connecting their care cores, weighted by
+// BuildGroupsCtx runs the paper's two-dimensional SI test-set
+// compaction (Section 3): it partitions the cores into opts.Parts
+// groups with a hypergraph partitioner (vertices: cores weighted by WOC
+// count; hyperedges: patterns connecting their care cores, weighted by
 // multiplicity), classifies each pattern into the part containing all
 // its care cores or into the residual group, and then compacts every
 // group separately with the greedy clique-cover heuristic.
-func BuildGroups(s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
-	return BuildGroupsCtx(context.Background(), s, patterns, opts)
-}
-
-// BuildGroupsCtx is BuildGroups with graceful degradation under a done
-// context: the partitioner falls back to unrefined greedy bisections
-// and the per-group compaction passes remaining patterns through
-// unmerged. The result is then marked Partial but remains a valid,
-// schedulable grouping covering every input pattern. The context's
-// error is returned only when it is done before any work started.
+//
+// It degrades gracefully under a done context: the partitioner falls
+// back to unrefined greedy bisections and the per-group compaction
+// passes remaining patterns through unmerged. The result is then
+// marked Partial but remains a valid, schedulable grouping covering
+// every input pattern. The context's error is returned only when it is
+// done before any work started.
 func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
 	if opts.Parts < 1 {
 		return nil, fmt.Errorf("core: Parts must be >= 1, got %d", opts.Parts)

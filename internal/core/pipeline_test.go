@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -13,10 +14,10 @@ func TestBuildGroupsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildGroups(s, patterns, GroupingOptions{Parts: 0}); err == nil {
+	if _, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 0}); err == nil {
 		t.Error("accepted Parts=0")
 	}
-	if _, err := BuildGroups(s, patterns, GroupingOptions{Parts: 99}); err == nil {
+	if _, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 99}); err == nil {
 		t.Error("accepted Parts > core count")
 	}
 }
@@ -27,7 +28,7 @@ func TestBuildGroupsSinglePart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: 1, Seed: 2})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestBuildGroupsPartitionInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{2, 4, 8} {
-		gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: parts, Seed: 4})
+		gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: parts, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,11 +125,11 @@ func TestBuildGroupsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 6})
+	a, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 6})
+	b, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +151,11 @@ func TestGroupingReducesPatternLengthWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr1, err := BuildGroups(s, patterns, GroupingOptions{Parts: 1, Seed: 8})
+	gr1, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 1, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr4, err := BuildGroups(s, patterns, GroupingOptions{Parts: 4, Seed: 8})
+	gr4, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 4, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,16 +59,18 @@ type Options struct {
 }
 
 // Solve optimizes p with the method o selects and returns the
-// architecture with its time breakdown and SI schedule. It is an
-// anytime algorithm: on cancellation, deadline expiry or budget
-// exhaustion mid-search the best architecture found so far comes back
-// with Result.Partial set and a nil error. The context's error comes
-// back only when no valid architecture was produced.
+// architecture with its time breakdown and SI schedule. The SOC's
+// optional Constraints stanza is compiled here, once, against the
+// groups: constraints travel on the SOC, so no signature names them.
+// Solve is an anytime algorithm: on cancellation, deadline expiry or
+// budget exhaustion mid-search the best architecture found so far
+// comes back with Result.Partial set and a nil error. The context's
+// error comes back only when no valid architecture was produced.
 func Solve(ctx context.Context, p Problem, o Options) (*Result, error) {
 	if err := o.Method.Validate(); err != nil {
 		return nil, err
 	}
-	cons, err := CompileSOCConstraints(p.SOC, p.Groups)
+	cons, err := sischedule.CompileConstraints(p.SOC, p.SOC.Constraints, p.Groups)
 	if err != nil {
 		return nil, err
 	}

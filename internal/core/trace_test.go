@@ -349,7 +349,7 @@ func BenchmarkNoopSinkOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: diffParts, Seed: diffSeed})
 	if err != nil {
 		b.Fatal(err)
 	}

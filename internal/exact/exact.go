@@ -32,17 +32,11 @@ type Result struct {
 
 // Optimize exhaustively solves P_SI_opt for s at total width wmax over
 // the given SI test groups. Pass no groups to optimize InTest time
-// only (the TR-Architect objective). It is OptimizeCtx without
-// cancellation.
-func Optimize(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
-	return OptimizeCtx(context.Background(), s, wmax, groups, m)
-}
-
-// OptimizeCtx is Optimize under a context. Cancellation or an expired
+// only (the TR-Architect objective). Cancellation or an expired
 // deadline aborts the enumeration with an error wrapping ctx.Err():
 // unlike the heuristic engine there is no degraded result, because a
 // partially enumerated search cannot certify an optimum.
-func OptimizeCtx(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
+func Optimize(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,7 +151,7 @@ func score(s *soc.SOC, times *wrapper.TimeTable, railCores [][]int, widths []int
 // instance and returns (heuristic-optimal)/optimal. Intended for tests
 // and ablation reporting.
 func Gap(s *soc.SOC, wmax int, groups []*sischedule.Group, m sischedule.Model) (float64, error) {
-	opt, err := Optimize(s, wmax, groups, m)
+	opt, err := Optimize(context.Background(), s, wmax, groups, m)
 	if err != nil {
 		return 0, err
 	}

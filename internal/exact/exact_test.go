@@ -1,6 +1,7 @@
 package exact
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,11 +51,11 @@ func tinyGroups(rng *rand.Rand, s *soc.SOC) []*sischedule.Group {
 func TestExactRejectsLargeInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := tinySOC(rng, 9)
-	if _, err := Optimize(s, 4, nil, sischedule.Model{}); err == nil {
+	if _, err := Optimize(context.Background(), s, 4, nil, sischedule.Model{}); err == nil {
 		t.Error("accepted 9 cores")
 	}
 	s4 := tinySOC(rng, 4)
-	if _, err := Optimize(s4, 0, nil, sischedule.Model{}); err == nil {
+	if _, err := Optimize(context.Background(), s4, 0, nil, sischedule.Model{}); err == nil {
 		t.Error("accepted wmax=0")
 	}
 }
@@ -62,7 +63,7 @@ func TestExactRejectsLargeInstances(t *testing.T) {
 func TestExactSingleCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := tinySOC(rng, 1)
-	res, err := Optimize(s, 3, nil, sischedule.Model{})
+	res, err := Optimize(context.Background(), s, 3, nil, sischedule.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestExactFindsObviousOptimum(t *testing.T) {
 		{ID: 1, Inputs: 2, Outputs: 2, ScanChains: []int{10}, Patterns: 10},
 		{ID: 2, Inputs: 2, Outputs: 2, ScanChains: []int{10}, Patterns: 10},
 	}}
-	res, err := Optimize(s, 2, nil, sischedule.Model{})
+	res, err := Optimize(context.Background(), s, 2, nil, sischedule.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestHeuristicGapWithSI(t *testing.T) {
 func TestExactEvaluationCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := tinySOC(rng, 3)
-	res, err := Optimize(s, 3, nil, sischedule.Model{})
+	res, err := Optimize(context.Background(), s, 3, nil, sischedule.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,7 +89,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		if err != nil {
 			return err
 		}
-		gr, err := core.BuildGroups(s, pats, core.GroupingOptions{Parts: 4, Seed: seed})
+		gr, err := core.BuildGroupsCtx(sectionCtx, s, pats, core.GroupingOptions{Parts: 4, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -116,7 +116,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		if err != nil {
 			return err
 		}
-		gr, err := core.BuildGroups(s, pats, core.GroupingOptions{Parts: 1, Seed: seed})
+		gr, err := core.BuildGroupsCtx(sectionCtx, s, pats, core.GroupingOptions{Parts: 1, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	for _, tol := range []float64{0.02, 0.10, 0.30, 0.60} {
-		gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 4, Seed: seed, Tolerance: tol})
+		gr, err := core.BuildGroupsCtx(sectionCtx, s, patterns, core.GroupingOptions{Parts: 4, Seed: seed, Tolerance: tol})
 		if err != nil {
 			return err
 		}
@@ -152,7 +152,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[5] Algorithm 1 concurrency vs serial SI application (g=8, W=%d)\n", wmax)
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 8, Seed: seed})
+	gr, err := core.BuildGroupsCtx(sectionCtx, s, patterns, core.GroupingOptions{Parts: 8, Seed: seed})
 	if err != nil {
 		return err
 	}
@@ -216,7 +216,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[8] Algorithm 1 vs optimal SI schedule (same g=8 groups, W=%d)\n", wmax)
-	optSI, nodes, err := sischedule.ExactSchedule(res.Architecture, gr.Groups, sischedule.DefaultModel())
+	optSI, nodes, _, err := sischedule.ExactSchedule(sectionCtx, res.Architecture, gr.Groups, sischedule.DefaultModel(), nil)
 	if err != nil {
 		return err
 	}

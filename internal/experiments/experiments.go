@@ -146,13 +146,9 @@ func parCfg(cfg TableConfig) core.ParallelConfig {
 	return cfg.Parallel
 }
 
-// RunTable reproduces one of the paper's tables for SOC s.
-func RunTable(s *soc.SOC, cfg TableConfig) (*Table, error) {
-	return RunTableCtx(context.Background(), s, cfg)
-}
-
-// RunTableCtx is RunTable with graceful degradation under a done
-// context. The table is built cell by cell; on cancellation or deadline
+// RunTableCtx reproduces one of the paper's tables for SOC s, with
+// graceful degradation under a done context. The table is built cell
+// by cell; on cancellation or deadline
 // expiry the run stops and the cells completed so far come back in a
 // Table marked Partial with a nil error — a cell whose optimization was
 // interrupted is discarded rather than reported with degraded numbers,

@@ -44,7 +44,7 @@ func TestRunTableSmall(t *testing.T) {
 		Seed:      1,
 		Progress:  &progress,
 	}
-	tbl, err := RunTable(s, cfg)
+	tbl, err := RunTableCtx(context.Background(), s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ const (
 	// solution, the merge loops, reshuffle, ILS, partitioning,
 	// compaction, SI scheduling). PhaseEnd carries the wall-clock
 	// duration, a phase-specific count N (objective evaluations for
-	// engine phases, compacted patterns for compaction, explored nodes
-	// for the exact scheduler) and the incumbent objective.
+	// engine phases, compacted patterns for compaction) and the
+	// incumbent objective.
 	PhaseStart Type = "phase_start"
 	PhaseEnd   Type = "phase_end"
 

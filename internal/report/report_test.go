@@ -19,7 +19,7 @@ func optimizedResult(t *testing.T) *core.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := core.BuildGroups(s, patterns, core.GroupingOptions{Parts: 2, Seed: 1})
+	gr, err := core.BuildGroupsCtx(context.Background(), s, patterns, core.GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,11 +150,11 @@ func TestExactOnScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		greedy, err := sischedule.ScheduleSITestCons(arch, sc.Groups, m, cons)
+		greedy, err := sischedule.ScheduleSITestCons(arch, sc.Groups, m, cons, nil)
 		if err != nil {
 			t.Fatalf("seed %d: greedy: %v", seed, err)
 		}
-		exact, _, _, err := sischedule.ExactScheduleCons(context.Background(), arch, sc.Groups, m, cons)
+		exact, _, _, err := sischedule.ExactSchedule(context.Background(), arch, sc.Groups, m, cons)
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}

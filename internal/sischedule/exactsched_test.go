@@ -1,6 +1,7 @@
 package sischedule
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestExactScheduleFig3(t *testing.T) {
 	// Algorithm 1 achieves 360 here, which is also optimal: SI1 (both
 	// rails, 120) serializes with everything, and SI2 (240) dominates
 	// SI3 (40) on the other rail.
-	opt, nodes, err := ExactSchedule(a, groups, Model{})
+	opt, nodes, _, err := ExactSchedule(context.Background(), a, groups, Model{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestExactScheduleEmptyAndLimits(t *testing.T) {
 	s, tt := fig3SOC(t)
 	a := tam.New(s, tt)
 	a.AddRail([]int{1, 2, 3, 4, 5}, 2)
-	opt, _, err := ExactSchedule(a, nil, Model{})
+	opt, _, _, err := ExactSchedule(context.Background(), a, nil, Model{}, nil)
 	if err != nil || opt != 0 {
 		t.Errorf("empty = (%d, %v)", opt, err)
 	}
@@ -49,7 +50,7 @@ func TestExactScheduleEmptyAndLimits(t *testing.T) {
 	for i := 0; i < MaxExactGroups+1; i++ {
 		many = append(many, &Group{Name: "g", Cores: []int{1}, Patterns: 1})
 	}
-	if _, _, err := ExactSchedule(a, many, Model{}); err == nil {
+	if _, _, _, err := ExactSchedule(context.Background(), a, many, Model{}, nil); err == nil {
 		t.Error("accepted too many groups")
 	}
 }
@@ -110,7 +111,7 @@ func TestGreedyNeverBeatsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, _, err := ExactSchedule(a, groups, DefaultModel())
+		opt, _, _, err := ExactSchedule(context.Background(), a, groups, DefaultModel(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,7 +99,7 @@ func FuzzExactSchedule(f *testing.F) {
 			})
 		}
 
-		opt, _, err := ExactSchedule(a, groups, Model{})
+		opt, _, _, err := ExactSchedule(context.Background(), a, groups, Model{}, nil)
 		if err != nil {
 			return // rejected instance (e.g. over the group limit): must not panic, nothing more to check
 		}
@@ -113,7 +113,7 @@ func FuzzExactSchedule(f *testing.F) {
 
 		for n := 0; n <= 3; n++ {
 			ctx := &nodeCountdownCtx{Context: context.Background(), n: n}
-			bound, _, partial, err := ExactScheduleCtx(ctx, a, groups, Model{})
+			bound, _, partial, err := ExactSchedule(ctx, a, groups, Model{}, nil)
 			if err != nil {
 				if !errors.Is(err, context.DeadlineExceeded) {
 					t.Fatalf("n=%d: unexpected error %v", n, err)

@@ -85,20 +85,15 @@ type Planner struct {
 	scratch sync.Pool
 }
 
-// NewPlanner builds a planner over the given groups and model. The
-// per-core metadata is derived lazily from the first architecture's
-// SOC; all architectures passed to Cost must share that SOC.
-func NewPlanner(groups []*Group, m Model) *Planner {
-	return NewPlannerCons(groups, m, nil)
-}
-
-// NewPlannerCons is NewPlanner under a compiled constraint set: Cost
-// packs with the constrained Algorithm 1 (power, precedence,
-// exclusion), matching ScheduleSITestCons's TotalSI exactly. The rail
-// cost memo is unaffected — constraints only shape the packing, never
-// a rail's per-pattern cost. A nil cons is byte-identical to
-// NewPlanner.
-func NewPlannerCons(groups []*Group, m Model, cons *Constraints) *Planner {
+// NewPlanner builds a planner over the given groups and model under a
+// compiled constraint set (nil = unconstrained): Cost packs with the
+// constrained Algorithm 1 (power, precedence, exclusion), matching
+// ScheduleSITestCons's TotalSI exactly. The rail cost memo is
+// unaffected — constraints only shape the packing, never a rail's
+// per-pattern cost. The per-core metadata is derived lazily from the
+// first architecture's SOC; all architectures passed to Cost must share
+// that SOC.
+func NewPlanner(groups []*Group, m Model, cons *Constraints) *Planner {
 	p := &Planner{groups: groups, model: m, cons: cons}
 	p.memo.Store(new(sync.Map))
 	p.scratch.New = func() any {

@@ -38,7 +38,7 @@ func GroupPower(a *tam.Architecture, g *Group) int64 {
 // plus precedence and exclusion, from the .soc Constraints stanza)
 // goes through CompileConstraints.
 func ScheduleSITestPower(a *tam.Architecture, groups []*Group, m Model, budget int64) (*Schedule, error) {
-	return ScheduleSITestCons(a, groups, m, powerOnly(a, groups, budget))
+	return ScheduleSITestCons(a, groups, m, powerOnly(a, groups, budget), nil)
 }
 
 // ValidatePower checks that no instant of the schedule exceeds the
