@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -51,7 +52,7 @@ func publishedRows(t *testing.T) []string {
 // EXPERIMENTS.md: the full seed-1 sweep of both SOCs must reproduce
 // each row byte for byte, serially and on a two-worker pool.
 func TestTablesMatchExperiments(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceDetector {
 		t.Skip("full Tables 2/3 sweep")
 	}
 	want := rowsOf(publishedRows(t))
@@ -61,7 +62,7 @@ func TestTablesMatchExperiments(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		var got []string
 		for _, name := range []string{"p34392", "p93791"} {
-			tbl, err := RunTable(soc.MustLoadBenchmark(name), TableConfig{
+			tbl, err := RunTableCtx(context.Background(), soc.MustLoadBenchmark(name), TableConfig{
 				Seed: 1, Parallel: core.ParallelConfig{Workers: workers},
 			})
 			if err != nil {
