@@ -334,7 +334,7 @@ func Benchmark_AblationILS(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				_, obj, _, err = eng.OptimizeILSCtx(context.Background(), kicks, 1)
+				_, obj, _, err = eng.OptimizeILSCtx(context.Background(), kicks, 1, 1)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -54,7 +54,7 @@ type Engine struct {
 	// evals counts objective evaluations. A pointer so that the
 	// shallow engine copies the ILS restart fan-out makes share one
 	// total (each restart still counts into its own — see
-	// OptimizeILSRestartsCtx).
+	// OptimizeILSCtx).
 	evals *atomic.Int64
 }
 

@@ -40,13 +40,13 @@ func optimize(e *Engine) (*tam.Architecture, int64, error) {
 
 // optimizeILS runs e's ILS to completion.
 func optimizeILS(e *Engine, kicks int, seed int64) (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeILSCtx(context.Background(), kicks, seed)
+	a, obj, _, err := e.OptimizeILSCtx(context.Background(), kicks, 1, seed)
 	return a, obj, err
 }
 
 // optimizeILSRestarts runs e's restarted ILS to completion.
 func optimizeILSRestarts(e *Engine, kicks, restarts int, seed int64) (*tam.Architecture, int64, error) {
-	a, obj, _, err := e.OptimizeILSRestartsCtx(context.Background(), kicks, restarts, seed)
+	a, obj, _, err := e.OptimizeILSCtx(context.Background(), kicks, restarts, seed)
 	return a, obj, err
 }
 

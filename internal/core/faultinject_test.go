@@ -140,7 +140,7 @@ func TestStalledEvaluatorDuringILS(t *testing.T) {
 	// Fail a few evaluations into the ILS phase.
 	fe := &faultEvaluator{inner: base, failAt: greedyCalls + 3, err: stall}
 	eng.Eval = fe
-	a, obj, st, err := eng.OptimizeILSCtx(context.Background(), 50, 1)
+	a, obj, st, err := eng.OptimizeILSCtx(context.Background(), 50, 1, 1)
 	if err != nil {
 		t.Fatalf("err = %v, want graceful degradation", err)
 	}
@@ -167,7 +167,7 @@ func TestNoGoroutineLeakAfterCancel(t *testing.T) {
 
 	for i := 0; i < 25; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%5)*time.Millisecond)
-		_, _, _, _ = eng.OptimizeILSCtx(ctx, 20, int64(i))
+		_, _, _, _ = eng.OptimizeILSCtx(ctx, 20, 1, int64(i))
 		cancel()
 
 		cctx, ccancel := context.WithCancel(context.Background())

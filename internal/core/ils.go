@@ -19,17 +19,10 @@ import (
 // natural next step its Section 6 leaves open, and the ablation bench
 // quantifies what it buys.
 
-// OptimizeILSCtx runs OptimizeCtx and then `kicks` perturbation
-// rounds, returning the best architecture found. With kicks == 0 it is
-// exactly OptimizeCtx. Results are deterministic in seed. It is an
-// anytime algorithm: the context is checked before and during every
-// kick round, and cancellation or
-// deadline expiry mid-search returns the best architecture found so far
-// with Status.Partial set and a nil error. The best-so-far objective is
-// monotonically non-increasing, so a partial result is never better
-// than what the complete run would return. A context that is done
-// before any architecture was produced yields the context's error.
-func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks int, seed int64) (*tam.Architecture, int64, Status, error) {
+// ils runs one search of OptimizeILSCtx: OptimizeCtx, then `kicks`
+// perturbation rounds seeded by seed, checking the context before and
+// during every round.
+func (e *Engine) ils(ctx context.Context, kicks int, seed int64) (*tam.Architecture, int64, Status, error) {
 	if kicks < 0 {
 		return nil, 0, Status{}, fmt.Errorf("core: negative kick count %d", kicks)
 	}
@@ -81,29 +74,34 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks int, seed int64) (*ta
 	return best, bestObj, Status{}, nil
 }
 
-// OptimizeILSRestartsCtx runs `restarts` independent ILS searches with
-// seeds seed, seed+1, ..., seed+restarts-1 and returns the best
-// architecture found. Restarts are mutually independent, so with a
-// parallel evaluator they fan out across the worker pool (each restart
-// then evaluates serially inside, keeping total concurrency bounded);
-// the reduction picks the smallest objective, ties broken by the
-// lowest seed, so the outcome is byte-identical at any worker count.
-// It is an anytime algorithm: on cancellation or deadline expiry the best architecture
-// any restart produced so far is returned with Status.Partial set and
-// a nil error; the context's error comes back only when no restart
-// produced anything.
+// OptimizeILSCtx runs `restarts` independent iterated-local-search
+// runs with seeds seed, seed+1, ..., seed+restarts-1 and returns the
+// best architecture found. Each run is OptimizeCtx followed by `kicks`
+// perturbation rounds; with kicks == 0 it is exactly OptimizeCtx.
+// Restarts are mutually independent, so with a parallel evaluator they
+// fan out across the worker pool (each restart then evaluates serially
+// inside, keeping total concurrency bounded); the reduction picks the
+// smallest objective, ties broken by the lowest seed, so the outcome is
+// byte-identical at any worker count.
+//
+// It is an anytime algorithm: cancellation, deadline expiry or budget
+// exhaustion mid-search returns the best architecture any restart
+// found so far with Status.Partial set and a nil error. The
+// best-so-far objective is monotonically non-increasing, so a partial
+// result is never better than what the complete run would return. The
+// context's error comes back only when no restart produced anything.
 //
 // Each restart traces into its own buffer, drained into the engine's
 // sink in restart order once all restarts finish, and counts
 // evaluations into its own counter (folded into the engine total), so
 // the trace and the per-phase counts are deterministic at any worker
 // count. MaxEvals bounds each restart independently.
-func (e *Engine) OptimizeILSRestartsCtx(ctx context.Context, kicks, restarts int, seed int64) (*tam.Architecture, int64, Status, error) {
+func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed int64) (*tam.Architecture, int64, Status, error) {
 	if restarts < 1 {
 		return nil, 0, Status{}, fmt.Errorf("core: restart count %d < 1", restarts)
 	}
 	if restarts == 1 {
-		return e.OptimizeILSCtx(ctx, kicks, seed)
+		return e.ils(ctx, kicks, seed)
 	}
 	type outcome struct {
 		a   *tam.Architecture
@@ -131,7 +129,7 @@ func (e *Engine) OptimizeILSRestartsCtx(ctx context.Context, kicks, restarts int
 			inner.Trace = locals[i]
 		}
 		r := &res[i]
-		r.a, r.obj, r.st, r.err = inner.OptimizeILSCtx(ctx, kicks, seed+int64(i))
+		r.a, r.obj, r.st, r.err = inner.ils(ctx, kicks, seed+int64(i))
 	}
 	if k := e.Par.workers(); k > 1 {
 		parallelFor(k, restarts, func(_, i int) { run(i) })

@@ -144,8 +144,8 @@ func TestIncrementalDeadlineMatchesScratch(t *testing.T) {
 		}
 
 		scratch, incr = incrEngines(t, s, diffILSW, groups, m, 1)
-		sArch, sObj, sStatus, sErr = scratch.OptimizeILSCtx(newCountdown(n), ilsKicks, ilsSeed)
-		iArch, iObj, iStatus, iErr = incr.OptimizeILSCtx(newCountdown(n), ilsKicks, ilsSeed)
+		sArch, sObj, sStatus, sErr = scratch.OptimizeILSCtx(newCountdown(n), ilsKicks, 1, ilsSeed)
+		iArch, iObj, iStatus, iErr = incr.OptimizeILSCtx(newCountdown(n), ilsKicks, 1, ilsSeed)
 		if (sErr == nil) != (iErr == nil) {
 			t.Fatalf("ILS countdown=%d: scratch err %v, incremental err %v", n, sErr, iErr)
 		}

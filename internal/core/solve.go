@@ -90,7 +90,7 @@ func Solve(ctx context.Context, p Problem, o Options) (*Result, error) {
 		if restarts == 0 {
 			restarts = 1
 		}
-		arch, _, st, err = eng.OptimizeILSRestartsCtx(ctx, o.Kicks, restarts, o.Seed)
+		arch, _, st, err = eng.OptimizeILSCtx(ctx, o.Kicks, restarts, o.Seed)
 	} else {
 		arch, _, st, err = eng.OptimizeCtx(ctx)
 	}

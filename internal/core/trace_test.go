@@ -165,7 +165,7 @@ func TestTraceILSRestartsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		arch, st, err2 := func() (*Result, Status, error) {
-			a, _, st, err := eng.OptimizeILSRestartsCtx(context.Background(), ilsKicks, 3, ilsSeed)
+			a, _, st, err := eng.OptimizeILSCtx(context.Background(), ilsKicks, 3, ilsSeed)
 			if err != nil {
 				return nil, st, err
 			}

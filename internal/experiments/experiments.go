@@ -148,12 +148,12 @@ func parCfg(cfg TableConfig) core.ParallelConfig {
 
 // RunTableCtx reproduces one of the paper's tables for SOC s, with
 // graceful degradation under a done context. The table is built cell
-// by cell; on cancellation or deadline
-// expiry the run stops and the cells completed so far come back in a
-// Table marked Partial with a nil error — a cell whose optimization was
-// interrupted is discarded rather than reported with degraded numbers,
-// so every cell present is exact. Only when the context fires before
-// the first cell completed does the context's error come back.
+// by cell; on cancellation or deadline expiry the run stops and the
+// cells completed so far come back in a Table marked Partial with a nil
+// error — a cell whose optimization was interrupted is discarded rather
+// than reported with degraded numbers, so every cell present is exact.
+// Only when the context fires before the first cell completed does the
+// context's error come back.
 func RunTableCtx(ctx context.Context, s *soc.SOC, cfg TableConfig) (*Table, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()

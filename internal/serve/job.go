@@ -330,10 +330,11 @@ type Status struct {
 
 // run executes the optimization pipeline for the job. It is the moral
 // equivalent of tamopt's run(): generate patterns, build groups,
-// optimize, assemble the Outcome. The error return is non-nil only when
+// optimize through core.Solve, assemble the Outcome. The request holds
+// the values Submit validated and clamped (workers, budget). The error return is non-nil only when
 // nothing usable was produced; interruption mid-search yields a partial
 // Outcome and a nil error, exactly like the facade.
-func (j *Job) run(ctx context.Context, hooks bool, maxJobWorkers int, persist *core.CacheFile) (*Outcome, error) {
+func (j *Job) run(ctx context.Context, hooks bool, persist *core.CacheFile) (*Outcome, error) {
 	req := j.Req
 	if hooks && req.Chaos != nil {
 		if req.Chaos.SleepMS > 0 {
@@ -377,15 +378,11 @@ func (j *Job) run(ctx context.Context, hooks bool, maxJobWorkers int, persist *c
 		out.Cause = core.CauseOf(ctx.Err()).Label()
 	}
 
-	workers := req.Workers
-	if workers < 1 || workers > maxJobWorkers {
-		workers = maxJobWorkers
-	}
 	res, err := core.Solve(ctx,
 		core.Problem{SOC: s, Wmax: req.Wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()},
 		core.Options{
 			Method: core.Method(req.Algo), Kicks: req.Kicks, Restarts: req.Restarts, Seed: req.Seed,
-			ParallelConfig: core.ParallelConfig{Workers: workers, MaxEvals: req.MaxEvals, Trace: j.Trace, Persist: persist},
+			ParallelConfig: core.ParallelConfig{Workers: req.Workers, MaxEvals: req.MaxEvals, Trace: j.Trace, Persist: persist},
 		})
 	if err != nil {
 		return nil, err

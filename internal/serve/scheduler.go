@@ -338,7 +338,7 @@ func (s *Scheduler) execute(job *Job) {
 		}
 	}()
 
-	outcome, err := job.run(ctx, s.cfg.TestHooks, s.cfg.MaxJobWorkers, s.cache)
+	outcome, err := job.run(ctx, s.cfg.TestHooks, s.cache)
 	if s.cache != nil {
 		s.cfg.Metrics.Gauge("serve_cache_entries").Set(int64(s.cache.Len()))
 	}
