@@ -26,6 +26,9 @@ func FuzzReadPatterns(f *testing.F) {
 			return
 		}
 		// Round trip through a synthetic space of the declared size.
+		// WritePatterns reads only the dimensions, so the space leaves
+		// out the position-to-core table, which a fuzzed total could
+		// make arbitrarily large.
 		sp := &Space{order: []int{1}, starts: []int{0, total}, busWidth: bus}
 		var buf bytes.Buffer
 		if err := WritePatterns(&buf, sp, patterns); err != nil {

@@ -129,17 +129,22 @@ func (p *Pattern) SymbolAt(pos int32) Symbol {
 }
 
 // CareCores returns the sorted set of core IDs that own at least one
-// determined position of the pattern — the pattern's care cores.
+// determined position of the pattern — the pattern's care cores. The
+// care list is sorted by position and every core owns one contiguous
+// position block, so the walk meets each care core in one run and
+// deduplicates against the last ID alone; only a space whose core list
+// is not in ID order needs the final sort.
 func (p *Pattern) CareCores(sp *Space) []int {
-	seen := make(map[int]struct{}, 4)
+	out := make([]int, 0, 4)
 	for _, c := range p.Care {
-		seen[sp.CoreAt(c.Pos)] = struct{}{}
+		id := sp.coreAt[c.Pos]
+		if n := len(out); n == 0 || out[n-1] != id {
+			out = append(out, id)
+		}
 	}
-	out := make([]int, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
+	if !sp.idSorted {
+		sort.Ints(out)
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -205,19 +210,31 @@ func (p *Pattern) Format(sp *Space) string {
 type Space struct {
 	order    []int // core IDs in position order
 	starts   []int // starts[i] is the first position of order[i]; len = len(order)+1
+	coreAt   []int // coreAt[pos] is the ID of the core owning pos; len = Total()
+	idSorted bool  // order is ascending: position order is core-ID order
 	busWidth int
 }
 
-// NewSpace builds the WOC position space of an SOC.
+// NewSpace builds the WOC position space of an SOC, including the dense
+// position-to-core table behind CoreAtPos and CareCores.
 func NewSpace(s *soc.SOC) *Space {
-	sp := &Space{busWidth: s.BusWidth}
+	sp := &Space{busWidth: s.BusWidth, idSorted: true}
 	pos := 0
 	for _, c := range s.Cores() {
+		if n := len(sp.order); n > 0 && sp.order[n-1] > c.ID {
+			sp.idSorted = false
+		}
 		sp.order = append(sp.order, c.ID)
 		sp.starts = append(sp.starts, pos)
 		pos += c.WOC()
 	}
 	sp.starts = append(sp.starts, pos)
+	sp.coreAt = make([]int, pos)
+	for i, id := range sp.order {
+		for p := sp.starts[i]; p < sp.starts[i+1]; p++ {
+			sp.coreAt[p] = id
+		}
+	}
 	return sp
 }
 
@@ -270,11 +287,10 @@ func (sp *Space) CoreAt(pos int32) int {
 // untrusted positions (pattern files, caller-built patterns); CoreAt is
 // the panicking variant for positions the space itself produced.
 func (sp *Space) CoreAtPos(pos int32) (int, error) {
-	i := sort.Search(len(sp.starts), func(i int) bool { return sp.starts[i] > int(pos) })
-	if i == 0 || int(pos) >= sp.Total() || pos < 0 {
+	if pos < 0 || int(pos) >= len(sp.coreAt) {
 		return 0, fmt.Errorf("sifault: position %d outside space of %d WOCs", pos, sp.Total())
 	}
-	return sp.order[i-1], nil
+	return sp.coreAt[pos], nil
 }
 
 // WOCOf returns the WOC count of a core in the space.

@@ -1,10 +1,15 @@
 package sifault
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"sitam/internal/scenario"
 	"sitam/internal/soc"
 )
 
@@ -130,6 +135,85 @@ func TestPatternSymbolAtAndCareCores(t *testing.T) {
 	}
 	if err := p.Validate(sp); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// careCoresOracle is CareCores as it was before the dense position
+// table: a binary search over the core blocks per care position, a
+// map for the distinct cores, then a sort.
+func careCoresOracle(sp *Space, p *Pattern) []int {
+	seen := make(map[int]struct{}, 4)
+	for _, c := range p.Care {
+		i := sort.Search(len(sp.starts), func(i int) bool { return sp.starts[i] > int(c.Pos) })
+		seen[sp.order[i-1]] = struct{}{}
+	}
+	out := make([]int, 0, len(seen))
+	for id := range seen {
+		out = append(out, id)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// permutedSOC returns a copy of s with its core list shuffled, so
+// position order is not core-ID order.
+func permutedSOC(s *soc.SOC, seed int64) *soc.SOC {
+	c := *s
+	c.Name = s.Name + "-permuted"
+	c.CoreList = append([]*soc.Core(nil), s.CoreList...)
+	rand.New(rand.NewSource(seed)).Shuffle(len(c.CoreList), func(i, j int) {
+		c.CoreList[i], c.CoreList[j] = c.CoreList[j], c.CoreList[i]
+	})
+	return &c
+}
+
+// TestCareCoresMatchesOracle pins the table-driven CareCores and
+// CoreAtPos to the binary-search oracle on generated patterns and on
+// random care lists spanning many cores, for every embedded SOC, a
+// scenario SOC and a SOC whose core list is not in ID order.
+func TestCareCoresMatchesOracle(t *testing.T) {
+	var socs []*soc.SOC
+	for _, name := range soc.Benchmarks() {
+		socs = append(socs, soc.MustLoadBenchmark(name))
+	}
+	socs = append(socs, scenario.Generate(3).SOC, permutedSOC(soc.MustLoadBenchmark("p93791"), 1))
+	sawUnsorted := false
+	for _, s := range socs {
+		sp := NewSpace(s)
+		sawUnsorted = sawUnsorted || !sp.idSorted
+		patterns, err := Generate(s, GenConfig{N: 1000, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		for i := 0; i < 300; i++ {
+			pos := rng.Perm(sp.Total())[:1+rng.Intn(40)]
+			sort.Ints(pos)
+			p := &Pattern{Weight: 1}
+			for _, q := range pos {
+				p.Care = append(p.Care, Care{Pos: int32(q), Sym: Rise})
+			}
+			patterns = append(patterns, p)
+		}
+		for i, p := range patterns {
+			if got, want := p.CareCores(sp), careCoresOracle(sp, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pattern %d: CareCores = %v, oracle %v", s.Name, i, got, want)
+			}
+		}
+		for pos := int32(0); pos < int32(sp.Total()); pos++ {
+			want := careCoresOracle(sp, &Pattern{Care: []Care{{Pos: pos, Sym: Zero}}})[0]
+			if got, err := sp.CoreAtPos(pos); err != nil || got != want {
+				t.Fatalf("%s: CoreAtPos(%d) = %d, %v; oracle %d", s.Name, pos, got, err, want)
+			}
+		}
+		for _, pos := range []int32{-1, math.MinInt32, int32(sp.Total()), math.MaxInt32} {
+			if _, err := sp.CoreAtPos(pos); err == nil || !strings.Contains(err.Error(), "outside space") {
+				t.Errorf("%s: CoreAtPos(%d) err = %v, want out-of-range error", s.Name, pos, err)
+			}
+		}
+	}
+	if !sawUnsorted {
+		t.Fatal("no SOC with its core list out of ID order")
 	}
 }
 
