@@ -300,3 +300,39 @@ func TestPairwiseImpliesSetwise(t *testing.T) {
 		}
 	}
 }
+
+// TestPackArenaExactSize pins the packing arena to the packed word
+// count: one PackedWord per distinct 64-position word of a care list,
+// not one per care position.
+func TestPackArenaExactSize(t *testing.T) {
+	s := soc.MustLoadBenchmark("p93791")
+	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 2000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxs := make([]int32, len(patterns))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	arena, words := packWords(patterns, idxs)
+	packedWords, care := 0, 0
+	for ci, gi := range idxs {
+		want := sifault.AppendPackedWords(nil, patterns[gi])
+		if len(words[ci]) != len(want) || cap(words[ci]) != len(want) {
+			t.Fatalf("pattern %d: view len %d cap %d, want %d words", gi, len(words[ci]), cap(words[ci]), len(want))
+		}
+		for i := range want {
+			if words[ci][i] != want[i] {
+				t.Fatalf("pattern %d word %d: %+v, want %+v", gi, i, words[ci][i], want[i])
+			}
+		}
+		packedWords += len(want)
+		care += len(patterns[gi].Care)
+	}
+	if len(arena) != packedWords || cap(arena) != packedWords {
+		t.Errorf("arena len %d cap %d, want %d packed words (care count %d)", len(arena), cap(arena), packedWords, care)
+	}
+	if packedWords*2 > care {
+		t.Fatalf("degenerate corpus: %d packed words for %d care positions", packedWords, care)
+	}
+}

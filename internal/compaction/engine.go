@@ -136,10 +136,10 @@ type ffEngine struct {
 	weights    [fanout]int64
 	posOcc     []uint64 // nPos*5: [any, sym0..3] accumulator masks
 	posTouched []int32
-	fullOcc    []uint64    // per block
-	baseKill   []uint64    // per block: accs with loose care there (exact blocks only)
-	suspect    []uint64    // per block: accs needing a probe for that block
-	okLoose    []uint64    // per (block, pair): accs whose full class agrees with the pair
+	fullOcc    []uint64 // per block
+	baseKill   []uint64 // per block: accs with loose care there (exact blocks only)
+	suspect    []uint64 // per block: accs needing a probe for that block
+	okLoose    []uint64 // per (block, pair): accs whose full class agrees with the pair
 	okTouched  []int32
 	clsState   [][2]uint64 // per class slot: [sameMask, okMask]
 	clsTouched []int32
@@ -176,16 +176,12 @@ func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern, idxs []int32) *
 // full/loose/bus metadata the filter masks operate on.
 func (e *ffEngine) pack(sp *sifault.Space) {
 	n := len(e.idxs)
-	var nWordsTotal, nCareTotal, nBusTotal int
+	var nBusTotal int
 	for _, gi := range e.idxs {
-		p := e.patterns[gi]
-		nCareTotal += len(p.Care)
-		nBusTotal += len(p.Bus)
+		nBusTotal += len(e.patterns[gi].Bus)
 	}
-	nWordsTotal = nCareTotal // upper bound
 
-	wordArena := make([]sifault.PackedWord, 0, nWordsTotal)
-	wordOff := make([]int32, n+1)
+	_, e.words = packWords(e.patterns, e.idxs)
 	fullArena := make([]fullRef, 0, n)
 	fullOff := make([]int32, n+1)
 	looseArena := make([]looseRef, 0, 16)
@@ -205,12 +201,9 @@ func (e *ffEngine) pack(sp *sifault.Space) {
 
 	for ci, gi := range e.idxs {
 		p := e.patterns[gi]
-		wordOff[ci] = int32(len(wordArena))
 		fullOff[ci] = int32(len(fullArena))
 		looseOff[ci] = int32(len(looseArena))
 		busOff[ci] = int32(len(busArena))
-
-		wordArena = sifault.AppendPackedWords(wordArena, p)
 
 		// Walk the sorted care list block by block; a run covering its
 		// whole block is interned as a class, anything else is loose.
@@ -271,23 +264,55 @@ func (e *ffEngine) pack(sp *sifault.Space) {
 		}
 		e.filtered[ci] = int(looseOff[ci])+looseCap >= len(looseArena)
 	}
-	wordOff[n] = int32(len(wordArena))
 	fullOff[n] = int32(len(fullArena))
 	looseOff[n] = int32(len(looseArena))
 	busOff[n] = int32(len(busArena))
 
-	e.words = make([][]sifault.PackedWord, n)
 	e.fulls = make([][]fullRef, n)
 	e.looses = make([][]looseRef, n)
 	e.buses = make([][]busRef, n)
 	for i := 0; i < n; i++ {
-		e.words[i] = wordArena[wordOff[i]:wordOff[i+1]:wordOff[i+1]]
 		e.fulls[i] = fullArena[fullOff[i]:fullOff[i+1]:fullOff[i+1]]
 		e.looses[i] = looseArena[looseOff[i]:looseOff[i+1]:looseOff[i+1]]
 		e.buses[i] = busArena[busOff[i]:busOff[i+1]:busOff[i+1]]
 	}
 	e.nDrv = len(drvMap)
 	e.busDisabled = e.nBus > 0 && e.nDrv > 0 && e.nBus*e.nDrv > 1<<22
+}
+
+// packWords packs the candidates' care lists into one arena of exactly
+// their packed word count and returns it with the per-candidate views
+// into it. An SI pattern's care list of tens of positions packs into a
+// handful of 64-position words, so sizing the arena by care count
+// would leave most of it unused.
+func packWords(patterns []*sifault.Pattern, idxs []int32) ([]sifault.PackedWord, [][]sifault.PackedWord) {
+	n := 0
+	for _, gi := range idxs {
+		n += packedWordCount(patterns[gi])
+	}
+	arena := make([]sifault.PackedWord, 0, n)
+	words := make([][]sifault.PackedWord, len(idxs))
+	for ci, gi := range idxs {
+		start := len(arena)
+		arena = sifault.AppendPackedWords(arena, patterns[gi])
+		words[ci] = arena[start:len(arena):len(arena)]
+	}
+	return arena, words
+}
+
+// packedWordCount returns the number of PackedWords
+// sifault.AppendPackedWords emits for p: the distinct 64-position
+// words its sorted care list touches.
+func packedWordCount(p *sifault.Pattern) int {
+	n := 0
+	last := int32(-1)
+	for _, c := range p.Care {
+		if w := c.Pos >> 6; w != last {
+			n++
+			last = w
+		}
+	}
+	return n
 }
 
 // buildAgree precomputes, per block and per distinct loose (position,
