@@ -21,10 +21,7 @@ package compaction
 import (
 	"context"
 	"fmt"
-	"math/bits"
-	"sort"
 
-	"sitam/internal/obs"
 	"sitam/internal/sifault"
 )
 
@@ -50,198 +47,16 @@ func (s Stats) Ratio() float64 {
 	return float64(s.Original) / float64(s.Compacted)
 }
 
-// bitsetAccumulator is the word-parallel merge state for one greedy
-// seed pass: per 64 positions one interleaved [care, v0, v1] plane
-// entry (the care mask plus the two value bits of Symbol-1 — see
-// sifault.PackedWord), so a compatibility check costs one AND and two
-// XORs per 64 care positions instead of one comparison per care
-// position, and the three planes of a word share one cache line.
-//
-// Bus occupation rides the same machinery: bus line L maps to the
-// pseudo-word plane busBase+L whose care plane is all-ones when the
-// line is occupied and whose v0 plane carries the driver verbatim —
-// the generic conflict formula then reads "occupied and a different
-// driver", exactly the shared-bus rule. One uniform loop per candidate
-// replaces the separate care and bus scans.
-//
-// The planes of untouched words are all-zero — reset clears only the
-// entries the last pass touched — which keeps the conflict test free
-// of epoch loads: a zero care plane can never intersect.
-type bitsetAccumulator struct {
-	planes   [][3]uint64 // care, v0, v1 per word; bus pseudo-words after busBase
-	busBase  int32
-	touchedW []int32 // care word indices determined this pass
-	busUsed  []int32 // bus plane indices occupied this pass
-}
-
-func newBitsetAccumulator(nPos, nBus int) *bitsetAccumulator {
-	nWords := (nPos + 63) / 64
-	return &bitsetAccumulator{
-		planes:  make([][3]uint64, nWords+nBus),
-		busBase: int32(nWords),
-	}
-}
-
-func (a *bitsetAccumulator) reset() {
-	for _, wi := range a.touchedW {
-		a.planes[wi] = [3]uint64{}
-	}
-	for _, wi := range a.busUsed {
-		a.planes[wi] = [3]uint64{}
-	}
-	a.touchedW = a.touchedW[:0]
-	a.busUsed = a.busUsed[:0]
-}
-
-// compatible reports whether the pattern (packed care words plus bus
-// pseudo-words) can merge into the current accumulation. A conflict is
-// a shared care bit whose value planes differ; masking with both care
-// planes first keeps the value comparison to genuinely shared bits.
-func (a *bitsetAccumulator) compatible(items []sifault.PackedWord) bool {
-	planes := a.planes
-	for i := range items {
-		w := &items[i]
-		pl := &planes[w.Idx]
-		if pl[0]&w.Care&((pl[1]^w.V0)|(pl[2]^w.V1)) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// merge absorbs the pattern; the caller must have checked compatible.
-// ORing the value planes is exact: shared care positions carry equal
-// symbols and shared bus lines equal drivers (checked), and bits
-// outside a word's care mask are zero. A zero care plane identifies an
-// untouched entry (every packed word carries at least one care bit and
-// bus pseudo-words an all-ones mask), so no epoch bookkeeping is
-// needed.
-func (a *bitsetAccumulator) merge(items []sifault.PackedWord) {
-	for i := range items {
-		w := &items[i]
-		pl := &a.planes[w.Idx]
-		if pl[0] == 0 {
-			if w.Idx >= a.busBase {
-				a.busUsed = append(a.busUsed, w.Idx)
-			} else {
-				a.touchedW = append(a.touchedW, w.Idx)
-			}
-		}
-		pl[0] |= w.Care
-		pl[1] |= w.V0
-		pl[2] |= w.V1
-	}
-}
-
-// pattern materializes the accumulated merge as a Pattern of the given
-// total weight, identical to the scalar reference's output: care
-// entries sorted by position, bus uses sorted by line.
-func (a *bitsetAccumulator) pattern(weight int64) *sifault.Pattern {
-	p := &sifault.Pattern{
-		VictimPos:  -1,
-		VictimCore: -1,
-		Weight:     int32(weight),
-	}
-	sort.Slice(a.touchedW, func(i, j int) bool { return a.touchedW[i] < a.touchedW[j] })
-	n := 0
-	for _, wi := range a.touchedW {
-		n += bits.OnesCount64(a.planes[wi][0])
-	}
-	p.Care = make([]sifault.Care, 0, n)
-	for _, wi := range a.touchedW {
-		base := int32(wi) << 6
-		pl := &a.planes[wi]
-		for m := pl[0]; m != 0; m &= m - 1 {
-			b := uint(bits.TrailingZeros64(m))
-			sym := sifault.Symbol(1 + (pl[1]>>b)&1 + 2*((pl[2]>>b)&1))
-			p.Care = append(p.Care, sifault.Care{Pos: base + int32(b), Sym: sym})
-		}
-	}
-	sort.Slice(a.busUsed, func(i, j int) bool { return a.busUsed[i] < a.busUsed[j] })
-	for _, wi := range a.busUsed {
-		p.Bus = append(p.Bus, sifault.BusUse{Line: wi - a.busBase, Driver: int32(uint32(a.planes[wi][1]))})
-	}
-	return p
-}
-
 // Greedy compacts patterns with the paper's heuristic: take the first
 // uncompacted pattern as a seed and merge every following compatible
 // pattern into it, repeating until all patterns are absorbed. Input
 // patterns are not modified. The input order is the merge order, so the
-// result is deterministic.
+// result is deterministic. It is GreedyWith on one worker, untraced and
+// without a deadline; GreedyWith adds the context, the worker pool and
+// tracing.
 func Greedy(sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats) {
-	out, stats, _ := GreedyCtx(context.Background(), sp, patterns)
+	out, stats, _ := GreedyWith(context.Background(), sp, patterns, Config{Workers: 1})
 	return out, stats
-}
-
-// GreedyCtx is Greedy as an anytime algorithm: the context is checked
-// before each seed pass, and on cancellation or deadline expiry the
-// remaining unmerged patterns are emitted as-is (sharing the input
-// pattern values, which are never modified). The result is then a
-// valid but less compacted cover of the same original pattern set; the
-// returned bool reports whether compaction was cut short.
-func GreedyCtx(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, bool) {
-	return GreedyObs(ctx, sp, patterns, nil, "")
-}
-
-// GreedyObs is GreedyCtx with tracing: the run is bracketed in a
-// "compaction" phase span labeled with the group name, whose PhaseEnd
-// carries the compacted pattern count; a cut emits a deadline_hit
-// event. A nil sink traces nothing. For worker-pool parallelism see
-// GreedyWith (sharded.go); the trace and the output are identical at
-// every worker count.
-func GreedyObs(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern, sink obs.Sink, group string) ([]*sifault.Pattern, Stats, bool) {
-	return GreedyWith(ctx, sp, patterns, Config{Workers: 1, Sink: sink, Group: group})
-}
-
-// packPatterns packs every pattern's care list (as PackedWords) and
-// bus list (as bus pseudo-words: all-ones care mask, driver in v0) into
-// one shared arena, and returns per-pattern item slices index-aligned
-// with patterns. Per-pattern runs stay contiguous in memory and the
-// precomputed slice headers keep the hot loop to two contiguous-array
-// loads per candidate — no *Pattern dereference on the compatibility
-// path.
-//
-// Bus pseudo-words are placed BEFORE the care words of each pattern:
-// item order inside one pattern cannot change the conflict verdict
-// (conflict is "any item conflicts") or the merge result (ORs commute),
-// but bus words carry an all-ones care mask and so are the most
-// discriminating conflict probes — putting them first lets the reject
-// path of the greedy scan exit earliest.
-func packPatterns(patterns []*sifault.Pattern, busBase int32) (itemsOf [][]sifault.PackedWord) {
-	n := 0
-	for _, p := range patterns {
-		n += len(p.Care) + len(p.Bus)
-	}
-	arena := make([]sifault.PackedWord, 0, n)
-	off := make([]int32, len(patterns)+1)
-	for i, p := range patterns {
-		off[i] = int32(len(arena))
-		arena = sifault.AppendPackedWords(arena, p)
-		for _, b := range p.Bus {
-			arena = append(arena, sifault.PackedWord{
-				Idx: busBase + b.Line, Care: ^uint64(0), V0: uint64(uint32(b.Driver)),
-			})
-		}
-	}
-	off[len(patterns)] = int32(len(arena))
-	itemsOf = make([][]sifault.PackedWord, len(patterns))
-	for i := range patterns {
-		itemsOf[i] = arena[off[i]:off[i+1]:off[i+1]]
-	}
-	return itemsOf
-}
-
-// greedy is the single-worker compaction path: sharded GreedyWith at
-// Workers=1. The fused super-pass loop that used to live here moved to
-// the conflict-index engine (engine.go), which fuses 64 serial seed
-// passes into one stream over the remaining set and answers most
-// accumulator conflicts from bitmask indexes instead of plane probes.
-// First-fit equivalence (the reason any of this is byte-identical to
-// the paper's one-seed-pass-at-a-time greedy) is argued on GreedyWith
-// and in the engine's package comment.
-func greedy(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, bool) {
-	return greedyWith(ctx, sp, patterns, Config{Workers: 1})
 }
 
 // Compatible reports whether two patterns may be merged, applying both

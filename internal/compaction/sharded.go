@@ -44,7 +44,8 @@ type Config struct {
 // stays negligible.
 const DefaultMaxShards = 64
 
-// GreedyWith is the sharded, parallel form of GreedyCtx. The corpus is
+// GreedyWith is the production compaction pass: Greedy's first-fit
+// clique cover, sharded, parallel, traced and cancellable. The corpus is
 // partitioned into conflict-closed shards (sifault.PlanShards), each
 // shard is first-fit compacted independently by a bounded worker pool,
 // and the per-shard bins are merged index-by-index in canonical shard
@@ -54,10 +55,15 @@ const DefaultMaxShards = 64
 // to the serial result at ANY worker count — locked by the
 // bitset-vs-scalar differential and fuzz suites at workers {1,2,8}.
 //
-// Context cuts degrade gracefully exactly like GreedyCtx: bins
-// materialized before the cut are followed by the unmerged remainder
-// in input order, and the cut flag is returned. A run cancelled before
-// any work emits the input unchanged.
+// The context is checked before each super-pass of 64 fused seed
+// passes (engine.go). A cut degrades
+// gracefully: bins materialized before it are followed by the unmerged
+// remainder in input order (sharing the input pattern values, which
+// are never modified), so the output is still a valid, less compacted
+// cover, and the cut flag is returned. A run cancelled before any work
+// emits the input unchanged. With a sink, the run is bracketed in a
+// "compaction" phase span whose PhaseEnd carries the compacted count,
+// and a cut emits a deadline_hit event labeled with cfg.Group.
 func GreedyWith(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern, cfg Config) ([]*sifault.Pattern, Stats, bool) {
 	span := obs.Span(cfg.Sink, "compaction")
 	out, stats, cut := greedyWith(ctx, sp, patterns, cfg)
