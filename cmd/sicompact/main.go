@@ -36,7 +36,7 @@ func main() {
 		file    = flag.String("file", "", ".soc file to load instead of a benchmark")
 		parts   = flag.Int("g", 1, "number of SI test groups (1 = vertical compaction only)")
 		seed    = flag.Int64("seed", 1, "partitioner seed")
-		workers = flag.Int("compact-workers", 0, "concurrent compaction shard workers (0 = serial, -1 = GOMAXPROCS); output is identical at any count")
+		workers = flag.Int("compact-workers", 0, "concurrent compaction workers (0 = GOMAXPROCS, 1 = serial); output is identical at any count")
 		out     = flag.String("o", "", "write compacted patterns to this file")
 		stats   = flag.Bool("stats", false, "print partition/compaction phase metrics to stderr")
 		timeout = flag.Duration("timeout", 0, "deadline; on expiry the partially compacted set is emitted and the exit code is 3 (0 = none)")

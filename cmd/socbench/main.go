@@ -45,7 +45,7 @@ func main() {
 		ablation = flag.Bool("ablation", false, "run ablation sweeps instead of the main tables")
 		nScen    = flag.Int("scenarios", 0, "run N seeded constrained-scheduling scenarios (seed, seed+1, ...) through the solve-and-check harness instead of the main tables")
 		coverage = flag.Bool("coverage", false, "run the SI fault coverage experiment instead of the main tables")
-		workers  = flag.Int("workers", 0, "concurrent candidate evaluations per optimization (0 = GOMAXPROCS, 1 = serial); table numbers are identical at any worker count")
+		workers  = flag.Int("workers", 0, "concurrent candidate evaluations per optimization and compaction workers per grouping (0 = GOMAXPROCS, 1 = serial); table numbers are identical at any worker count")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file shared by every cell of the sweep; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "deadline; on expiry the completed cells are printed and the exit code is 3 (0 = none)")
 		stats    = flag.Bool("stats", false, "print the accumulated metrics snapshot (worker pool, phase timings) to stderr after the tables")

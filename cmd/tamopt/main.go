@@ -56,7 +56,7 @@ func main() {
 		ils      = flag.Int("ils", 0, "iterated-local-search kicks after the greedy optimization (0 = paper's algorithm)")
 		restarts = flag.Int("restarts", 1, "independent ILS restarts with seeds seed, seed+1, ... (only with -ils > 0)")
 		workers  = flag.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
-		cworkers = flag.Int("compact-workers", 0, "concurrent compaction shard workers (0 = serial, -1 = GOMAXPROCS); output is identical at any count")
+		cworkers = flag.Int("compact-workers", 0, "concurrent compaction workers (0 = GOMAXPROCS, 1 = serial); output is identical at any count")
 		cache    = flag.Int("cache", 0, "evaluation cache capacity in entries (0 = default, negative = disabled)")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file: loaded before the run, appended during it; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "overall deadline; on expiry the best result so far is printed and the exit code is 3 (0 = none)")

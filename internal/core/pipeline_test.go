@@ -2,8 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"sitam/internal/compaction"
+	"sitam/internal/obs"
 	"sitam/internal/sifault"
 	"sitam/internal/soc"
 )
@@ -171,5 +177,119 @@ func TestGroupingReducesPatternLengthWork(t *testing.T) {
 	}
 	if !small {
 		t.Error("g=4 produced no small core groups")
+	}
+}
+
+// TestBuildGroupsWorkersAgree pins concurrent bucket compaction to the
+// serial run: every GroupingResult field, the canonical trace and the
+// metrics snapshot are the same at CompactWorkers 1, 2 and 8, for every
+// grouping count, on the benchmark SOCs and on a SOC whose core list is
+// not in core-ID order. The shard-plan metrics keep the serial
+// convention: compact_runs counts every bucket, and the gauges are the
+// last bucket's.
+func TestBuildGroupsWorkersAgree(t *testing.T) {
+	p93791 := soc.MustLoadBenchmark("p93791")
+	permuted := *p93791
+	permuted.Name = "p93791-permuted"
+	permuted.CoreList = append([]*soc.Core(nil), p93791.CoreList...)
+	rand.New(rand.NewSource(5)).Shuffle(len(permuted.CoreList), func(i, j int) {
+		permuted.CoreList[i], permuted.CoreList[j] = permuted.CoreList[j], permuted.CoreList[i]
+	})
+	cases := []struct {
+		s  *soc.SOC
+		nr int
+	}{
+		{soc.MustLoadBenchmark("d695"), 2000},
+		{soc.MustLoadBenchmark("p34392"), 2500},
+		{p93791, 3000},
+		{&permuted, 2000},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		patterns, err := sifault.Generate(tc.s, sifault.GenConfig{N: tc.nr, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []int{1, 2, 4, 8} {
+			name := fmt.Sprintf("%s/nr%d/g%d", tc.s.Name, tc.nr, g)
+			var wantGR *GroupingResult
+			var wantTrace []obs.Event
+			var wantSnap *obs.Snapshot
+			for _, workers := range []int{1, 2, 8} {
+				tr, reg := obs.NewTracer(), obs.NewRegistry()
+				gr, err := BuildGroupsCtx(ctx, tc.s, patterns, GroupingOptions{
+					Parts: g, Seed: 3, Trace: tr, Metrics: reg, CompactWorkers: workers,
+				})
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", name, workers, err)
+				}
+				var trace []obs.Event
+				for _, ev := range tr.Events() {
+					trace = append(trace, ev.Canonical())
+				}
+				snap := reg.Snapshot()
+				if workers == 1 {
+					checkSerialShardMetrics(t, name, tc.s, patterns, gr, snap)
+					wantGR, wantTrace, wantSnap = gr, trace, snap
+					continue
+				}
+				if !sameGrouping(gr, wantGR) {
+					t.Errorf("%s workers=%d: grouping differs from the serial run", name, workers)
+				}
+				if !slices.Equal(trace, wantTrace) {
+					t.Errorf("%s workers=%d: trace differs from the serial run (%d vs %d events)", name, workers, len(trace), len(wantTrace))
+				}
+				if !reflect.DeepEqual(snap, wantSnap) {
+					t.Errorf("%s workers=%d: metrics %+v, serial %+v", name, workers, snap, wantSnap)
+				}
+			}
+		}
+	}
+}
+
+// sameGrouping compares every field of two groupings, the compacted
+// patterns by value.
+func sameGrouping(a, b *GroupingResult) bool {
+	samePattern := func(p, q *sifault.Pattern) bool {
+		return p.VictimPos == q.VictimPos && p.VictimCore == q.VictimCore && p.Weight == q.Weight &&
+			slices.Equal(p.Care, q.Care) && slices.Equal(p.Bus, q.Bus)
+	}
+	samePatterns := func(ps, qs []*sifault.Pattern) bool { return slices.EqualFunc(ps, qs, samePattern) }
+	if !slices.EqualFunc(a.GroupPatterns, b.GroupPatterns, samePatterns) {
+		return false
+	}
+	ac, bc := *a, *b
+	ac.GroupPatterns, bc.GroupPatterns = nil, nil
+	return reflect.DeepEqual(ac, bc)
+}
+
+// checkSerialShardMetrics checks the serial run's shard-plan metrics:
+// one compact_runs count per group, and the gauges of compacting the
+// last group's input patterns on their own.
+func checkSerialShardMetrics(t *testing.T, name string, s *soc.SOC, patterns []*sifault.Pattern, gr *GroupingResult, snap *obs.Snapshot) {
+	t.Helper()
+	if got := snap.Counter("compact_runs"); got != int64(len(gr.Groups)) {
+		t.Errorf("%s: compact_runs = %d, want one per group (%d)", name, got, len(gr.Groups))
+	}
+	last := gr.Groups[len(gr.Groups)-1]
+	var part int
+	if _, err := fmt.Sscanf(last.Name, "G%d", &part); err != nil {
+		t.Fatalf("%s: last group %q is not a part group", name, last.Name)
+	}
+	sp := sifault.NewSpace(s)
+	var in []*sifault.Pattern
+	for _, p := range patterns {
+		inPart := true
+		for _, id := range p.CareCores(sp) {
+			inPart = inPart && gr.PartOf[id] == part-1
+		}
+		if inPart {
+			in = append(in, p)
+		}
+	}
+	reg := obs.NewRegistry()
+	compaction.GreedyWith(context.Background(), sp, in, compaction.Config{Workers: 1, Metrics: reg})
+	if want := reg.Snapshot().Gauges; !reflect.DeepEqual(snap.Gauges, want) {
+		t.Errorf("%s: shard-plan gauges %v, want the last group's %v", name, snap.Gauges, want)
 	}
 }

@@ -146,6 +146,18 @@ func parCfg(cfg TableConfig) core.ParallelConfig {
 	return cfg.Parallel
 }
 
+// compactWorkers is the sweep's one worker budget applied to grouping:
+// the resolved Parallel.Workers, so the zero TableConfig and Workers 1
+// group serially and Workers 0 groups on GOMAXPROCS, as the engine
+// evaluates. Negative Workers evaluate serially, so they group
+// serially too.
+func compactWorkers(cfg TableConfig) int {
+	if w := parCfg(cfg).Workers; w >= 0 {
+		return w
+	}
+	return 1
+}
+
 // RunTableCtx reproduces one of the paper's tables for SOC s, with
 // graceful degradation under a done context. The table is built cell
 // by cell; on cancellation or deadline expiry the run stops and the
@@ -199,7 +211,7 @@ func RunTableCtx(ctx context.Context, s *soc.SOC, cfg TableConfig) (*Table, erro
 		groupsByG := make(map[int][]*sischedule.Group, len(cfg.Groupings))
 		tbl.CompactionStats[nr] = make(map[int]GroupingStat)
 		for _, g := range cfg.Groupings {
-			gr, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{Parts: g, Seed: cfg.Seed})
+			gr, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{Parts: g, Seed: cfg.Seed, CompactWorkers: compactWorkers(cfg)})
 			if err != nil {
 				return nil, err
 			}

@@ -71,9 +71,10 @@ type Request struct {
 	Kicks    int    `json:"kicks,omitempty"`
 	Restarts int    `json:"restarts,omitempty"`
 
-	// Workers bounds the job's candidate-evaluation concurrency; the
-	// scheduler clamps it to Config.MaxJobWorkers (default 1: jobs are
-	// the unit of parallelism, not workers within a job).
+	// Workers bounds the job's compaction and candidate-evaluation
+	// concurrency; the scheduler clamps it to Config.MaxJobWorkers
+	// (default 1: jobs are the unit of parallelism, not workers within
+	// a job).
 	Workers int `json:"workers,omitempty"`
 
 	// MaxEvals is the objective-evaluation budget (0 = server default);
@@ -368,7 +369,7 @@ func (j *Job) run(ctx context.Context, hooks bool, persist *core.CacheFile) (*Ou
 		out.Cause = core.CauseOf(ctx.Err()).Label()
 	}
 
-	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{Parts: req.Parts, Seed: req.Seed, Trace: j.Trace})
+	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{Parts: req.Parts, Seed: req.Seed, Trace: j.Trace, CompactWorkers: req.Workers})
 	if err != nil {
 		return nil, err
 	}

@@ -19,15 +19,17 @@ import (
 type Config struct {
 	// Workers is the number of jobs run concurrently; 0 means
 	// runtime.GOMAXPROCS(0). Jobs are the unit of parallelism — each
-	// job's own candidate evaluation defaults to serial (MaxJobWorkers).
+	// job's own grouping and candidate evaluation default to serial
+	// (MaxJobWorkers).
 	Workers int
 
 	// QueueDepth bounds the admission queue; a submit beyond it is shed
 	// with ErrOverloaded. 0 means DefaultQueueDepth.
 	QueueDepth int
 
-	// MaxJobWorkers caps the per-job ParallelConfig.Workers a request
-	// may claim. 0 means 1 (serial evaluation inside each job).
+	// MaxJobWorkers caps the per-job worker budget a request may
+	// claim, spent on both compaction and candidate evaluation. 0
+	// means 1 (serial grouping and evaluation inside each job).
 	MaxJobWorkers int
 
 	// DefaultDeadline applies when a request carries no timeout;
