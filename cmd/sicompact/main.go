@@ -36,7 +36,6 @@ func main() {
 		file    = flag.String("file", "", ".soc file to load instead of a benchmark")
 		parts   = flag.Int("g", 1, "number of SI test groups (1 = vertical compaction only)")
 		seed    = flag.Int64("seed", 1, "partitioner seed")
-		workers = flag.Int("compact-workers", 0, "concurrent compaction workers (0 = GOMAXPROCS, 1 = serial); output is identical at any count")
 		out     = flag.String("o", "", "write compacted patterns to this file")
 		stats   = flag.Bool("stats", false, "print partition/compaction phase metrics to stderr")
 		timeout = flag.Duration("timeout", 0, "deadline; on expiry the partially compacted set is emitted and the exit code is 3 (0 = none)")
@@ -49,7 +48,7 @@ func main() {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	partial, reason, err := run(ctx, *socName, *file, *parts, *seed, *workers, *out, flag.Arg(0), *stats)
+	partial, reason, err := run(ctx, *socName, *file, *parts, *seed, *out, flag.Arg(0), *stats)
 	stop()
 	if err != nil {
 		if cli.IsCtxErr(err) {
@@ -64,7 +63,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, socName, file string, parts int, seed int64, workers int, out, patFile string, stats bool) (partial bool, reason string, err error) {
+func run(ctx context.Context, socName, file string, parts int, seed int64, out, patFile string, stats bool) (partial bool, reason string, err error) {
 	s, err := loadSOC(file, socName)
 	if err != nil {
 		return false, "", err
@@ -86,7 +85,7 @@ func run(ctx context.Context, socName, file string, parts int, seed int64, worke
 	}
 
 	var tracer *obs.Tracer
-	gopts := core.GroupingOptions{Parts: parts, Seed: seed, CompactWorkers: workers}
+	gopts := core.GroupingOptions{Parts: parts, Seed: seed}
 	if stats {
 		tracer = obs.NewTracer()
 		gopts.Trace = tracer

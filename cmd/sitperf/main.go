@@ -94,7 +94,6 @@ var suites = []suite{
 		baseline:       "BENCH_compact.json",
 		thresholdScale: 1,
 		runs: []benchRun{
-			{pkg: "./internal/compaction", pattern: "Benchmark_CompactionSharded", benchtime: "2x"},
 			{pkg: ".", pattern: "Benchmark_CachePersistentRestart", benchtime: "2x"},
 		},
 	},

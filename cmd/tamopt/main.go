@@ -55,8 +55,7 @@ func main() {
 		jsonOut  = flag.String("json", "", "also write the result as JSON to this file (\"-\" for stdout)")
 		ils      = flag.Int("ils", 0, "iterated-local-search kicks after the greedy optimization (0 = paper's algorithm)")
 		restarts = flag.Int("restarts", 1, "independent ILS restarts with seeds seed, seed+1, ... (only with -ils > 0)")
-		workers  = flag.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
-		cworkers = flag.Int("compact-workers", 0, "concurrent compaction workers (0 = GOMAXPROCS, 1 = serial); output is identical at any count")
+		workers  = flag.Int("workers", 0, "concurrent candidate evaluations and compaction workers (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
 		cache    = flag.Int("cache", 0, "evaluation cache capacity in entries (0 = default, negative = disabled)")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file: loaded before the run, appended during it; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "overall deadline; on expiry the best result so far is printed and the exit code is 3 (0 = none)")
@@ -102,7 +101,7 @@ func main() {
 	o := options{
 		socName: *socName, file: *file, wmax: *wmax, nr: *nr, parts: *parts,
 		seed: *seed, gantt: *gantt, jsonOut: *jsonOut,
-		stats: *stats, traceFile: *traceOut, compactWorkers: *cworkers,
+		stats: *stats, traceFile: *traceOut,
 	}
 	if *traceOut != "" {
 		o.tracer = obs.NewTracer()
@@ -136,7 +135,6 @@ func main() {
 type options struct {
 	socName, file, jsonOut string
 	wmax, nr, parts        int
-	compactWorkers         int
 	seed                   int64
 	gantt, stats           bool
 	traceFile              string
@@ -179,7 +177,7 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 
 	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{
 		Parts: o.parts, Seed: o.seed, Trace: o.sink(),
-		CompactWorkers: o.compactWorkers, Metrics: o.solve.Metrics,
+		CompactWorkers: o.solve.Workers, Metrics: o.solve.Metrics,
 	})
 	if err != nil {
 		return false, "", "", err

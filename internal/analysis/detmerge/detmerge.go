@@ -1,8 +1,9 @@
 // Package detmerge guards the repeatability pillar on the parallel
-// reduction paths (DESIGN §15): everything reachable from the sharded
-// compactor's merge path and the parallel evaluator's candidate map
-// must combine results in deterministic index order, because two runs
-// of the same optimization must produce byte-identical architectures.
+// reduction paths (DESIGN §15): everything reachable from the
+// compaction entry point, the grouping pipeline's bucket merge and the
+// parallel evaluator's candidate map must combine results in
+// deterministic index order, because two runs of the same optimization
+// must produce byte-identical architectures.
 //
 // The analyzer walks the in-package call graph from the Roots entry
 // points and flags, inside every reachable function:
@@ -38,9 +39,7 @@ import (
 // Name or Type.Name for methods). Mutable for the analysistest
 // fixtures.
 var Roots = map[string]bool{
-	"sitam/internal/compaction.GreedyWith":               true,
-	"sitam/internal/compaction.greedyWith":               true,
-	"sitam/internal/compaction.mergeDisjoint":            true,
+	"sitam/internal/compaction.GreedyWith":                true,
 	"sitam/internal/core.ParallelEvaluator.mapCandidates": true,
 }
 

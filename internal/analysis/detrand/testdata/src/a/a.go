@@ -8,7 +8,7 @@ import (
 )
 
 func flagged(xs []int) int {
-	n := rand.Intn(10) // want `global rand\.Intn draws from the process-wide source`
+	n := rand.Intn(10)                     // want `global rand\.Intn draws from the process-wide source`
 	rand.Shuffle(len(xs), func(i, j int) { // want `global rand\.Shuffle draws from the process-wide source`
 		xs[i], xs[j] = xs[j], xs[i]
 	})

@@ -47,7 +47,7 @@ var Scope = map[string]bool{
 // JournalFields names the fd struct fields under the durability
 // contract, as "pkgpath.Type.field".
 var JournalFields = map[string]bool{
-	"sitam/internal/serve.Journal.f": true,
+	"sitam/internal/serve.Journal.f":  true,
 	"sitam/internal/core.CacheFile.f": true,
 }
 

@@ -1,8 +1,7 @@
 // Package gorojoin turns the chaostest no-goroutine-leak invariant
 // into a compile-time check (DESIGN §15): every `go` statement in the
-// serving layer, the sharded compaction pool and the parallel
-// evaluator must have a provable join, so a drained daemon cannot
-// strand workers.
+// serving layer, the compaction package and core's worker pools must
+// have a provable join, so a drained daemon cannot strand workers.
 //
 // A go statement is considered joined when any of these holds:
 //

@@ -25,7 +25,7 @@ func Benchmark_CompactionBitset(b *testing.B) {
 	b.Run("bitset", func(b *testing.B) {
 		var compacted int
 		for i := 0; i < b.N; i++ {
-			_, stats, _ := greedy(ctx, sp, patterns)
+			_, stats, _ := GreedyWith(ctx, sp, patterns, Config{})
 			compacted = stats.Compacted
 		}
 		b.ReportMetric(float64(compacted), "patterns")

@@ -1,16 +1,10 @@
 package compaction
 
-import (
-	"context"
+import "sitam/internal/sifault"
 
-	"sitam/internal/sifault"
-)
-
-// The one-pass bitset accumulator, its pattern packing and the
-// single-worker greedy entry point are test oracles: the differential
-// suite checks the packed conflict formula against the pairwise
-// Compatible predicate with them, and the compaction benchmark times
-// the production engine through greedy.
+// The one-pass bitset accumulator and its pattern packing are test
+// oracles: the differential suite checks the packed conflict formula
+// against the pairwise Compatible predicate with them.
 
 // bitsetAccumulator is the word-parallel merge state for one greedy
 // seed pass: per 64 positions one interleaved [care, v0, v1] plane
@@ -131,16 +125,4 @@ func packPatterns(patterns []*sifault.Pattern, busBase int32) (itemsOf [][]sifau
 		itemsOf[i] = arena[off[i]:off[i+1]:off[i+1]]
 	}
 	return itemsOf
-}
-
-// greedy is the single-worker compaction path: sharded GreedyWith at
-// Workers=1. The fused super-pass loop that used to live here moved to
-// the conflict-index engine (engine.go), which fuses 64 serial seed
-// passes into one stream over the remaining set and answers most
-// accumulator conflicts from bitmask indexes instead of plane probes.
-// First-fit equivalence (the reason any of this is byte-identical to
-// the paper's one-seed-pass-at-a-time greedy) is argued on GreedyWith
-// and in the engine's package comment.
-func greedy(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats, bool) {
-	return greedyWith(ctx, sp, patterns, Config{Workers: 1})
 }

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 
+	"sitam/internal/obs"
 	"sitam/internal/sifault"
 )
 
@@ -51,12 +52,61 @@ func (s Stats) Ratio() float64 {
 // uncompacted pattern as a seed and merge every following compatible
 // pattern into it, repeating until all patterns are absorbed. Input
 // patterns are not modified. The input order is the merge order, so the
-// result is deterministic. It is GreedyWith on one worker, untraced and
-// without a deadline; GreedyWith adds the context, the worker pool and
-// tracing.
+// result is deterministic. It is GreedyWith untraced and without a
+// deadline.
 func Greedy(sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern, Stats) {
-	out, stats, _ := GreedyWith(context.Background(), sp, patterns, Config{Workers: 1})
+	out, stats, _ := GreedyWith(context.Background(), sp, patterns, Config{})
 	return out, stats
+}
+
+// Config configures a compaction run (GreedyWith). The zero value is
+// valid and traces nothing.
+type Config struct {
+	// Sink receives the compaction phase span and deadline events; nil
+	// traces nothing.
+	Sink obs.Sink
+
+	// Group labels trace events with the pattern group being compacted.
+	Group string
+}
+
+// GreedyWith is the production compaction pass: Greedy's clique cover,
+// traced and cancellable. The paper's seed-pass greedy is first-fit in
+// input order — every pattern joins the lowest-numbered bin whose
+// merged pattern it is compatible with, or opens the next bin — so the
+// conflict-index engine (engine.go) can run 64 seed passes as one fused
+// super-pass over the remaining patterns and still emit the scalar
+// reference's bytes, as the bitset-vs-scalar differential and fuzz
+// suites check.
+//
+// The context is checked before each super-pass of 64 fused seed
+// passes. A cut degrades gracefully: bins materialized before it are
+// followed by the unmerged remainder in input order (sharing the input
+// pattern values, which are never modified), so the output is still a
+// valid, less compacted cover, and the cut flag is returned. A run
+// cancelled before any work emits the input unchanged. With a sink, the
+// run is bracketed in a "compaction" phase span whose PhaseEnd carries
+// the compacted count, and a cut emits a deadline_hit event labeled
+// with cfg.Group.
+func GreedyWith(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern, cfg Config) ([]*sifault.Pattern, Stats, bool) {
+	span := obs.Span(cfg.Sink, "compaction")
+	var stats Stats
+	for _, p := range patterns {
+		stats.Original += int64(p.Weight)
+	}
+	var out []*sifault.Pattern
+	cut := false
+	if len(patterns) > 0 {
+		out, stats.Passes, cut = newFFEngine(sp, patterns).run(ctx)
+	}
+	stats.Compacted = len(out)
+	if cfg.Sink != nil {
+		if cut {
+			cfg.Sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: "compaction", Group: cfg.Group, Cause: obs.CtxCause(ctx.Err())})
+		}
+		span.End(0, int64(stats.Compacted))
+	}
+	return out, stats, cut
 }
 
 // Compatible reports whether two patterns may be merged, applying both

@@ -310,24 +310,20 @@ func TestPackArenaExactSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxs := make([]int32, len(patterns))
-	for i := range idxs {
-		idxs[i] = int32(i)
-	}
-	arena, words := packWords(patterns, idxs)
+	arena, words := packWords(patterns)
 	packedWords, care := 0, 0
-	for ci, gi := range idxs {
-		want := sifault.AppendPackedWords(nil, patterns[gi])
-		if len(words[ci]) != len(want) || cap(words[ci]) != len(want) {
-			t.Fatalf("pattern %d: view len %d cap %d, want %d words", gi, len(words[ci]), cap(words[ci]), len(want))
+	for pi, p := range patterns {
+		want := sifault.AppendPackedWords(nil, p)
+		if len(words[pi]) != len(want) || cap(words[pi]) != len(want) {
+			t.Fatalf("pattern %d: view len %d cap %d, want %d words", pi, len(words[pi]), cap(words[pi]), len(want))
 		}
 		for i := range want {
-			if words[ci][i] != want[i] {
-				t.Fatalf("pattern %d word %d: %+v, want %+v", gi, i, words[ci][i], want[i])
+			if words[pi][i] != want[i] {
+				t.Fatalf("pattern %d word %d: %+v, want %+v", pi, i, words[pi][i], want[i])
 			}
 		}
 		packedWords += len(want)
-		care += len(patterns[gi].Care)
+		care += len(p.Care)
 	}
 	if len(arena) != packedWords || cap(arena) != packedWords {
 		t.Errorf("arena len %d cap %d, want %d packed words (care count %d)", len(arena), cap(arena), packedWords, care)

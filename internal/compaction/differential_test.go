@@ -2,6 +2,7 @@ package compaction
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -44,28 +45,29 @@ func samePatternSets(t *testing.T, got, want []*sifault.Pattern) {
 	}
 }
 
-// diffWorkers are the worker counts the sharded path is pinned at:
-// byte-identical output is part of GreedyWith's contract at ANY count.
-var diffWorkers = []int{1, 2, 8}
-
+// TestGreedyBitsetMatchesScalar pins GreedyWith to the scalar
+// reference on generated corpora: the default generator mix on every
+// benchmark SOC, and a core-local corpus (no bus, no external
+// aggressors) in which every pattern cares about one core only.
 func TestGreedyBitsetMatchesScalar(t *testing.T) {
 	cases := []struct {
 		fixture string
-		n       int
-		seed    int64
+		cfg     sifault.GenConfig
 	}{
-		{"d695", 3000, 1},
-		{"d695", 3000, 2},
-		{"d695", 500, 3},
-		{"p34392", 2000, 1},
-		{"p93791", 2000, 5},
+		{"d695", sifault.GenConfig{N: 3000, Seed: 1}},
+		{"d695", sifault.GenConfig{N: 3000, Seed: 2}},
+		{"d695", sifault.GenConfig{N: 500, Seed: 3}},
+		{"d695", sifault.GenConfig{N: 2500, Seed: 7, BusProb: -1, ExternalProb: -1}},
+		{"p34392", sifault.GenConfig{N: 2000, Seed: 1}},
+		{"p93791", sifault.GenConfig{N: 2000, Seed: 5}},
 	}
 	for _, tc := range cases {
 		if testing.Short() && tc.fixture != "d695" {
 			continue
 		}
+		name := fmt.Sprintf("%s/N=%d/seed=%d", tc.fixture, tc.cfg.N, tc.cfg.Seed)
 		s := soc.MustLoadBenchmark(tc.fixture)
-		patterns, err := sifault.Generate(s, sifault.GenConfig{N: tc.n, Seed: tc.seed})
+		patterns, err := sifault.Generate(s, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,45 +75,14 @@ func TestGreedyBitsetMatchesScalar(t *testing.T) {
 		ctx := context.Background()
 		want, wantStats, wantCut := greedyScalar(ctx, sp, patterns)
 		if wantCut {
-			t.Fatalf("%s/N=%d/seed=%d: unexpected scalar cut", tc.fixture, tc.n, tc.seed)
+			t.Fatalf("%s: unexpected scalar cut", name)
 		}
-		for _, workers := range diffWorkers {
-			got, gotStats, gotCut := greedyWith(ctx, sp, patterns, Config{Workers: workers})
-			if gotCut {
-				t.Fatalf("%s/N=%d/seed=%d/workers=%d: unexpected cut", tc.fixture, tc.n, tc.seed, workers)
-			}
-			if gotStats != wantStats {
-				t.Errorf("%s/N=%d/seed=%d/workers=%d: stats %+v vs scalar %+v", tc.fixture, tc.n, tc.seed, workers, gotStats, wantStats)
-			}
-			samePatternSets(t, got, want)
+		got, gotStats, gotCut := GreedyWith(ctx, sp, patterns, Config{})
+		if gotCut {
+			t.Fatalf("%s: unexpected cut", name)
 		}
-	}
-}
-
-// TestGreedyShardedMultiComponent drives the sharded path on a corpus
-// that actually splits: with the bus and external aggressors disabled
-// every pattern cares about one core only, so the conflict components
-// (and hence the shard plan) are per-core. The merged output must
-// still be byte-identical to the serial scalar reference at every
-// worker count.
-func TestGreedyShardedMultiComponent(t *testing.T) {
-	s := soc.MustLoadBenchmark("d695")
-	cfg := sifault.GenConfig{N: 2500, Seed: 7, BusProb: -1, ExternalProb: -1}
-	patterns, err := sifault.Generate(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := sifault.NewSpace(s)
-	plan := sifault.PlanShards(sp, patterns, DefaultMaxShards)
-	if len(plan.Shards) < 2 {
-		t.Fatalf("corpus did not shard: %d shards of %d components", len(plan.Shards), plan.Components)
-	}
-	ctx := context.Background()
-	want, wantStats, _ := greedyScalar(ctx, sp, patterns)
-	for _, workers := range diffWorkers {
-		got, gotStats, _ := greedyWith(ctx, sp, patterns, Config{Workers: workers})
 		if gotStats != wantStats {
-			t.Errorf("workers=%d: stats %+v vs scalar %+v (shards=%d)", workers, gotStats, wantStats, len(plan.Shards))
+			t.Errorf("%s: stats %+v vs scalar %+v", name, gotStats, wantStats)
 		}
 		samePatternSets(t, got, want)
 	}
@@ -129,7 +100,7 @@ func TestGreedyCancelledMatchesScalar(t *testing.T) {
 	sp := sifault.NewSpace(s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, _, gotCut := greedy(ctx, sp, patterns)
+	got, _, gotCut := GreedyWith(ctx, sp, patterns, Config{})
 	want, _, wantCut := greedyScalar(ctx, sp, patterns)
 	if !gotCut || !wantCut {
 		t.Fatalf("cut not reported (bitset %v, scalar %v)", gotCut, wantCut)
@@ -183,8 +154,8 @@ func FuzzGreedyMatchesScalar(f *testing.F) {
 		s := soc.MustLoadBenchmark("d695")
 		cfg := sifault.GenConfig{N: int(n%500) + 1, Seed: seed}
 		if seed%3 == 0 {
-			// A third of the corpus shards for real: no bus, no
-			// external aggressors -> per-core conflict components.
+			// A third of the corpus is core-local: no bus, no external
+			// aggressors.
 			cfg.BusProb = -1
 			cfg.ExternalProb = -1
 		}
@@ -195,12 +166,10 @@ func FuzzGreedyMatchesScalar(f *testing.F) {
 		sp := sifault.NewSpace(s)
 		ctx := context.Background()
 		want, wantStats, _ := greedyScalar(ctx, sp, patterns)
-		for _, workers := range diffWorkers {
-			got, gotStats, _ := greedyWith(ctx, sp, patterns, Config{Workers: workers})
-			if gotStats != wantStats {
-				t.Fatalf("workers=%d: stats %+v vs scalar %+v", workers, gotStats, wantStats)
-			}
-			samePatternSets(t, got, want)
+		got, gotStats, _ := GreedyWith(ctx, sp, patterns, Config{})
+		if gotStats != wantStats {
+			t.Fatalf("stats %+v vs scalar %+v", gotStats, wantStats)
 		}
+		samePatternSets(t, got, want)
 	})
 }

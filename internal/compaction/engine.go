@@ -10,10 +10,10 @@ import (
 
 // Conflict-index first-fit engine.
 //
-// The fused super-pass form of the greedy clique cover (see greedy's
-// history in compaction.go and the equivalence argument on GreedyWith)
-// spends essentially all of its time answering one question per
-// (candidate, open accumulator) pair: "do they conflict?". The packed
+// The fused super-pass form of the greedy clique cover (see the
+// equivalence argument on GreedyWith) spends essentially all of its
+// time answering one question per (candidate, open accumulator) pair:
+// "do they conflict?". The packed
 // bit-plane probe answers it in a handful of word operations, but the
 // answer is recomputed per pair — Θ(Σ bin-index) probes over a run,
 // ~4·10^8 on the Nr=100k acceptance corpus.
@@ -55,7 +55,7 @@ import (
 // looseCap — is routed to the generic word probe via suspect masks.
 // Byte-identity with the scalar reference therefore never depends on
 // the filters being complete, only sound; the differential and fuzz
-// suites pin it across fixtures and worker counts.
+// suites pin it across fixtures.
 const (
 	fanout = 64 // open accumulators per super-pass == bits per accumulator mask
 
@@ -93,12 +93,12 @@ type pairKey struct {
 	sym uint8
 }
 
-// ffEngine is one shard's first-fit run: packed candidates plus the
-// per-super-pass accumulator mask state. All slices are reused across
-// passes; reset cost is proportional to what the pass touched.
+// ffEngine is one first-fit run over a pattern slice: packed
+// candidates plus the per-super-pass accumulator mask state. All slices
+// are reused across passes; reset cost is proportional to what the pass
+// touched.
 type ffEngine struct {
 	patterns []*sifault.Pattern
-	idxs     []int32 // global pattern indices of this shard, ascending
 
 	nWords  int32
 	nBlocks int
@@ -108,7 +108,7 @@ type ffEngine struct {
 	blockStart []int32
 	blockLen   []int32
 
-	// Per-candidate packed metadata (arena-backed, index-aligned with idxs).
+	// Per-candidate packed metadata (arena-backed, index-aligned with patterns).
 	words    [][]sifault.PackedWord
 	fulls    [][]fullRef
 	looses   [][]looseRef
@@ -150,10 +150,9 @@ type ffEngine struct {
 	busTouched []int32
 }
 
-func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern, idxs []int32) *ffEngine {
+func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern) *ffEngine {
 	e := &ffEngine{
 		patterns: patterns,
-		idxs:     idxs,
 		nWords:   int32((sp.Total() + 63) / 64),
 		nBus:     sp.BusWidth(),
 	}
@@ -175,13 +174,13 @@ func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern, idxs []int32) *
 // pack interns every candidate into packed care words plus the
 // full/loose/bus metadata the filter masks operate on.
 func (e *ffEngine) pack(sp *sifault.Space) {
-	n := len(e.idxs)
+	n := len(e.patterns)
 	var nBusTotal int
-	for _, gi := range e.idxs {
-		nBusTotal += len(e.patterns[gi].Bus)
+	for _, p := range e.patterns {
+		nBusTotal += len(p.Bus)
 	}
 
-	_, e.words = packWords(e.patterns, e.idxs)
+	_, e.words = packWords(e.patterns)
 	fullArena := make([]fullRef, 0, n)
 	fullOff := make([]int32, n+1)
 	looseArena := make([]looseRef, 0, 16)
@@ -199,8 +198,7 @@ func (e *ffEngine) pack(sp *sifault.Space) {
 	e.filtered = make([]bool, n)
 	keyBuf := make([]uint8, 0, 128)
 
-	for ci, gi := range e.idxs {
-		p := e.patterns[gi]
+	for ci, p := range e.patterns {
 		fullOff[ci] = int32(len(fullArena))
 		looseOff[ci] = int32(len(looseArena))
 		busOff[ci] = int32(len(busArena))
@@ -285,16 +283,16 @@ func (e *ffEngine) pack(sp *sifault.Space) {
 // into it. An SI pattern's care list of tens of positions packs into a
 // handful of 64-position words, so sizing the arena by care count
 // would leave most of it unused.
-func packWords(patterns []*sifault.Pattern, idxs []int32) ([]sifault.PackedWord, [][]sifault.PackedWord) {
+func packWords(patterns []*sifault.Pattern) ([]sifault.PackedWord, [][]sifault.PackedWord) {
 	n := 0
-	for _, gi := range idxs {
-		n += packedWordCount(patterns[gi])
+	for _, p := range patterns {
+		n += packedWordCount(p)
 	}
 	arena := make([]sifault.PackedWord, 0, n)
-	words := make([][]sifault.PackedWord, len(idxs))
-	for ci, gi := range idxs {
+	words := make([][]sifault.PackedWord, len(patterns))
+	for ci, p := range patterns {
 		start := len(arena)
-		arena = sifault.AppendPackedWords(arena, patterns[gi])
+		arena = sifault.AppendPackedWords(arena, p)
 		words[ci] = arena[start:len(arena):len(arena)]
 	}
 	return arena, words
@@ -510,7 +508,7 @@ func (e *ffEngine) mergeInto(b int, ci int32) {
 			}
 		}
 	}
-	e.weights[b] += int64(e.patterns[e.idxs[ci]].Weight)
+	e.weights[b] += int64(e.patterns[ci].Weight)
 }
 
 // materialize emits accumulator b as a merged pattern, byte-identical
@@ -589,13 +587,11 @@ func (e *ffEngine) resetPass(nOpen int) {
 	}
 }
 
-// run first-fits the shard. bins holds the materialized merged
-// patterns in bin order; raw holds the GLOBAL pattern indices of the
-// untouched pass-through remainder of a context-cut run (cut=true),
-// ascending, so the caller can interleave cut tails across shards in
-// input order.
-func (e *ffEngine) run(ctx context.Context) (bins []*sifault.Pattern, raw []int32, cut bool) {
-	remaining := make([]int32, len(e.idxs))
+// run first-fits the patterns. out holds the materialized merged
+// patterns in bin order (passes of them); a context-cut run (cut=true)
+// follows them with the untouched remainder in input order.
+func (e *ffEngine) run(ctx context.Context) (out []*sifault.Pattern, passes int, cut bool) {
+	remaining := make([]int32, len(e.patterns))
 	for i := range remaining {
 		remaining[i] = int32(i)
 	}
@@ -603,10 +599,11 @@ func (e *ffEngine) run(ctx context.Context) (bins []*sifault.Pattern, raw []int3
 		// Context honored at super-pass granularity, as in the serial
 		// greedy: a cut passes the unmerged remainder through.
 		if ctx.Err() != nil {
+			passes = len(out)
 			for _, ci := range remaining {
-				raw = append(raw, e.idxs[ci])
+				out = append(out, e.patterns[ci])
 			}
-			return bins, raw, true
+			return out, passes, true
 		}
 		nOpen := 0
 		openMask := uint64(0)
@@ -669,9 +666,9 @@ func (e *ffEngine) run(ctx context.Context) (bins []*sifault.Pattern, raw []int3
 		}
 		remaining = next
 		for b := 0; b < nOpen; b++ {
-			bins = append(bins, e.materialize(b))
+			out = append(out, e.materialize(b))
 		}
 		e.resetPass(nOpen)
 	}
-	return bins, nil, false
+	return out, len(out), false
 }

@@ -85,16 +85,13 @@ type GroupingOptions struct {
 
 	// CompactWorkers bounds the compaction goroutines: 0 or negative
 	// uses runtime.GOMAXPROCS(0), 1 compacts serially. The buckets
-	// (RES, G1…Gg) compact concurrently, one goroutine each; a lone
-	// bucket (g=1) hands the budget to compaction.GreedyWith's shard
-	// pool instead. The count never changes a single output bit, the
-	// trace or the metrics — sharding is conflict-component exact and
-	// buckets merge in bucket order — only wall-clock.
+	// (RES, G1…Gg) compact concurrently, one goroutine each. The count
+	// never changes a single output bit or the trace — buckets merge
+	// in bucket order — only wall-clock.
 	CompactWorkers int
 
-	// Metrics, when non-nil, receives the compaction shard-plan
-	// counters and gauges (compact_shards, compact_shard_imbalance_pct,
-	// ...).
+	// Metrics, when non-nil, receives the compact_runs counter: one
+	// count per compacted group.
 	Metrics *obs.Registry
 }
 
@@ -202,32 +199,19 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 	}
 	buckets = nonEmpty
 
-	// Compact the buckets on at most CompactWorkers goroutines: one
-	// bucket per goroutine with serial shards, or a lone bucket's
-	// shards on the whole budget. Each bucket traces into its own
-	// buffer and reports into its own registry, snapshotted for the
-	// merge.
+	// Compact the buckets on at most CompactWorkers goroutines, one
+	// bucket per goroutine. Each bucket traces into its own buffer.
 	workers := opts.CompactWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shardWorkers := 1
-	if len(buckets) == 1 {
-		shardWorkers, workers = workers, 1
-	}
 	compact := func(b *bucket) {
-		cfg := compaction.Config{Workers: shardWorkers, Group: b.name}
+		cfg := compaction.Config{Group: b.name}
 		if opts.Trace != nil {
 			b.trace = obs.NewLocal()
 			cfg.Sink = b.trace
 		}
-		if opts.Metrics != nil {
-			cfg.Metrics = obs.NewRegistry()
-		}
 		b.comp, b.stats, b.cut = compaction.GreedyWith(ctx, sp, b.patterns, cfg)
-		if cfg.Metrics != nil {
-			b.metrics = cfg.Metrics.Snapshot()
-		}
 	}
 	if workers == 1 {
 		for _, b := range buckets {
@@ -240,6 +224,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		sort.SliceStable(bySize, func(i, j int) bool { return len(bySize[i].patterns) > len(bySize[j].patterns) })
 		parallelFor(workers, len(bySize), func(_, i int) { compact(bySize[i]) })
 	}
+	opts.Metrics.Counter("compact_runs").Add(int64(len(buckets)))
 	compactionCut := mergeBuckets(res, buckets, cores, opts)
 
 	if partitionCut || compactionCut {
@@ -296,27 +281,24 @@ type bucket struct {
 	patterns []*sifault.Pattern
 	inCore   []bool // by vertex: some pattern of the bucket cares about the core
 
-	comp    []*sifault.Pattern
-	stats   compaction.Stats
-	cut     bool
-	trace   *obs.Local
-	metrics *obs.Snapshot
+	comp  []*sifault.Pattern
+	stats compaction.Stats
+	cut   bool
+	trace *obs.Local
 }
 
 // mergeBuckets appends the compacted buckets to res in bucket order
 // and reports whether any compaction was cut short. A group's cores
 // are the union of its bucket's input care cores, which merging
-// preserves. The buckets' trace buffers and metric snapshots drain
-// into opts.Trace and opts.Metrics in the same order, so the trace and
-// the metrics are the serial run's whatever order the buckets finished
-// in.
+// preserves. The buckets' trace buffers drain into opts.Trace in the
+// same order, so the trace is the serial run's whatever order the
+// buckets finished in.
 //
 //sitlint:detmerge-root
 func mergeBuckets(res *GroupingResult, buckets []*bucket, cores []*soc.Core, opts GroupingOptions) bool {
 	cut := false
 	for _, b := range buckets {
 		obs.Drain(opts.Trace, b.trace)
-		drainMetrics(opts.Metrics, b.metrics)
 		cut = cut || b.cut
 		res.Stats.Original += b.stats.Original
 		res.Stats.Compacted += b.stats.Compacted
@@ -336,20 +318,6 @@ func mergeBuckets(res *GroupingResult, buckets []*bucket, cores []*soc.Core, opt
 		res.GroupPatterns = append(res.GroupPatterns, b.comp)
 	}
 	return cut
-}
-
-// drainMetrics replays a bucket's metrics into dst, in name order:
-// counters add up and gauges take the bucket's value.
-func drainMetrics(dst *obs.Registry, snap *obs.Snapshot) {
-	if snap == nil {
-		return
-	}
-	for _, name := range snap.CounterNames() {
-		dst.Counter(name).Add(snap.Counters[name])
-	}
-	for _, name := range snap.GaugeNames() {
-		dst.Gauge(name).Set(snap.Gauges[name])
-	}
 }
 
 func pinKey(pins []int) string {

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"sitam/internal/compaction"
 	"sitam/internal/obs"
 	"sitam/internal/sifault"
 	"sitam/internal/soc"
@@ -184,9 +183,7 @@ func TestGroupingReducesPatternLengthWork(t *testing.T) {
 // serial run: every GroupingResult field, the canonical trace and the
 // metrics snapshot are the same at CompactWorkers 1, 2 and 8, for every
 // grouping count, on the benchmark SOCs and on a SOC whose core list is
-// not in core-ID order. The shard-plan metrics keep the serial
-// convention: compact_runs counts every bucket, and the gauges are the
-// last bucket's.
+// not in core-ID order. compact_runs counts every group.
 func TestBuildGroupsWorkersAgree(t *testing.T) {
 	p93791 := soc.MustLoadBenchmark("p93791")
 	permuted := *p93791
@@ -228,8 +225,10 @@ func TestBuildGroupsWorkersAgree(t *testing.T) {
 					trace = append(trace, ev.Canonical())
 				}
 				snap := reg.Snapshot()
+				if got := snap.Counter("compact_runs"); got != int64(len(gr.Groups)) {
+					t.Errorf("%s workers=%d: compact_runs = %d, want one per group (%d)", name, workers, got, len(gr.Groups))
+				}
 				if workers == 1 {
-					checkSerialShardMetrics(t, name, tc.s, patterns, gr, snap)
 					wantGR, wantTrace, wantSnap = gr, trace, snap
 					continue
 				}
@@ -261,35 +260,4 @@ func sameGrouping(a, b *GroupingResult) bool {
 	ac, bc := *a, *b
 	ac.GroupPatterns, bc.GroupPatterns = nil, nil
 	return reflect.DeepEqual(ac, bc)
-}
-
-// checkSerialShardMetrics checks the serial run's shard-plan metrics:
-// one compact_runs count per group, and the gauges of compacting the
-// last group's input patterns on their own.
-func checkSerialShardMetrics(t *testing.T, name string, s *soc.SOC, patterns []*sifault.Pattern, gr *GroupingResult, snap *obs.Snapshot) {
-	t.Helper()
-	if got := snap.Counter("compact_runs"); got != int64(len(gr.Groups)) {
-		t.Errorf("%s: compact_runs = %d, want one per group (%d)", name, got, len(gr.Groups))
-	}
-	last := gr.Groups[len(gr.Groups)-1]
-	var part int
-	if _, err := fmt.Sscanf(last.Name, "G%d", &part); err != nil {
-		t.Fatalf("%s: last group %q is not a part group", name, last.Name)
-	}
-	sp := sifault.NewSpace(s)
-	var in []*sifault.Pattern
-	for _, p := range patterns {
-		inPart := true
-		for _, id := range p.CareCores(sp) {
-			inPart = inPart && gr.PartOf[id] == part-1
-		}
-		if inPart {
-			in = append(in, p)
-		}
-	}
-	reg := obs.NewRegistry()
-	compaction.GreedyWith(context.Background(), sp, in, compaction.Config{Workers: 1, Metrics: reg})
-	if want := reg.Snapshot().Gauges; !reflect.DeepEqual(snap.Gauges, want) {
-		t.Errorf("%s: shard-plan gauges %v, want the last group's %v", name, snap.Gauges, want)
-	}
 }

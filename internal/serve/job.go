@@ -217,6 +217,9 @@ type Job struct {
 	state   State
 	outcome *Outcome
 	errMsg  string
+	// claimed marks a job whose terminal transition one finalizer has
+	// reserved (see claim); it can no longer start running.
+	claimed bool
 
 	// cancel cancels the job's run context; safe to call at any time,
 	// in any state, more than once. Set before the job is published.
@@ -287,12 +290,12 @@ func (j *Job) release() {
 	}
 }
 
-// setRunning moves queued -> running; false if the job was finalized
-// (canceled) while still queued.
+// setRunning moves queued -> running; false if the job was claimed or
+// finalized (canceled) while still queued.
 func (j *Job) setRunning() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if j.state != StateQueued || j.claimed {
 		return false
 	}
 	j.state = StateRunning
@@ -307,8 +310,22 @@ func (j *Job) canceledByClient() bool {
 	return j.wantCancel
 }
 
+// claim reserves the job's terminal transition for one caller: true
+// exactly once, and never for a terminal job (e.g. a cancellation
+// racing a completed run loses). The job stays non-terminal until
+// finalize, so the claimer can account for it first.
+func (j *Job) claim() bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.claimed || j.state.Terminal() {
+		return false
+	}
+	j.claimed = true
+	return true
+}
+
 // finalize moves the job to a terminal state exactly once; extra calls
-// are ignored (e.g. a cancellation racing a completed run).
+// are ignored (e.g. a duplicate terminal record in the journal).
 func (j *Job) finalize(state State, outcome *Outcome, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

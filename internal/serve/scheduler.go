@@ -144,6 +144,11 @@ type Scheduler struct {
 	// grace deadline and partial-izes everything still in flight.
 	runCtx    context.Context
 	runCancel context.CancelFunc
+
+	// terminalHook, when set, runs in finalizeJob right before the job
+	// turns terminal. Tests set it before the first Submit; nil in
+	// production.
+	terminalHook func(job *Job, state State)
 }
 
 // NewScheduler builds a scheduler, replays the journal if configured,
@@ -317,9 +322,7 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	return job, nil
 }
 
-// execute runs one job with panic isolation: a crash inside the job —
-// engine bug or injected chaos — becomes a structured job-failure
-// record, not a daemon crash.
+// execute runs one job, accounts for its run and finalizes it.
 func (s *Scheduler) execute(job *Job) {
 	if !job.setRunning() {
 		return // canceled while still queued
@@ -330,13 +333,21 @@ func (s *Scheduler) execute(job *Job) {
 	deadline := time.Duration(job.Req.TimeoutMS) * time.Millisecond
 	ctx, cancel := context.WithTimeout(job.runBase, deadline)
 	start := time.Now()
+	state, outcome, errMsg := s.runJob(ctx, job)
+	cancel()
+	s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(-1))
+	s.cfg.Metrics.HistogramBuckets("serve_job_ms", phaseBucketsMs).Observe(time.Since(start).Milliseconds())
+	s.finalizeJob(job, state, outcome, errMsg)
+}
+
+// runJob runs one job and classifies how it ended, with panic
+// isolation: a crash inside the job — engine bug or injected chaos —
+// becomes a structured job-failure record, not a daemon crash.
+func (s *Scheduler) runJob(ctx context.Context, job *Job) (state State, outcome *Outcome, errMsg string) {
 	defer func() {
-		cancel()
-		s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(-1))
-		s.cfg.Metrics.HistogramBuckets("serve_job_ms", phaseBucketsMs).Observe(time.Since(start).Milliseconds())
 		if r := recover(); r != nil {
 			s.cfg.Metrics.Counter("serve_panics").Inc()
-			s.finalizeJob(job, StateFailed, nil, fmt.Sprintf("panic: %v", r))
+			state, outcome, errMsg = StateFailed, nil, fmt.Sprintf("panic: %v", r)
 		}
 	}()
 
@@ -346,15 +357,15 @@ func (s *Scheduler) execute(job *Job) {
 	}
 	switch {
 	case err == nil && outcome.Partial:
-		s.finalizeJob(job, StatePartial, outcome, "")
+		return StatePartial, outcome, ""
 	case err == nil:
-		s.finalizeJob(job, StateDone, outcome, "")
+		return StateDone, outcome, ""
 	case job.canceledByClient() && errors.Is(err, context.Canceled):
-		s.finalizeJob(job, StateCanceled, nil, "canceled")
+		return StateCanceled, nil, "canceled"
 	case errors.Is(err, context.Canceled) && s.Draining():
-		s.finalizeJob(job, StateFailed, nil, "daemon draining before any usable result")
+		return StateFailed, nil, "daemon draining before any usable result"
 	default:
-		s.finalizeJob(job, StateFailed, nil, err.Error())
+		return StateFailed, nil, err.Error()
 	}
 }
 
@@ -381,10 +392,13 @@ func stateCounterKey(state State) string {
 	}
 }
 
-// finalizeJob applies a terminal transition once, journals it durably,
-// records the trace in the flight recorder and accounts for it.
+// finalizeJob applies a terminal transition once: it records the trace
+// in the flight recorder and accounts for the job, then makes the job
+// terminal, so a reader woken by Done or a terminal status already sees
+// it counted, and journals the transition durably afterwards, keeping
+// the fsync out of the job's latency.
 func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg string) {
-	if !job.finalize(state, outcome, errMsg) {
+	if !job.claim() {
 		return
 	}
 	job.release()
@@ -399,6 +413,10 @@ func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg 
 			).Observe(ev.DurNS / 1e6)
 		}
 	}
+	if s.terminalHook != nil {
+		s.terminalHook(job, state)
+	}
+	job.finalize(state, outcome, errMsg)
 	if err := s.journal.Append(JournalEntry{T: "terminal", ID: job.ID, State: state, Result: outcome, Error: errMsg}); err != nil {
 		s.cfg.Logf("journal: %v", err)
 	}

@@ -7,8 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"sitam/internal/obs"
 )
 
 // quickReq is a d695 job small enough to finish in tens of
@@ -258,6 +261,97 @@ func TestSchedulerCancelQueuedAndRunning(t *testing.T) {
 	}
 	if _, err := s.Cancel("j999999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cancel unknown: err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestSchedulerCountsBeforeTerminal pins the accounting order: when a
+// job turns terminal (Done closes, status reads terminal), its state
+// counter, sitam_jobs_total, serve_job_ms, its phase histograms and its
+// flight-recorder entry already include it, so a reader woken by either
+// never sees them one short. It covers a finished run, a job canceled
+// while queued and one canceled while running.
+func TestSchedulerCountsBeforeTerminal(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 4, TestHooks: true})
+	type sighting struct {
+		state    State
+		snap     *obs.Snapshot
+		terminal bool
+		recorded bool
+	}
+	var mu sync.Mutex
+	seen := map[string]sighting{}
+	s.terminalHook = func(job *Job, state State) {
+		mu.Lock()
+		defer mu.Unlock()
+		seen[job.ID] = sighting{state, s.Metrics().Snapshot(), job.State().Terminal(), s.Recorder().Get(job.ID) != nil}
+	}
+
+	done, err := s.Submit(quickReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, done)
+	running, err := s.Submit(sleepReq(30_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, running, StateRunning)
+	queued, err := s.Submit(quickReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, job := range []*Job{queued, running} {
+		if _, err := s.Cancel(job.ID); err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, job)
+	}
+
+	phases := map[string]int64{}
+	for _, ev := range done.Trace.Events() {
+		if ev.Type == obs.PhaseEnd {
+			phases[ev.Phase]++
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, tc := range []struct {
+		job            *Job
+		state          State
+		count, jobRuns int64 // jobs in state, jobs run, including this one
+	}{
+		{done, StateDone, 1, 1},
+		{queued, StateCanceled, 1, 1},
+		{running, StateCanceled, 2, 2},
+	} {
+		got, ok := seen[tc.job.ID]
+		if !ok {
+			t.Fatalf("%s: terminal hook never ran", tc.job.ID)
+		}
+		if got.state != tc.state || got.terminal {
+			t.Errorf("%s: hook saw state %s (terminal %v), want %s before the transition", tc.job.ID, got.state, got.terminal, tc.state)
+		}
+		if !got.recorded {
+			t.Errorf("%s: no flight-recorder entry before the job turned terminal", tc.job.ID)
+		}
+		if c := got.snap.Counter(stateCounterKey(tc.state)); c != tc.count {
+			t.Errorf("%s: %s = %d before the job turned terminal, want %d", tc.job.ID, stateCounterKey(tc.state), c, tc.count)
+		}
+		if c := got.snap.Counter(obs.Labels("sitam_jobs_total", "state", string(tc.state))); c != tc.count {
+			t.Errorf("%s: sitam_jobs_total{state=%q} = %d before the job turned terminal, want %d", tc.job.ID, tc.state, c, tc.count)
+		}
+		if c := got.snap.Histograms["serve_job_ms"].Count; c != tc.jobRuns {
+			t.Errorf("%s: serve_job_ms count = %d before the job turned terminal, want %d", tc.job.ID, c, tc.jobRuns)
+		}
+	}
+	if len(phases) == 0 {
+		t.Fatal("finished job traced no phases")
+	}
+	for phase, n := range phases {
+		name := obs.Labels("sitam_job_phase_ms", "phase", phase)
+		if c := seen[done.ID].snap.Histograms[name].Count; c != n {
+			t.Errorf("%s count = %d before the job turned terminal, want %d", name, c, n)
+		}
 	}
 }
 

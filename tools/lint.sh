@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # tools/lint.sh — the one-command local lint gate, mirroring the CI
-# lint job exactly: standard go vet, the project's invariant suite
+# lint job exactly: gofmt, standard go vet, the project's invariant suite
 # (cmd/sitlint, built -race like CI) run as a vet tool, the
 # suppression audit, then govulncheck when available.
 #
@@ -27,6 +27,10 @@ for arg in "$@"; do
     esac
 done
 [ -n "$pkgs" ] || pkgs="./..."
+
+echo "== gofmt" >&2
+# Lists any file gofmt would change (on stderr) and fails on it.
+test -z "$(gofmt -l . | tee /dev/stderr)"
 
 echo "== go vet" >&2
 # shellcheck disable=SC2086
