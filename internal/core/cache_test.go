@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,24 +73,33 @@ func mutateArch(a *tam.Architecture, rng *rand.Rand) {
 // TimeIn/TimeSI bookkeeping (the side effects a cache hit restores).
 func checkCachedEqualsFresh(t *testing.T, cached *CachedEvaluator, fresh Evaluator, a *tam.Architecture) {
 	t.Helper()
+	if err := cachedMatchesFresh(cached, fresh, a); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cachedMatchesFresh is checkCachedEqualsFresh for any goroutine: it
+// returns the mismatch instead of failing the test.
+func cachedMatchesFresh(cached *CachedEvaluator, fresh Evaluator, a *tam.Architecture) error {
 	b := a.Clone()
 	gotObj, gotErr := cached.Evaluate(a)
 	wantObj, wantErr := fresh.Evaluate(b)
 	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("cached err = %v, fresh err = %v", gotErr, wantErr)
+		return fmt.Errorf("cached err = %v, fresh err = %v", gotErr, wantErr)
 	}
 	if gotErr != nil {
-		return
+		return nil
 	}
 	if gotObj != wantObj {
-		t.Fatalf("cached obj = %d, fresh obj = %d\narch:\n%s", gotObj, wantObj, a)
+		return fmt.Errorf("cached obj = %d, fresh obj = %d\narch:\n%s", gotObj, wantObj, a)
 	}
 	for i := range a.Rails {
 		if a.Rails[i].TimeIn != b.Rails[i].TimeIn || a.Rails[i].TimeSI != b.Rails[i].TimeSI {
-			t.Fatalf("rail %d bookkeeping: cached (in=%d, si=%d), fresh (in=%d, si=%d)",
+			return fmt.Errorf("rail %d bookkeeping: cached (in=%d, si=%d), fresh (in=%d, si=%d)",
 				i, a.Rails[i].TimeIn, a.Rails[i].TimeSI, b.Rails[i].TimeIn, b.Rails[i].TimeSI)
 		}
 	}
+	return nil
 }
 
 // FuzzEvalCache drives a randomized walk over architecture space and
@@ -173,6 +185,87 @@ func TestCacheEviction(t *testing.T) {
 	st = cached.Stats()
 	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 || st.Entries != 0 {
 		t.Errorf("Reset left counters %+v", st)
+	}
+}
+
+// TestCacheConcurrentEvaluations drives 8 goroutines through one
+// CachedEvaluator over one IncrementalSIEvaluator, the state concurrent
+// ILS restarts share. Goroutine pairs walk the same random sequence, so
+// lookups of one composition race, and every answer is checked against
+// a fresh SIEvaluator: at a capacity small enough that the shards
+// flush all the time, at capacity 2, and with an attached cache file
+// that a goroutine closes mid-run, which must detach it.
+func TestCacheConcurrentEvaluations(t *testing.T) {
+	const goroutines, steps = 8, 150
+	groups := smallGroups()
+	m := sischedule.DefaultModel()
+	for _, tc := range []struct {
+		name     string
+		capacity int
+		file     bool
+	}{
+		{"flushing shards", cacheShards, false},
+		{"capacity 2", 2, false},
+		{"file closed mid-run", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCachedEvaluator(NewIncrementalSIEvaluator(groups, m, nil), tc.capacity)
+			var cf *CacheFile
+			if tc.file {
+				var err error
+				if cf, err = OpenCacheFile(filepath.Join(t.TempDir(), "cache.sit")); err != nil {
+					t.Fatal(err)
+				}
+				c.AttachPersistent(cf)
+			}
+			var evals atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(goroutines)
+			for g := 0; g < goroutines; g++ {
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g / 2)))
+					a := freshRails(1 + g/2)
+					fresh := &SIEvaluator{Groups: groups, Model: m}
+					for i := 0; i < steps; i++ {
+						mutateArch(a, rng)
+						if err := cachedMatchesFresh(c, fresh, a); err != nil {
+							t.Errorf("goroutine %d step %d: %v", g, i, err)
+							return
+						}
+						if evals.Add(1) == goroutines*steps/2 && cf != nil {
+							if err := cf.Close(); err != nil {
+								t.Errorf("closing the cache file: %v", err)
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			st := c.Stats()
+			if st.Hits+st.Misses != goroutines*steps {
+				t.Errorf("hits+misses = %d, want %d", st.Hits+st.Misses, goroutines*steps)
+			}
+			if st.Hits == 0 {
+				t.Errorf("no lookup hit: %+v", st)
+			}
+			if tc.capacity > 0 {
+				if st.Entries > tc.capacity {
+					t.Errorf("%d entries exceed capacity %d", st.Entries, tc.capacity)
+				}
+				if st.Evictions == 0 {
+					t.Errorf("no shard flushed at capacity %d: %+v", tc.capacity, st)
+				}
+			}
+			if cf != nil {
+				if c.persist.Load() != nil {
+					t.Error("the closed cache file is still attached")
+				}
+				if cf.Len() == 0 {
+					t.Error("nothing was persisted before the file closed")
+				}
+			}
+		})
 	}
 }
 

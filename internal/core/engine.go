@@ -320,10 +320,9 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 			// the objective. Start-solution rails all have width 1 and
 			// stay width 1.
 			victim := e.Wmax
-			res, err := e.Par.mapCandidates(ctx, a, e.Wmax, func(cand *tam.Architecture, i int) (int64, int64, error) {
+			res, err := e.Par.mapCandidates(ctx, a, e.Wmax, func(cand *tam.Architecture, i int) (int64, error) {
 				cand.MergeRails(i, victim, 1)
-				o, err := e.eval(cand)
-				return o, 0, err
+				return e.eval(cand)
 			})
 			if err != nil {
 				// Stop errors included: mid-merge-down the
@@ -344,7 +343,7 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 			}
 		}
 	} else if free := e.Wmax - len(a.Rails); free > 0 {
-		if obj, err = e.distributeFreeWires(ctx, a, free, e.Par, e.Trace); err != nil {
+		if obj, err = e.distributeFreeWires(ctx, a, free, e.Trace); err != nil {
 			if isStop(err) {
 				// a is feasible with some wires undistributed.
 				return a, 0, err
@@ -360,52 +359,55 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 // the objective — the bottleneck-rail criterion generalized to the
 // combined objective. Ties keep the wire on the rail with the largest
 // utilized time. It returns the objective of the final widened
-// architecture. Context interruption is checked between wires, so a
-// is always left in a consistent (if under-widened) state.
+// architecture.
 //
-// The widening trials of one wire are independent and fan out on pe;
-// callers already running inside a worker (the per-candidate calls in
-// mergeTAMs) pass nil to stay serial and keep the pool bounded, and
-// pass a nil sink so only the coordinator-level call traces.
-func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, free int, pe *ParallelEvaluator, sink obs.Sink) (int64, error) {
+// Each widening is tried on a itself and undone right after its
+// evaluation, before any error returns, so a trial costs one rail's
+// refresh instead of a copy of the architecture, and an interruption
+// leaves a holding exactly the wires already placed. A trial evaluates
+// the composition a copy would have, so objectives, tie-breaks and
+// evaluation counts do not depend on it; the per-rail bookkeeping a
+// trial leaves on a is overwritten by the closing evaluation. The
+// context is checked before every wire and every trial. Only the
+// start solution's call passes a sink: the per-candidate calls in
+// mergeTAMs may run on pool workers and trace nothing.
+func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, free int, sink obs.Sink) (int64, error) {
+	var objs []int64 // one wire's trial objectives, kept only for the sink
 	for ; free > 0; free-- {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		widen := make([]int, 0, len(a.Rails))
-		for i := range a.Rails {
-			if a.Rails[i].Width < e.Wmax {
-				widen = append(widen, i)
-			}
-		}
-		if len(widen) == 0 {
-			break // every rail already at Wmax
-		}
-		res, err := pe.mapCandidates(ctx, a, len(widen), func(cand *tam.Architecture, i int) (int64, int64, error) {
-			r := cand.Rails[widen[i]]
-			cand.SetWidth(widen[i], r.Width+1)
-			o, err := e.eval(cand)
-			if err != nil {
-				return 0, 0, err
-			}
-			return o, r.TimeUsed(), nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		if sink != nil {
-			for i := range res {
-				sink.Emit(obs.Event{Type: obs.CandidateEvaluated, Phase: phaseStartSol, Cand: i, Obj: res[i].obj})
-			}
-		}
 		best := -1
 		var bestObj, bestUsed int64
-		for i, r := range res {
-			if best < 0 || r.obj < bestObj || (r.obj == bestObj && r.aux > bestUsed) {
-				best, bestObj, bestUsed = i, r.obj, r.aux
+		objs = objs[:0]
+		for i, r := range a.Rails {
+			if r.Width >= e.Wmax {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+			a.SetWidth(i, r.Width+1)
+			o, err := e.eval(a)
+			used := r.TimeUsed()
+			a.SetWidth(i, r.Width-1)
+			if err != nil {
+				return 0, err
+			}
+			if sink != nil {
+				objs = append(objs, o)
+			}
+			if best < 0 || o < bestObj || (o == bestObj && used > bestUsed) {
+				best, bestObj, bestUsed = i, o, used
 			}
 		}
-		a.SetWidth(widen[best], a.Rails[widen[best]].Width+1)
+		if best < 0 {
+			break // every rail already at Wmax
+		}
+		for i, o := range objs {
+			sink.Emit(obs.Event{Type: obs.CandidateEvaluated, Phase: phaseStartSol, Cand: i, Obj: o})
+		}
+		a.SetWidth(best, a.Rails[best].Width+1)
 	}
 	return e.eval(a)
 }
@@ -439,7 +441,7 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 			specs = append(specs, mergeSpec{ri, w})
 		}
 	}
-	build := func(cand *tam.Architecture, i int) (int64, int64, error) {
+	build := func(cand *tam.Architecture, i int) (int64, error) {
 		sp := specs[i]
 		wi := cand.Rails[sp.ri].Width
 		dst, src := sp.ri, r1
@@ -450,12 +452,11 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 		}
 		cand.MergeRails(dst, src, sp.w)
 		if leftover := w1 + wi - sp.w; leftover > 0 {
-			if _, err := e.distributeFreeWires(ctx, cand, leftover, nil, nil); err != nil {
-				return 0, 0, err
+			if _, err := e.distributeFreeWires(ctx, cand, leftover, nil); err != nil {
+				return 0, err
 			}
 		}
-		o, err := e.eval(cand)
-		return o, 0, err
+		return e.eval(cand)
 	}
 	res, err := e.Par.mapCandidates(ctx, a, len(specs), build)
 	if err != nil {
@@ -511,11 +512,10 @@ func (e *Engine) coreReshuffle(ctx context.Context, a *tam.Architecture, curObj 
 				}
 			}
 		}
-		build := func(cand *tam.Architecture, i int) (int64, int64, error) {
+		build := func(cand *tam.Architecture, i int) (int64, error) {
 			mv := specs[i]
 			cand.MoveCore(mv.from, mv.to, mv.coreID)
-			o, err := e.eval(cand)
-			return o, 0, err
+			return e.eval(cand)
 		}
 		res, err := e.Par.mapCandidates(ctx, a, len(specs), build)
 		if err != nil {

@@ -24,13 +24,24 @@ import (
 type IncrementalSIEvaluator struct {
 	planner *sischedule.Planner
 	sink    obs.Sink
+	stripes [incStripes]incCounters
+}
 
+// incStripes is the number of copies of the recompute counters. An
+// evaluation adds to the copy its architecture's hash picks, so
+// concurrent evaluations rarely write the same cache line; Stats sums
+// the copies.
+const incStripes = 16
+
+// incCounters is one stripe of an IncrementalSIEvaluator's counters.
+type incCounters struct {
 	evals            atomic.Int64
 	dirtyRails       atomic.Int64
 	railsRecomputed  atomic.Int64
 	railsMemoized    atomic.Int64
 	groupsRecomputed atomic.Int64
 	groupsMemoized   atomic.Int64
+	_                [64]byte // keeps neighbouring stripes off one cache line
 }
 
 // NewIncrementalSIEvaluator builds an incremental evaluator over the
@@ -44,21 +55,29 @@ func NewIncrementalSIEvaluator(groups []*sischedule.Group, m sischedule.Model, c
 
 // Evaluate implements Evaluator.
 func (e *IncrementalSIEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
-	dirty := a.DirtyCount()
+	return e.evaluate(a, a.DirtyCount())
+}
+
+// evaluate scores a, whose stale rails numbered stale when the
+// evaluation began. A CachedEvaluator refreshes those rails to compute
+// its key before it forwards a miss, so it counts them first and calls
+// evaluate directly.
+func (e *IncrementalSIEvaluator) evaluate(a *tam.Architecture, stale int) (int64, error) {
 	si, st, err := e.planner.Cost(a)
 	if err != nil {
 		return 0, err
 	}
-	e.evals.Add(1)
-	e.dirtyRails.Add(int64(dirty))
-	e.railsRecomputed.Add(int64(st.RailsRecomputed))
-	e.railsMemoized.Add(int64(st.RailsMemoized))
-	e.groupsRecomputed.Add(int64(st.GroupsRecomputed))
-	e.groupsMemoized.Add(int64(st.GroupsMemoized))
+	c := &e.stripes[(spread(a.Hash())>>32)%incStripes]
+	c.evals.Add(1)
+	c.dirtyRails.Add(int64(stale))
+	c.railsRecomputed.Add(int64(st.RailsRecomputed))
+	c.railsMemoized.Add(int64(st.RailsMemoized))
+	c.groupsRecomputed.Add(int64(st.GroupsRecomputed))
+	c.groupsMemoized.Add(int64(st.GroupsMemoized))
 	if e.sink != nil {
 		e.sink.Emit(obs.Event{
 			Type:       obs.EvalIncremental,
-			N:          int64(dirty),
+			N:          int64(stale),
 			Recomputed: st.GroupsRecomputed,
 			Memoized:   st.GroupsMemoized,
 		})
@@ -90,12 +109,15 @@ type IncrementalStats struct {
 
 // Stats returns a snapshot of the evaluator's recompute accounting.
 func (e *IncrementalSIEvaluator) Stats() IncrementalStats {
-	return IncrementalStats{
-		Evals:            e.evals.Load(),
-		DirtyRails:       e.dirtyRails.Load(),
-		RailsRecomputed:  e.railsRecomputed.Load(),
-		RailsMemoized:    e.railsMemoized.Load(),
-		GroupsRecomputed: e.groupsRecomputed.Load(),
-		GroupsMemoized:   e.groupsMemoized.Load(),
+	var st IncrementalStats
+	for i := range e.stripes {
+		c := &e.stripes[i]
+		st.Evals += c.evals.Load()
+		st.DirtyRails += c.dirtyRails.Load()
+		st.RailsRecomputed += c.railsRecomputed.Load()
+		st.RailsMemoized += c.railsMemoized.Load()
+		st.GroupsRecomputed += c.groupsRecomputed.Load()
+		st.GroupsMemoized += c.groupsMemoized.Load()
 	}
+	return st
 }

@@ -12,14 +12,14 @@ import (
 )
 
 // This file implements the parallel candidate evaluation layer: the
-// merge candidates of mergeTAMs, the per-rail trials of
-// distributeFreeWires, the move candidates of coreReshuffle and
-// independent ILS restarts are all mutually independent, so they fan
-// out across a bounded worker pool. Selection stays byte-identical to
-// a serial run: every batch is enumerated in the serial iteration
-// order, all candidates are scored, and the reduction walks the
-// results in that order applying the serial comparison — so the winner
-// (and every tie-break) is the one the serial loop would have picked.
+// merge candidates of mergeTAMs and of the start solution's merge-down,
+// the move candidates of coreReshuffle and independent ILS restarts
+// are all mutually independent, so they fan out across a bounded
+// worker pool. Selection stays byte-identical to a serial run: every
+// batch is enumerated in the serial iteration order, all candidates
+// are scored, and the reduction walks the results in that order
+// applying the serial comparison — so the winner (and every tie-break)
+// is the one the serial loop would have picked.
 
 // ParallelEvaluator fans independent candidate evaluations across a
 // bounded worker pool. The zero value and a nil pointer both evaluate
@@ -54,12 +54,10 @@ func (p *ParallelEvaluator) workers() int {
 	return 1
 }
 
-// candResult is one candidate's score: the objective, an auxiliary
-// metric some reductions need (e.g. the widened rail's utilized time
-// in distributeFreeWires), and the evaluation error if any.
+// candResult is one candidate's score: the objective and the
+// evaluation error if any.
 type candResult struct {
 	obj int64
-	aux int64
 	err error
 }
 
@@ -115,7 +113,7 @@ func parallelFor(k, n int, fn func(worker, i int)) {
 // have surfaced first: results are scanned in candidate order and the
 // lowest-index error wins, so error propagation is deterministic for
 // deterministic evaluators.
-func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Architecture, n int, job func(cand *tam.Architecture, i int) (int64, int64, error)) ([]candResult, error) {
+func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Architecture, n int, job func(cand *tam.Architecture, i int) (int64, error)) ([]candResult, error) {
 	if n == 0 {
 		return nil, nil
 	}
@@ -133,11 +131,11 @@ func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Archite
 				return nil, err
 			}
 			scratch.CopyFrom(base)
-			obj, aux, err := job(scratch, i)
+			obj, err := job(scratch, i)
 			if err != nil {
 				return nil, err
 			}
-			res[i] = candResult{obj: obj, aux: aux}
+			res[i] = candResult{obj: obj}
 		}
 		if timed {
 			wall := int64(time.Since(wallStart))
@@ -166,7 +164,7 @@ func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Archite
 		if timed {
 			t0 = time.Now() //sitlint:allow detrand — per-candidate busy-time profiling only, never the objective
 		}
-		res[i].obj, res[i].aux, res[i].err = job(scratch, i)
+		res[i].obj, res[i].err = job(scratch, i)
 		if timed {
 			busy[worker] += int64(time.Since(t0))
 		}
@@ -192,9 +190,9 @@ func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Archite
 // is rebuilt once from the base — one clone per improving batch
 // instead of one per candidate. With a memoized evaluator the
 // re-evaluation inside job is a cache hit.
-func rebuild(base *tam.Architecture, i int, job func(cand *tam.Architecture, i int) (int64, int64, error)) (*tam.Architecture, error) {
+func rebuild(base *tam.Architecture, i int, job func(cand *tam.Architecture, i int) (int64, error)) (*tam.Architecture, error) {
 	cand := base.Clone()
-	if _, _, err := job(cand, i); err != nil {
+	if _, err := job(cand, i); err != nil {
 		return nil, err
 	}
 	return cand, nil

@@ -27,11 +27,68 @@ import (
 	"sitam/internal/tam"
 )
 
-// plannerMemoCap bounds the number of memoized rail compositions; when
-// exceeded the memo is flushed wholesale (the entries are cheap to
-// recompute and the epoch-style flush keeps the planner allocation-free
-// in steady state).
-const plannerMemoCap = 1 << 16
+// plannerMemoCap bounds the number of memoized rail compositions. The
+// memo is split into 1 << memoShardBits shards, each holding its share
+// of plannerMemoCap, and a full shard is replaced by an empty one (the
+// profiles are cheap to recompute and the epoch-style flush keeps the
+// bookkeeping trivial).
+const (
+	plannerMemoCap = 1 << 16
+	memoShardBits  = 6
+)
+
+// memoSpread multiplies a rail hash by 2^64/φ (Fibonacci hashing), so
+// that every bit of the product depends on the hash's low bits: its top
+// bits pick the rail's memo shard and the bits of its high half below
+// them the first slot probed. The hash's own high bits barely vary,
+// because an FNV-1a product over small integers carries their
+// differences mostly in its low bits.
+func memoSpread(h uint64) uint64 { return h * 0x9E3779B97F4A7C15 }
+
+// memoTable is one memo shard: an open-addressing table of rail
+// profiles with twice as many slots as the shard may hold, so probes
+// stay short and reach an empty slot. A slot is written once, from
+// nil, by CompareAndSwap, and a full table is replaced rather than
+// cleared, so a lookup only loads: concurrent Cost calls hitting the
+// memo write nothing the other reads.
+type memoTable struct {
+	slots [2 * plannerMemoCap >> memoShardBits]atomic.Pointer[railInfo]
+	used  atomic.Int32
+}
+
+// lookup returns the profile memoized under rail hash h, or nil.
+func (t *memoTable) lookup(h uint64) *railInfo {
+	i := int((memoSpread(h) >> 32) % uint64(len(t.slots)))
+	for range t.slots {
+		info := t.slots[i].Load()
+		if info == nil || info.hash == h {
+			return info
+		}
+		i = (i + 1) % len(t.slots)
+	}
+	return nil
+}
+
+// store memoizes info unless its hash is already there. It reports
+// false, storing nothing, once the table holds its share of
+// plannerMemoCap.
+func (t *memoTable) store(info *railInfo) bool {
+	if t.used.Load() >= plannerMemoCap>>memoShardBits {
+		return false
+	}
+	i := int((memoSpread(info.hash) >> 32) % uint64(len(t.slots)))
+	for range t.slots {
+		if t.slots[i].CompareAndSwap(nil, info) {
+			t.used.Add(1)
+			return true
+		}
+		if t.slots[i].Load().hash == info.hash {
+			return true // a concurrent miss stored the same profile
+		}
+		i = (i + 1) % len(t.slots)
+	}
+	return false
+}
 
 // railTouch is one group's cost contribution of a memoized rail: the
 // group index and the rail's per-pattern cycle cost for that group.
@@ -40,8 +97,10 @@ type railTouch struct {
 	perPattern int64
 }
 
-// railInfo is the memoized cost profile of one rail composition.
+// railInfo is the memoized cost profile of one rail composition,
+// stored under the rail's hash.
 type railInfo struct {
+	hash    uint64
 	touches []railTouch
 }
 
@@ -79,8 +138,7 @@ type Planner struct {
 	initErr  error
 	cores    map[int]*coreMeta
 
-	memo      atomic.Pointer[sync.Map] // uint64 -> *railInfo
-	memoCount atomic.Int64
+	memo [1 << memoShardBits]atomic.Pointer[memoTable]
 
 	scratch sync.Pool
 }
@@ -95,7 +153,9 @@ type Planner struct {
 // that SOC.
 func NewPlanner(groups []*Group, m Model, cons *Constraints) *Planner {
 	p := &Planner{groups: groups, model: m, cons: cons}
-	p.memo.Store(new(sync.Map))
+	for i := range p.memo {
+		p.memo[i].Store(new(memoTable))
+	}
 	p.scratch.New = func() any {
 		return &costScratch{perGroup: make([][]railContrib, len(groups))}
 	}
@@ -218,7 +278,7 @@ func (p *Planner) computeRail(r *tam.Rail, sc *costScratch) *railInfo {
 			sc.nCare[g]++
 		}
 	}
-	info := &railInfo{touches: make([]railTouch, 0, len(sc.touchedG))}
+	info := &railInfo{hash: r.Hash(), touches: make([]railTouch, 0, len(sc.touchedG))}
 	nCores := int64(len(r.Cores))
 	for _, g := range sc.touchedG {
 		perPattern := sc.shift[g] + p.model.Bypass*(nCores-int64(sc.nCare[g])) + p.model.Overhead
@@ -231,21 +291,23 @@ func (p *Planner) computeRail(r *tam.Rail, sc *costScratch) *railInfo {
 // recording memo statistics and marking recomputed groups in st/sc.
 func (p *Planner) railProfile(r *tam.Rail, sc *costScratch, st *CostStats) *railInfo {
 	h := r.Hash()
-	memo := p.memo.Load()
-	if v, ok := memo.Load(h); ok {
+	shard := &p.memo[memoSpread(h)>>(64-memoShardBits)]
+	tab := shard.Load()
+	if info := tab.lookup(h); info != nil {
 		st.RailsMemoized++
-		return v.(*railInfo)
+		return info
 	}
 	info := p.computeRail(r, sc)
 	st.RailsRecomputed++
 	for _, t := range info.touches {
 		sc.groupDirty[t.group] = true
 	}
-	if _, loaded := memo.LoadOrStore(h, info); !loaded {
-		if p.memoCount.Add(1) > plannerMemoCap {
-			p.memo.Store(new(sync.Map))
-			p.memoCount.Store(0)
-		}
+	if !tab.store(info) {
+		// The shard is full: flush it. When a concurrent miss flushed
+		// it first, its table stays and info goes unmemoized.
+		fresh := new(memoTable)
+		fresh.store(info)
+		shard.CompareAndSwap(tab, fresh)
 	}
 	return info
 }
