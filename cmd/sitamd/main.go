@@ -58,7 +58,7 @@ func main() {
 		journal     = flag.String("journal", "", "append-only job journal path; replayed on restart (empty = no durability)")
 		cacheFile   = flag.String("cache-file", "", "persistent evaluation-cache file shared by all jobs and reloaded on restart (empty = memory-only caching)")
 		traceJobs   = flag.Int("trace-jobs", serve.DefaultRecorderJobs, "finished jobs whose traces the flight recorder retains")
-		traceEvents = flag.Int("trace-events", serve.DefaultRecorderEvents, "events kept per retained trace (head/tail sampled beyond)")
+		traceEvents = flag.Int("trace-events", serve.DefaultRecorderEvents, "events one job's trace keeps while it runs and once recorded; beyond it, the first half, every phase span event and the newest")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-drain grace period: in-flight jobs beyond it are partial-ized")
 		heartbeat   = flag.Duration("heartbeat", 10*time.Second, "SSE heartbeat interval")
 		retryAfter  = flag.Duration("retry-after", time.Second, "backoff advertised on 503 responses")

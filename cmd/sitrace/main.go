@@ -12,7 +12,10 @@
 // The input is read from the file argument, or stdin when the argument
 // is "-" or absent (-diff takes exactly two file arguments). Every
 // line is validated against the event schema before any reporting; an
-// invalid trace exits with code 1.
+// invalid trace exits with code 1. A trace whose events all carry a
+// job ID is read as a sitamd flight recording (GET /v1/jobs/{id}/trace):
+// its seqs need only increase within each job, and the summary and
+// -check report how many events the recording elided.
 package main
 
 import (
@@ -44,7 +47,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := obs.ValidateTrace(events); err != nil {
+			if _, err := validate(events); err != nil {
 				log.Fatalf("%s: %v", flag.Arg(i), err)
 			}
 			traces[i] = events
@@ -60,7 +63,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := obs.ValidateTrace(events); err != nil {
+	size, err := validate(events)
+	if err != nil {
 		log.Fatal(err)
 	}
 	switch {
@@ -82,15 +86,33 @@ func main() {
 		if err := obs.ValidateSchedulePower(events); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("trace OK: %d events\n", len(events))
+		fmt.Printf("trace OK: %s\n", size)
 	case *curve:
 		fmt.Println("seq,evals,best")
 		for _, p := range obs.Curve(events) {
 			fmt.Printf("%d,%d,%d\n", p.Seq, p.Evals, p.Best)
 		}
 	default:
-		summarize(os.Stdout, events)
+		summarize(os.Stdout, events, size)
 	}
+}
+
+// validate checks a trace and describes its size. A flight recording
+// (every event carries a job ID) goes through obs.ValidateRecording
+// and its description counts the elided events; any other trace must
+// be numbered contiguously from 0.
+func validate(events []obs.Event) (size string, err error) {
+	size = fmt.Sprintf("%d events", len(events))
+	for i := range events {
+		if events[i].Job == "" {
+			return size, obs.ValidateTrace(events)
+		}
+	}
+	if len(events) == 0 {
+		return size, nil
+	}
+	elided, err := obs.ValidateRecording(events)
+	return fmt.Sprintf("%s, %d elided", size, elided), err
 }
 
 func read(name string) ([]obs.Event, error) {
@@ -106,8 +128,8 @@ func read(name string) ([]obs.Event, error) {
 	return obs.ReadJSONL(r)
 }
 
-func summarize(w io.Writer, events []obs.Event) {
-	fmt.Fprintf(w, "trace: %d events\n", len(events))
+func summarize(w io.Writer, events []obs.Event, size string) {
+	fmt.Fprintf(w, "trace: %s\n", size)
 
 	if phases := obs.AggregatePhases(events); len(phases) > 0 {
 		fmt.Fprintf(w, "phases:\n  %-24s %6s %12s %12s\n", "phase", "spans", "wall(ms)", "n")

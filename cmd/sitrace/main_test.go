@@ -30,6 +30,12 @@ func writeTrace(t *testing.T, events []obs.Event) string {
 	for i := range events {
 		events[i].Seq = uint64(i)
 	}
+	return writeRaw(t, events)
+}
+
+// writeRaw writes events with the seqs they carry.
+func writeRaw(t *testing.T, events []obs.Event) string {
+	t.Helper()
 	name := filepath.Join(t.TempDir(), "trace.jsonl")
 	f, err := os.Create(name)
 	if err != nil {
@@ -165,5 +171,45 @@ func TestCheckBalancedTracePasses(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "trace OK") {
 		t.Fatalf("unexpected output: %s", out)
+	}
+}
+
+// TestCheckRecording drives sitrace over a flight recording: two
+// interleaved jobs' events with elided stretches pass -check and the
+// summary, both reporting the elided count; a seq that falls within a
+// job fails; the same gaps in a trace without job IDs still fail.
+func TestCheckRecording(t *testing.T) {
+	bin := buildSitrace(t)
+	rec := []obs.Event{
+		{Seq: 0, Type: obs.PhaseStart, Phase: "greedy", Job: "a"},
+		{Seq: 0, Type: obs.PhaseStart, Phase: "greedy", Job: "b"},
+		{Seq: 5, Type: obs.CandidateEvaluated, Phase: "greedy", Best: 10, Job: "a"},
+		{Seq: 7, Type: obs.PhaseEnd, Phase: "greedy", Best: 10, Job: "a"},
+		{Seq: 3, Type: obs.PhaseEnd, Phase: "greedy", Job: "b"},
+	}
+	trace := writeRaw(t, rec)
+	// Job a keeps 3 of 8 events, job b 2 of 4: 7 elided.
+	out, err := exec.Command(bin, "-check", trace).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "trace OK: 5 events, 7 elided") {
+		t.Fatalf("-check on a recording: %v\n%s", err, out)
+	}
+	out, err = exec.Command(bin, trace).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "trace: 5 events, 7 elided") {
+		t.Fatalf("summary of a recording: %v\n%s", err, out)
+	}
+
+	rec[3].Seq = 5 // job a repeats seq 5
+	out, err = exec.Command(bin, "-check", writeRaw(t, rec)).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `job "a" has seq 5 after 5`) {
+		t.Fatalf("-check accepted a recording whose seq does not increase:\n%s", out)
+	}
+
+	for i := range rec {
+		rec[i].Job = ""
+	}
+	rec[3].Seq = 7
+	out, err = exec.Command(bin, "-check", writeRaw(t, rec)).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "has seq") {
+		t.Fatalf("-check accepted a seq gap in a trace without job IDs:\n%s", out)
 	}
 }

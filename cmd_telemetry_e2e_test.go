@@ -6,11 +6,14 @@ package sitam
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,5 +107,65 @@ func TestE2ESitamdTelemetry(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("sitrace -diff output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestE2ESitamdSampledRecording runs one job on a daemon whose trace
+// bound is far below the job's event count and checks the sampled
+// recording end to end: at most 64 events besides the phase spans,
+// totals that match the job status, byte-stable replays, and a
+// sitrace -check pass that reports the elided events.
+func TestE2ESitamdSampledRecording(t *testing.T) {
+	const limit = 64
+	cmd, _, base := startSitamd(t, "-trace-events", strconv.Itoa(limit))
+	defer func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	}()
+
+	id := submitJob(t, base, `{"soc":"d695","wmax":16,"nr":400,"groups":2,"seed":7}`)
+	waitJobState(t, base, id, "done")
+	_, body := httpGet(t, base+"/v1/jobs/"+id, "")
+	var st struct {
+		TraceEvents int `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, first := httpGet(t, base+"/v1/jobs/"+id+"/trace", "")
+	_, second := httpGet(t, base+"/v1/jobs/"+id+"/trace", "")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(first, second) {
+		t.Fatalf("trace replay status %d, byte-stable %v", resp.StatusCode, bytes.Equal(first, second))
+	}
+	events, err := obs.ReadJSONL(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var phases int
+	for _, ev := range events {
+		if ev.Type == obs.PhaseStart || ev.Type == obs.PhaseEnd {
+			phases++
+		}
+	}
+	if len(events) > limit+phases {
+		t.Errorf("recording keeps %d events (%d phase), want at most %d besides the phase events", len(events), phases, limit)
+	}
+	total, err := strconv.Atoi(resp.Header.Get("X-Sitam-Trace-Total"))
+	if err != nil || total != st.TraceEvents || total <= limit {
+		t.Errorf("X-Sitam-Trace-Total = %q, status traceEvents %d; want equal and above %d", resp.Header.Get("X-Sitam-Trace-Total"), st.TraceEvents, limit)
+	}
+	dropped := total - len(events)
+	if got := resp.Header.Get("X-Sitam-Trace-Dropped"); got != strconv.Itoa(dropped) {
+		t.Errorf("X-Sitam-Trace-Dropped = %q, want %d (total %d minus %d lines)", got, dropped, total, len(events))
+	}
+
+	name := filepath.Join(t.TempDir(), id+".jsonl")
+	if err := os.WriteFile(name, first, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("trace OK: %d events, %d elided", len(events), dropped)
+	if out := runTool(t, "sitrace", "-check", name); !strings.Contains(out, want) {
+		t.Errorf("sitrace -check on a sampled recording: got\n%s\nwant %q", out, want)
 	}
 }

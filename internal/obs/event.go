@@ -110,7 +110,8 @@ var knownTypes = map[Type]bool{
 // their zero value, which the JSONL encoding omits.
 type Event struct {
 	// Seq is the event's position in the trace, assigned by the
-	// collecting Tracer: contiguous from 0.
+	// collecting Tracer: contiguous from 0. A bounded job tracer's
+	// retained events skip the seqs it elided.
 	Seq uint64 `json:"seq"`
 
 	// Type is the event kind; one of the Type constants.
@@ -257,6 +258,39 @@ func ValidateTrace(events []Event) error {
 		}
 	}
 	return nil
+}
+
+// ValidateRecording checks a flight recording: the events a bounded
+// job tracer retained, each carrying its job ID, with several jobs'
+// recordings possibly concatenated or interleaved. Every event
+// validates and sequence numbers strictly increase within each job;
+// a gap is an elision, not an error. It returns how many events the
+// recording elided: per job, the seqs up to its last one that it does
+// not carry.
+func ValidateRecording(events []Event) (elided int, err error) {
+	type seen struct {
+		kept int
+		last uint64
+	}
+	jobs := map[string]seen{}
+	for i := range events {
+		ev := &events[i]
+		if ev.Job == "" {
+			return 0, fmt.Errorf("obs: event %d carries no job ID", i)
+		}
+		if err := ev.Validate(); err != nil {
+			return 0, fmt.Errorf("obs: event %d: %w", i, err)
+		}
+		s, ok := jobs[ev.Job]
+		if ok && ev.Seq <= s.last {
+			return 0, fmt.Errorf("obs: event %d of job %q has seq %d after %d", i, ev.Job, ev.Seq, s.last)
+		}
+		jobs[ev.Job] = seen{kept: s.kept + 1, last: ev.Seq}
+	}
+	for _, s := range jobs {
+		elided += int(s.last) + 1 - s.kept
+	}
+	return elided, nil
 }
 
 // ValidateSpans checks that phase spans balance: every PhaseStart has

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"sort"
 	"sync"
 	"time"
 )
@@ -20,13 +21,29 @@ type Sink interface {
 // append) but serialized, which is why concurrent regions emit into
 // per-worker Local buffers instead and drain them in a deterministic
 // order afterwards.
+//
+// A tracer built by NewTracer keeps every event. A job tracer may be
+// bounded: past its limit it keeps the first limit/2 events, a ring of
+// the newest limit-limit/2 events, and every phase_start/phase_end the
+// ring pushes out, so phase spans always balance. It still numbers and
+// counts every event, so an elided stretch shows as a seq gap and Len
+// stays the total.
 type Tracer struct {
-	mu     sync.Mutex
-	job    string
+	mu       sync.Mutex
+	job      string
+	limit    int  // retained-event bound; 0 keeps every event
+	n        int  // events emitted, and the next sequence number
+	released bool // Release ran: later emissions are ignored
+
+	// events is the whole trace while it fits the limit. Past it,
+	// events holds the head followed by the phase events the ring
+	// pushed out, and tail is the ring, oldest slot at next.
 	events []Event
+	tail   []Event
+	next   int
 }
 
-// NewTracer returns an empty trace collector.
+// NewTracer returns an empty trace collector that keeps every event.
 func NewTracer() *Tracer {
 	return &Tracer{}
 }
@@ -36,55 +53,102 @@ func NewTracer() *Tracer {
 // job-agnostic — per-worker Local buffers drained into the tracer pick
 // the ID up at collection time, so one engine run recorded for job
 // j000042 carries "j000042" on every event of its flight recording.
-func NewJobTracer(job string) *Tracer {
-	return &Tracer{job: job}
+// A positive limit bounds the retained events as the Tracer comment
+// describes; zero or negative keeps every event.
+func NewJobTracer(job string, limit int) *Tracer {
+	return &Tracer{job: job, limit: max(limit, 0)}
 }
 
 // Emit implements Sink: stamps the event with the next sequence number
 // (and the collector's job-correlation ID, if any) and records it.
 func (t *Tracer) Emit(ev Event) {
 	t.mu.Lock()
-	ev.Seq = uint64(len(t.events))
+	if t.released {
+		t.mu.Unlock()
+		return
+	}
+	ev.Seq = uint64(t.n)
+	t.n++
 	if t.job != "" && ev.Job == "" {
 		ev.Job = t.job
 	}
-	t.events = append(t.events, ev)
+	if t.limit == 0 || t.n <= t.limit {
+		t.events = append(t.events, ev)
+		t.mu.Unlock()
+		return
+	}
+	if t.tail == nil {
+		// First overflow: the events past the head become the ring.
+		head := t.limit / 2
+		t.tail = append([]Event(nil), t.events[head:]...)
+		t.events = t.events[:head]
+	}
+	old := &t.tail[t.next]
+	if old.Type == PhaseStart || old.Type == PhaseEnd {
+		t.events = append(t.events, *old)
+	}
+	*old = ev
+	t.next = (t.next + 1) % len(t.tail)
 	t.mu.Unlock()
 }
 
-// Len returns the number of collected events.
+// Len returns the number of emitted events, retained or not.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
+	return t.n
 }
 
-// Events returns a copy of the collected trace.
+// Events returns a copy of the retained trace.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.events...)
+	return t.appendSince(nil, 0)
 }
 
-// Since returns a copy of the events with sequence numbers >= n — the
-// incremental read used by followers (e.g. the sitamd SSE stream) that
-// poll a live trace without copying the growing prefix on every poll.
+// Since returns a copy of the retained events with sequence numbers
+// >= n — the incremental read used by followers (e.g. the sitamd SSE
+// stream) that poll a live trace without copying the growing prefix on
+// every poll. A follower resumes from its last event's Seq+1, not from
+// a count, because a bounded tracer's events may skip seqs.
 func (t *Tracer) Since(n int) []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	if n >= len(t.events) {
-		return nil
-	}
-	return append([]Event(nil), t.events[n:]...)
+	return t.appendSince(nil, uint64(max(n, 0)))
 }
 
-// WriteJSONL serializes the collected trace one JSON object per line.
+// appendSince appends the retained events with sequence numbers >= n
+// to dst in sequence order; t.mu must be held.
+func (t *Tracer) appendSince(dst []Event, n uint64) []Event {
+	for _, seg := range [...][]Event{t.events, t.tail[t.next:], t.tail[:t.next]} {
+		i := sort.Search(len(seg), func(i int) bool { return seg[i].Seq >= n })
+		dst = append(dst, seg[i:]...)
+	}
+	return dst
+}
+
+// Release ends collection and hands the retained events over in
+// sequence order, without a copy when nothing was elided. Afterwards
+// the tracer holds no events, ignores emissions and keeps Len at the
+// total: a finished job keeps only its count.
+func (t *Tracer) Release() []Event {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	events := append(t.events, t.tail[t.next:]...)
+	events = append(events, t.tail[:t.next]...)
+	t.events, t.tail, t.next, t.released = nil, nil, 0, true
+	return events
+}
+
+// WriteJSONL serializes the retained trace one JSON object per line.
+// An unbounded tracer only appends, so it writes its events in place;
+// a bounded one rewrites its buffers past the limit and writes a copy.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	t.mu.Lock()
 	events := t.events
+	if t.limit > 0 {
+		events = t.appendSince(nil, 0)
+	}
 	t.mu.Unlock()
 	return WriteJSONL(w, events)
 }

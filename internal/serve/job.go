@@ -201,8 +201,10 @@ type Job struct {
 	ID  string
 	Req Request
 
-	// Trace collects the job's structured search trace; the SSE
-	// endpoint streams it incrementally via Tracer.Since. Replayed
+	// Trace collects the job's structured search trace, bounded by
+	// Config.RecorderEvents; the SSE endpoint streams it incrementally
+	// via Tracer.Since. Finalization releases its events into the
+	// flight recorder, after which it only counts them. Replayed
 	// (journal-recovered) jobs carry an empty tracer.
 	Trace *obs.Tracer
 
@@ -232,8 +234,8 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJob(id string, req Request) *Job {
-	return &Job{ID: id, Req: req, Trace: obs.NewJobTracer(id), state: StateQueued, done: make(chan struct{})}
+func newJob(id string, req Request, traceLimit int) *Job {
+	return &Job{ID: id, Req: req, Trace: obs.NewJobTracer(id, traceLimit), state: StateQueued, done: make(chan struct{})}
 }
 
 // State returns the job's current lifecycle state.
@@ -290,16 +292,18 @@ func (j *Job) release() {
 	}
 }
 
-// setRunning moves queued -> running; false if the job was claimed or
-// finalized (canceled) while still queued.
-func (j *Job) setRunning() bool {
+// setRunning moves queued -> running and returns the request to run;
+// false if the job was claimed or finalized (canceled) while still
+// queued. The run works on this copy, because a cancellation that
+// races the start can finalize the job, which clears Req.Source.
+func (j *Job) setRunning() (Request, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued || j.claimed {
-		return false
+		return Request{}, false
 	}
 	j.state = StateRunning
-	return true
+	return j.Req, true
 }
 
 // canceledByClient reports whether Cancel was explicitly requested, as
@@ -325,7 +329,9 @@ func (j *Job) claim() bool {
 }
 
 // finalize moves the job to a terminal state exactly once; extra calls
-// are ignored (e.g. a duplicate terminal record in the journal).
+// are ignored (e.g. a duplicate terminal record in the journal). It
+// drops the request's inline SOC source, which the journal keeps: a
+// finished job holds only its status.
 func (j *Job) finalize(state State, outcome *Outcome, errMsg string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -333,6 +339,7 @@ func (j *Job) finalize(state State, outcome *Outcome, errMsg string) bool {
 		return false
 	}
 	j.state, j.outcome, j.errMsg = state, outcome, errMsg
+	j.Req.Source = ""
 	close(j.done)
 	return true
 }
@@ -352,8 +359,7 @@ type Status struct {
 // the values Submit validated and clamped (workers, budget). The error return is non-nil only when
 // nothing usable was produced; interruption mid-search yields a partial
 // Outcome and a nil error, exactly like the facade.
-func (j *Job) run(ctx context.Context, hooks bool, persist *core.CacheFile) (*Outcome, error) {
-	req := j.Req
+func (j *Job) run(ctx context.Context, req Request, hooks bool, persist *core.CacheFile) (*Outcome, error) {
 	if hooks && req.Chaos != nil {
 		if req.Chaos.SleepMS > 0 {
 			select {

@@ -7,25 +7,20 @@ import (
 )
 
 // FlightRecorder retains the search traces of finished jobs for
-// post-hoc replay through GET /v1/jobs/{id}/trace. Retention is
-// bounded on two axes:
-//
-//   - at most MaxJobs recordings are kept; recording one more evicts
-//     the oldest (a ring over completed jobs, not over events);
-//   - one recording holds at most MaxEvents events. An overflowing
-//     trace is sampled head-and-tail: the first MaxEvents/2 and last
-//     MaxEvents-MaxEvents/2 events survive, the middle is elided and
-//     counted in Dropped. Head and tail are the halves that matter for
-//     replay — the head carries the phase structure and setup costs,
-//     the tail the convergence endpoint and the terminal accounting —
-//     and because sampling is positional, not random, a recording is
-//     deterministic for a deterministic trace.
+// post-hoc replay through GET /v1/jobs/{id}/trace and for /events
+// followers that outlive the job. It keeps at most MaxJobs recordings;
+// recording one more evicts the oldest (a ring over completed jobs,
+// not over events). The per-recording bound is applied earlier, by the
+// job's own tracer while the job runs (obs.NewJobTracer with
+// Config.RecorderEvents): past it a recording holds the first half of
+// the budget, every phase span event and the newest events, and is
+// deterministic for a deterministic trace because the elision is
+// positional.
 //
 // Recordings are immutable once stored, so two replays of the same job
 // serve byte-identical JSONL.
 type FlightRecorder struct {
-	maxJobs   int
-	maxEvents int
+	maxJobs int
 
 	mu     sync.Mutex
 	order  []string // recording order, oldest first
@@ -38,13 +33,13 @@ type Recording struct {
 	// in its Job field too.
 	JobID string
 
-	// Events is the retained (possibly sampled) trace. Sequence numbers
-	// are the original ones, so an elided middle is visible as a seq
-	// gap between Events[len/2-1] and Events[len/2].
+	// Events is the retained trace in sequence order. Sequence numbers
+	// are the original ones, so an elided stretch is visible as a seq
+	// gap.
 	Events []obs.Event
 
 	// Total is the event count of the full trace; Dropped is how many
-	// of them sampling elided (0 when the trace fit).
+	// of them the job's tracer elided (0 when the trace fit).
 	Total   int
 	Dropped int
 }
@@ -55,40 +50,25 @@ const (
 	DefaultRecorderEvents = 8192
 )
 
-// NewFlightRecorder builds a recorder with the given bounds; zero or
-// negative values take the defaults.
-func NewFlightRecorder(maxJobs, maxEvents int) *FlightRecorder {
+// NewFlightRecorder builds a recorder keeping at most maxJobs
+// recordings; zero or negative takes DefaultRecorderJobs.
+func NewFlightRecorder(maxJobs int) *FlightRecorder {
 	if maxJobs <= 0 {
 		maxJobs = DefaultRecorderJobs
 	}
-	if maxEvents <= 0 {
-		maxEvents = DefaultRecorderEvents
-	}
-	return &FlightRecorder{
-		maxJobs:   maxJobs,
-		maxEvents: maxEvents,
-		traces:    map[string]*Recording{},
-	}
+	return &FlightRecorder{maxJobs: maxJobs, traces: map[string]*Recording{}}
 }
 
-// Record stores a finished job's trace, sampling it if it overflows
-// the per-recording bound and evicting the oldest recording beyond the
-// job bound. Re-recording an ID replaces the previous recording (a
-// finalize is exactly-once, so this only happens in tests).
-func (fr *FlightRecorder) Record(jobID string, events []obs.Event) {
+// Record stores a finished job's retained events as given, with total
+// the number of events the job emitted, and evicts the oldest
+// recording beyond the job bound. Re-recording an ID replaces the
+// previous recording (a finalize is exactly-once, so this only happens
+// in tests).
+func (fr *FlightRecorder) Record(jobID string, events []obs.Event, total int) {
 	if fr == nil {
 		return
 	}
-	rec := &Recording{JobID: jobID, Events: events, Total: len(events)}
-	if len(events) > fr.maxEvents {
-		head := fr.maxEvents / 2
-		tail := fr.maxEvents - head
-		sampled := make([]obs.Event, 0, fr.maxEvents)
-		sampled = append(sampled, events[:head]...)
-		sampled = append(sampled, events[len(events)-tail:]...)
-		rec.Events = sampled
-		rec.Dropped = len(events) - fr.maxEvents
-	}
+	rec := &Recording{JobID: jobID, Events: events, Total: total, Dropped: total - len(events)}
 
 	fr.mu.Lock()
 	defer fr.mu.Unlock()

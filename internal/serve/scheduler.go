@@ -67,11 +67,14 @@ type Config struct {
 	// startup.
 	CachePath string
 
-	// RecorderJobs / RecorderEvents bound the flight recorder: how many
-	// finished jobs keep their trace retrievable via
-	// GET /v1/jobs/{id}/trace, and how many events one recording may
-	// hold before head/tail sampling kicks in. Zero means
-	// DefaultRecorderJobs / DefaultRecorderEvents.
+	// RecorderJobs bounds how many finished jobs keep their trace
+	// retrievable via GET /v1/jobs/{id}/trace. RecorderEvents bounds
+	// the events each job's tracer retains, while the job runs and in
+	// its recording: past it the tracer keeps the first half, every
+	// phase span event and a ring of the newest (obs.NewJobTracer).
+	// A finished job keeps only its status, so the traces held at once
+	// are bounded by (Workers + RecorderJobs) × RecorderEvents events.
+	// Zero means DefaultRecorderJobs / DefaultRecorderEvents.
 	RecorderJobs   int
 	RecorderEvents int
 
@@ -111,6 +114,9 @@ func (c *Config) fill() {
 	}
 	if c.Limits == (Limits{}) {
 		c.Limits = DefaultLimits()
+	}
+	if c.RecorderEvents <= 0 {
+		c.RecorderEvents = DefaultRecorderEvents
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -159,7 +165,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		cfg:      cfg,
 		jobs:     make(map[string]*Job),
 		queue:    make(chan *Job, cfg.QueueDepth),
-		recorder: NewFlightRecorder(cfg.RecorderJobs, cfg.RecorderEvents),
+		recorder: NewFlightRecorder(cfg.RecorderJobs),
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	if cfg.JournalPath != "" {
@@ -227,7 +233,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("queue full (%d jobs): %w", cap(s.queue), ErrOverloaded)
 	}
 
-	job := newJob(fmt.Sprintf("j%06d", s.nextID+1), req)
+	job := newJob(fmt.Sprintf("j%06d", s.nextID+1), req, s.cfg.RecorderEvents)
 	jobCtx, cancel := context.WithCancel(s.runCtx)
 	job.setCancel(cancel)
 	job.runBase = jobCtx
@@ -324,16 +330,17 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 
 // execute runs one job, accounts for its run and finalizes it.
 func (s *Scheduler) execute(job *Job) {
-	if !job.setRunning() {
+	req, ok := job.setRunning()
+	if !ok {
 		return // canceled while still queued
 	}
 	s.cfg.Metrics.Gauge("serve_queue_depth").Set(int64(len(s.queue)))
 	s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(1))
 
-	deadline := time.Duration(job.Req.TimeoutMS) * time.Millisecond
+	deadline := time.Duration(req.TimeoutMS) * time.Millisecond
 	ctx, cancel := context.WithTimeout(job.runBase, deadline)
 	start := time.Now()
-	state, outcome, errMsg := s.runJob(ctx, job)
+	state, outcome, errMsg := s.runJob(ctx, job, req)
 	cancel()
 	s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(-1))
 	s.cfg.Metrics.HistogramBuckets("serve_job_ms", phaseBucketsMs).Observe(time.Since(start).Milliseconds())
@@ -343,7 +350,7 @@ func (s *Scheduler) execute(job *Job) {
 // runJob runs one job and classifies how it ended, with panic
 // isolation: a crash inside the job — engine bug or injected chaos —
 // becomes a structured job-failure record, not a daemon crash.
-func (s *Scheduler) runJob(ctx context.Context, job *Job) (state State, outcome *Outcome, errMsg string) {
+func (s *Scheduler) runJob(ctx context.Context, job *Job, req Request) (state State, outcome *Outcome, errMsg string) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.cfg.Metrics.Counter("serve_panics").Inc()
@@ -351,7 +358,7 @@ func (s *Scheduler) runJob(ctx context.Context, job *Job) (state State, outcome 
 		}
 	}()
 
-	outcome, err := job.run(ctx, s.cfg.TestHooks, s.cache)
+	outcome, err := job.run(ctx, req, s.cfg.TestHooks, s.cache)
 	if s.cache != nil {
 		s.cfg.Metrics.Gauge("serve_cache_entries").Set(int64(s.cache.Len()))
 	}
@@ -392,18 +399,19 @@ func stateCounterKey(state State) string {
 	}
 }
 
-// finalizeJob applies a terminal transition once: it records the trace
-// in the flight recorder and accounts for the job, then makes the job
-// terminal, so a reader woken by Done or a terminal status already sees
-// it counted, and journals the transition durably afterwards, keeping
+// finalizeJob applies a terminal transition once: it moves the job's
+// retained trace into the flight recorder, leaving the tracer empty,
+// and accounts for the job, then makes the job terminal, so a reader
+// woken by Done or a terminal status already sees it counted and
+// recorded, and journals the transition durably afterwards, keeping
 // the fsync out of the job's latency.
 func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg string) {
 	if !job.claim() {
 		return
 	}
 	job.release()
-	events := job.Trace.Events()
-	s.recorder.Record(job.ID, events)
+	events := job.Trace.Release()
+	s.recorder.Record(job.ID, events, job.Trace.Len())
 	s.cfg.Metrics.Counter(stateCounterKey(state)).Inc()
 	s.cfg.Metrics.Counter(obs.Labels("sitam_jobs_total", "state", string(state))).Inc()
 	for i := range events {
@@ -481,11 +489,11 @@ func (s *Scheduler) recoverJournal(path string) error {
 			if e.Req == nil || s.jobs[e.ID] != nil {
 				continue
 			}
-			s.addReplayed(newJob(e.ID, *e.Req))
+			s.addReplayed(newJob(e.ID, *e.Req, s.cfg.RecorderEvents))
 		case "terminal":
 			job := s.jobs[e.ID]
 			if job == nil {
-				job = newJob(e.ID, Request{})
+				job = newJob(e.ID, Request{}, s.cfg.RecorderEvents)
 				s.addReplayed(job)
 			}
 			if job.finalize(e.State, e.Result, e.Error) {

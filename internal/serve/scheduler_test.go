@@ -308,7 +308,7 @@ func TestSchedulerCountsBeforeTerminal(t *testing.T) {
 	}
 
 	phases := map[string]int64{}
-	for _, ev := range done.Trace.Events() {
+	for _, ev := range s.Recorder().Get(done.ID).Events {
 		if ev.Type == obs.PhaseEnd {
 			phases[ev.Phase]++
 		}

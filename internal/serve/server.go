@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -34,9 +35,10 @@ type ServerConfig struct {
 //	GET    /v1/jobs             list job statuses
 //	GET    /v1/jobs/{id}        job status (result when terminal)
 //	DELETE /v1/jobs/{id}        cancel
-//	GET    /v1/jobs/{id}/events SSE: search trace + heartbeats; client
-//	                            disconnect cancels a live job unless
-//	                            ?cancel=no
+//	GET    /v1/jobs/{id}/events SSE: search trace + heartbeats (a
+//	                            finished job replays its recording);
+//	                            client disconnect cancels a live job
+//	                            unless ?cancel=no
 //	GET    /v1/jobs/{id}/trace  flight-recorder replay of a finished
 //	                            job's trace as JSONL (byte-stable)
 //	GET    /metrics             obs registry snapshot: JSON by default,
@@ -211,10 +213,11 @@ func acceptsPromText(accept string) bool {
 
 // handleTrace replays a finished job's flight recording as JSONL.
 // Recordings are immutable, so two replays of one job are
-// byte-identical; a sampled recording advertises the elision in the
-// X-Sitam-Trace-Dropped header (and the seq gap makes it visible to
-// sitrace). Live jobs stream via /events instead — replay of an
-// unfinished trace would not be stable.
+// byte-identical; a recording past the -trace-events bound advertises
+// the elision in the X-Sitam-Trace-Dropped header, and sitrace, which
+// reads a trace whose events all carry a job ID as a recording, prints
+// the elided count. Live jobs stream via /events instead — replay of
+// an unfinished trace would not be stable.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	job := s.jobOr404(w, r)
 	if job == nil {
@@ -254,9 +257,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the job's structured search trace as
 // server-sent events ("trace" events carrying the JSONL records,
 // ": heartbeat" comments on idle, one final "done" event carrying the
-// terminal Status). If the client disconnects while the job is live,
-// the job is cancelled — an abandoned stream must not keep burning a
-// worker — unless the stream was opened with ?cancel=no.
+// terminal Status). A finished job's tracer is empty, so once the job
+// is done the stream sends the rest of its flight recording, from the
+// seq after the last event it sent, before "done"; an evicted or
+// journal-replayed job has none. If the client disconnects while the
+// job is live, the job is cancelled — an abandoned stream must not keep
+// burning a worker — unless the stream was opened with ?cancel=no.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	job := s.jobOr404(w, r)
 	if job == nil {
@@ -276,13 +282,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
-	next := 0
-	flushTrace := func() {
-		events := job.Trace.Since(next)
+	next := 0 // seq after the last event sent
+	send := func(events []obs.Event) {
 		if len(events) == 0 {
 			return
 		}
-		next += len(events)
+		next = int(events[len(events)-1].Seq) + 1
 		for _, ev := range events {
 			data, err := json.Marshal(ev)
 			if err != nil {
@@ -305,7 +310,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		case <-job.Done():
-			flushTrace()
+			if rec := s.sched.Recorder().Get(job.ID); rec != nil {
+				i := sort.Search(len(rec.Events), func(i int) bool { return rec.Events[i].Seq >= uint64(next) })
+				send(rec.Events[i:])
+			}
 			data, err := json.Marshal(job.Snapshot())
 			if err == nil {
 				fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
@@ -313,7 +321,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 			return
 		case <-poll.C:
-			flushTrace()
+			send(job.Trace.Since(next))
 		case <-heartbeat.C:
 			fmt.Fprint(w, ": heartbeat\n\n")
 			fl.Flush()

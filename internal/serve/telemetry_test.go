@@ -6,6 +6,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -146,42 +147,29 @@ func TestHTTPTraceConflictWhileRunning(t *testing.T) {
 	waitHTTPTerminal(t, ts, acc.ID)
 }
 
-func TestFlightRecorderSampling(t *testing.T) {
-	fr := NewFlightRecorder(2, 10)
-	long := make([]obs.Event, 100)
-	for i := range long {
-		long[i] = obs.Event{Seq: uint64(i), Type: obs.CandidateEvaluated, Phase: "merge", Cand: i}
+// TestFlightRecorderEviction checks that a recording is stored as the
+// job's tracer retained it, with its elision counted, and that the job
+// ring evicts the oldest recording. The tracer's head/tail bound itself
+// is pinned in package obs (TestJobTracerBound, TestJobTracerSampling).
+func TestFlightRecorderEviction(t *testing.T) {
+	fr := NewFlightRecorder(2)
+	kept := make([]obs.Event, 10)
+	for i := range kept {
+		kept[i] = obs.Event{Seq: uint64(i), Type: obs.CandidateEvaluated, Phase: "merge", Cand: i}
 	}
-	fr.Record("j1", long)
-
-	rec := fr.Get("j1")
-	if rec == nil || len(rec.Events) != 10 {
-		t.Fatalf("recording = %+v", rec)
-	}
-	if rec.Total != 100 || rec.Dropped != 90 {
-		t.Errorf("total/dropped = %d/%d, want 100/90", rec.Total, rec.Dropped)
-	}
-	// Head preserved ...
-	for i := 0; i < 5; i++ {
-		if rec.Events[i].Seq != uint64(i) {
-			t.Fatalf("head event %d has seq %d", i, rec.Events[i].Seq)
-		}
-	}
-	// ... and tail preserved, with the elision visible as a seq gap.
-	for i := 5; i < 10; i++ {
-		if rec.Events[i].Seq != uint64(95+i-5) {
-			t.Fatalf("tail event %d has seq %d", i, rec.Events[i].Seq)
-		}
+	fr.Record("j1", kept, 100)
+	if rec := fr.Get("j1"); rec == nil || len(rec.Events) != 10 || rec.Total != 100 || rec.Dropped != 90 {
+		t.Fatalf("recording = %+v, want 10 events, total 100, dropped 90", rec)
 	}
 
-	// A short trace is kept whole.
-	fr.Record("j2", long[:4])
+	// A trace that fit is kept whole.
+	fr.Record("j2", kept[:4], 4)
 	if rec := fr.Get("j2"); rec.Dropped != 0 || len(rec.Events) != 4 {
 		t.Errorf("short recording = %+v", rec)
 	}
 
 	// The job ring evicts the oldest recording.
-	fr.Record("j3", long[:1])
+	fr.Record("j3", kept[:1], 1)
 	if fr.Get("j1") != nil {
 		t.Error("oldest recording not evicted")
 	}
@@ -190,11 +178,116 @@ func TestFlightRecorderSampling(t *testing.T) {
 	}
 }
 
+// TestBoundedJobRecordings runs six jobs under a small trace bound and
+// a two-job recorder: a finished job's tracer holds no events, each
+// recording stays within the bound plus its phase spans and counts
+// every event the job emitted, and an /events stream opened after the
+// job finished replays its recording, then done.
+func TestBoundedJobRecordings(t *testing.T) {
+	const limit = 32
+	srv, ts := newTestServer(t, ServerConfig{Config: Config{Workers: 2, RecorderJobs: 2, RecorderEvents: limit}})
+	var jobs []*Job
+	for seed := int64(1); seed <= 6; seed++ {
+		req := quickReq()
+		req.Seed = seed
+		acc, resp := postJob(t, ts, req)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d", resp.StatusCode)
+		}
+		job, err := srv.Scheduler().Job(acc.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, job)
+	}
+	statuses := map[string]Status{}
+	for _, job := range jobs {
+		statuses[job.ID] = waitTerminal(t, job)
+		if n := len(job.Trace.Events()); n != 0 {
+			t.Errorf("%s: finished job's tracer holds %d events", job.ID, n)
+		}
+	}
+	if n := srv.Scheduler().Recorder().Len(); n != 2 {
+		t.Fatalf("recorder holds %d recordings, want 2", n)
+	}
+
+	var retained []*Recording
+	for _, job := range jobs {
+		rec := srv.Scheduler().Recorder().Get(job.ID)
+		if rec == nil {
+			continue
+		}
+		retained = append(retained, rec)
+		st := statuses[job.ID]
+		var phases int
+		for _, ev := range rec.Events {
+			if ev.Type == obs.PhaseStart || ev.Type == obs.PhaseEnd {
+				phases++
+			}
+		}
+		if len(rec.Events) > limit+phases || rec.Dropped == 0 {
+			t.Errorf("%s: recording keeps %d events (%d phase), drops %d; want at most %d plus phase events, some dropped", job.ID, len(rec.Events), phases, rec.Dropped, limit)
+		}
+		if rec.Total != st.Events || rec.Dropped != rec.Total-len(rec.Events) {
+			t.Errorf("%s: recording total/dropped %d/%d, status traceEvents %d, %d kept", job.ID, rec.Total, rec.Dropped, st.Events, len(rec.Events))
+		}
+		if elided, err := obs.ValidateRecording(rec.Events); err != nil || elided != rec.Dropped {
+			t.Errorf("%s: ValidateRecording = %d, %v; want %d elided", job.ID, elided, err, rec.Dropped)
+		}
+		if err := obs.ValidateJobSpans(rec.Events); err != nil {
+			t.Errorf("%s: %v", job.ID, err)
+		}
+	}
+	if len(retained) != 2 {
+		t.Fatalf("%d jobs have recordings, want 2", len(retained))
+	}
+
+	// A stream opened after the job finished replays the recording.
+	rec := retained[1]
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + rec.JobID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var streamed []obs.Event
+	var done Status
+	err = readSSE(resp.Body, func(ev sseEvent) bool {
+		switch ev.name {
+		case "trace":
+			var e obs.Event
+			if err := json.Unmarshal([]byte(ev.data), &e); err != nil {
+				t.Errorf("trace event payload: %v", err)
+			}
+			streamed = append(streamed, e)
+		case "done":
+			if err := json.Unmarshal([]byte(ev.data), &done); err != nil {
+				t.Errorf("done event payload: %v", err)
+			}
+			return true
+		}
+		return false
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != len(rec.Events) {
+		t.Fatalf("stream carried %d trace events, recording holds %d", len(streamed), len(rec.Events))
+	}
+	for i := range streamed {
+		if streamed[i] != rec.Events[i] {
+			t.Fatalf("streamed event %d = %+v, recording has %+v", i, streamed[i], rec.Events[i])
+		}
+	}
+	if done.ID != rec.JobID || !done.State.Terminal() || done.Events != rec.Total {
+		t.Errorf("done event = %+v, want %s terminal with %d trace events", done, rec.JobID, rec.Total)
+	}
+}
+
 // TestFlightRecorderConcurrent is the -race proof for the recorder:
 // concurrent recorders and readers over a small ring.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	fr := NewFlightRecorder(8, 16)
-	events := make([]obs.Event, 64)
+	fr := NewFlightRecorder(8)
+	events := make([]obs.Event, 16)
 	for i := range events {
 		events[i] = obs.Event{Seq: uint64(i), Type: obs.CandidateEvaluated, Phase: "merge"}
 	}
@@ -205,10 +298,10 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				id := fmt.Sprintf("j%d-%d", w, i)
-				fr.Record(id, events)
+				fr.Record(id, events, 64)
 				if rec := fr.Get(id); rec != nil {
 					if rec.Dropped != 48 || len(rec.Events) != 16 {
-						t.Errorf("recording %s sampled wrong: %d kept, %d dropped", id, len(rec.Events), rec.Dropped)
+						t.Errorf("recording %s stored wrong: %d kept, %d dropped", id, len(rec.Events), rec.Dropped)
 						return
 					}
 				}
