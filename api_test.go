@@ -3,6 +3,7 @@ package sitam
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -200,5 +201,53 @@ func TestFacadeRunTable(t *testing.T) {
 	}
 	if !strings.Contains(tbl.Format(), "p34392") {
 		t.Error("Format missing SOC name")
+	}
+}
+
+// TestConstraintsForOtherGroupsRejected compiles d695 constraints for
+// the g=2 grouping and schedules the g=4 groups with them, and the
+// other way round: both schedulers must refuse the mismatch with
+// ErrInvalidConstraints rather than fail inside or schedule silently.
+func TestConstraintsForOtherGroupsRejected(t *testing.T) {
+	s, err := LoadBenchmark("d695")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns, err := GeneratePatterns(s, GenConfig{N: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouping := func(parts int) []*Group {
+		t.Helper()
+		gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: parts, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return gr.Groups
+	}
+	g2, g4 := grouping(2), grouping(4)
+	if len(g2) == len(g4) {
+		t.Fatalf("groupings of %d and %d groups: the test needs different lengths", len(g2), len(g4))
+	}
+	res, err := optimize(s, 16, g2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Constraints = &ConstraintSet{PowerBudget: 1 << 40}
+	for _, tc := range []struct{ compiled, scheduled []*Group }{{g2, g4}, {g4, g2}} {
+		cons, err := CompileConstraints(s, tc.compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ScheduleSI(res.Architecture, tc.scheduled, DefaultModel(), cons)
+		if !errors.Is(err, ErrInvalidConstraints) || errors.Is(err, ErrInternal) {
+			t.Errorf("ScheduleSI with constraints for %d groups on %d: err = %v, want ErrInvalidConstraints",
+				len(tc.compiled), len(tc.scheduled), err)
+		}
+		_, _, err = ExactScheduleSI(context.Background(), res.Architecture, tc.scheduled, DefaultModel(), cons)
+		if !errors.Is(err, ErrInvalidConstraints) || errors.Is(err, ErrInternal) {
+			t.Errorf("ExactScheduleSI with constraints for %d groups on %d: err = %v, want ErrInvalidConstraints",
+				len(tc.compiled), len(tc.scheduled), err)
+		}
 	}
 }

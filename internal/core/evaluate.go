@@ -41,10 +41,11 @@ func (InTestEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 }
 
 // SIEvaluator scores architectures by the combined objective
-// T_soc = T_soc_in + T_soc_si, scheduling the SI test groups with
-// Algorithm 1 from scratch on every evaluation. It is the reference
-// implementation the incremental evaluator (IncrementalSIEvaluator) is
-// pinned against; production entry points use the incremental one.
+// T_soc = T_soc_in + T_soc_si, recomputing every rail's InTest time and
+// costing the SI test groups with a fresh memo-free planner on every
+// evaluation. The differential tests run it against the incremental
+// evaluator (IncrementalSIEvaluator), which production entry points
+// use.
 type SIEvaluator struct {
 	Groups []*sischedule.Group
 	Model  sischedule.Model
@@ -60,11 +61,11 @@ func (e *SIEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)
 	}
-	sched, err := sischedule.ScheduleSITestCons(a, e.Groups, e.Model, e.Cons, nil)
+	si, _, err := sischedule.NewPlanner(e.Groups, e.Model, e.Cons).Cost(a)
 	if err != nil {
 		return 0, err
 	}
-	return a.InTestTime() + sched.TotalSI, nil
+	return a.InTestTime() + si, nil
 }
 
 // TestBusEvaluator scores architectures the way a multiplexed Test Bus
@@ -85,14 +86,15 @@ func (e *TestBusEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)
 	}
-	// SerialTime refreshes nothing; approximate per-rail SI usage by a
-	// full scheduling pass only for the bookkeeping fields.
-	if _, err := sischedule.ScheduleSITest(a, e.Groups, e.Model); err != nil {
-		return 0, err
-	}
-	serial, err := sischedule.SerialTime(a, e.Groups, e.Model)
+	// The Algorithm 1 schedule fills the rails' TimeSI bookkeeping; the
+	// objective applies its groups back to back.
+	sched, err := sischedule.ScheduleSITest(a, e.Groups, e.Model)
 	if err != nil {
 		return 0, err
+	}
+	var serial int64
+	for _, sl := range sched.Slots {
+		serial += sl.Time
 	}
 	return a.InTestTime() + serial, nil
 }
@@ -107,33 +109,31 @@ type Breakdown struct {
 
 // EvaluateBreakdown computes the breakdown of an architecture under the
 // given groups and model, also refreshing the rails' bookkeeping. When
-// the SOC carries a Constraints stanza, the schedule honors it; an
-// unconstrained SOC takes the exact code path it always did. It is
-// kept, with its signature, because the benchmark module e2ebench
-// calls it.
+// the SOC carries a Constraints stanza, the schedule honors it. The
+// experiments harness scores every TR-Architect baseline with it (the
+// tables' T_[8]), and the benchmark module e2ebench calls it.
 func EvaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model) (Breakdown, *sischedule.Schedule, error) {
 	cons, err := sischedule.CompileConstraints(a.SOC, a.SOC.Constraints, groups)
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
-	return evaluateBreakdown(a, groups, m, cons, nil)
+	return evaluateBreakdown(a, sischedule.NewPlanner(groups, m, cons), nil)
 }
 
-// evaluateBreakdown is EvaluateBreakdown under a compiled constraint
-// set (nil = unconstrained), with tracing: the final schedule's slots
-// are reported as si_group_scheduled events inside an "si schedule"
-// phase span whose Best carries T_soc — the endpoint of the run's
-// convergence curve.
-func evaluateBreakdown(a *tam.Architecture, groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
+// evaluateBreakdown is EvaluateBreakdown on planner p, with tracing:
+// the final schedule's slots are reported as si_group_scheduled events
+// inside an "si schedule" phase span whose Best carries T_soc — the
+// endpoint of the run's convergence curve.
+func evaluateBreakdown(a *tam.Architecture, p *sischedule.Planner, sink obs.Sink) (Breakdown, *sischedule.Schedule, error) {
 	for _, r := range a.Rails {
 		a.RefreshTimeIn(r)
 	}
 	span := obs.Span(sink, "si schedule")
-	sched, err := sischedule.ScheduleSITestCons(a, groups, m, cons, sink)
+	sched, err := p.Schedule(a, sink)
 	if err != nil {
 		return Breakdown{}, nil, err
 	}
 	in := a.InTestTime()
-	span.End(in+sched.TotalSI, int64(len(groups)))
+	span.End(in+sched.TotalSI, int64(len(sched.Slots)))
 	return Breakdown{TimeIn: in, TimeSI: sched.TotalSI, TimeSOC: in + sched.TotalSI}, sched, nil
 }

@@ -11,11 +11,12 @@ import (
 // IncrementalSIEvaluator scores architectures by the combined objective
 // T_soc = T_soc_in + T_soc_si, like SIEvaluator, but as a delta
 // computation: rail InTest times are refreshed only for dirty rails
-// (tam dirty tracking), and the SI group times come from the planner's
-// per-rail composition memo, so a group is recosted only when a rail it
-// touches changed. Results are byte-identical to SIEvaluator — the
-// differential suite pins this on every fixture, width and worker
-// count.
+// (tam dirty tracking), and the SI group times come from its memoizing
+// planner's per-rail composition memo, so a group is recosted only when
+// a rail it touches changed. Results are byte-identical to SIEvaluator,
+// which costs every rail afresh — the differential suite pins this on
+// every fixture, width and worker count. Engine.Finish schedules the
+// final architecture with the same planner.
 //
 // The evaluator is safe for concurrent use (the planner memo is
 // shared). The optional sink receives one eval_incremental event per
@@ -50,7 +51,7 @@ type incCounters struct {
 // power/precedence/exclusion rules the final scheduler enforces, so the
 // optimizer's objective and the reported schedule agree.
 func NewIncrementalSIEvaluator(groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints) *IncrementalSIEvaluator {
-	return &IncrementalSIEvaluator{planner: sischedule.NewPlanner(groups, m, cons)}
+	return &IncrementalSIEvaluator{planner: sischedule.NewMemoPlanner(groups, m, cons)}
 }
 
 // Evaluate implements Evaluator.

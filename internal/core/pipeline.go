@@ -333,9 +333,17 @@ func pinKey(pins []int) string {
 // groups' compiled constraints (emitting the si_group_scheduled events
 // when the engine traces), snapshots the cache counters and metrics
 // onto the result, and carries the anytime status. Solve returns
-// through it.
+// through it. An engine scoring with an IncrementalSIEvaluator
+// schedules with that evaluator's planner, so the reported schedule is
+// the one the search scored; any other engine builds a planner.
 func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.Group, m sischedule.Model, cons *sischedule.Constraints) (*Result, error) {
-	bd, sched, err := evaluateBreakdown(arch, groups, m, cons, e.Trace)
+	var planner *sischedule.Planner
+	if inc, ok := innerEvaluator(e.Eval).(*IncrementalSIEvaluator); ok {
+		planner = inc.planner
+	} else {
+		planner = sischedule.NewPlanner(groups, m, cons)
+	}
+	bd, sched, err := evaluateBreakdown(arch, planner, e.Trace)
 	if err != nil {
 		return nil, err
 	}

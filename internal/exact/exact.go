@@ -56,6 +56,10 @@ func Optimize(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Gr
 		ids[i] = c.ID
 	}
 
+	var planner *sischedule.Planner
+	if len(groups) > 0 {
+		planner = sischedule.NewPlanner(groups, m, nil)
+	}
 	best := &Result{}
 	// Enumerate set partitions of the cores via restricted growth
 	// strings: block[i] in [0, max(block[0..i-1])+1].
@@ -76,7 +80,7 @@ func Optimize(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Gr
 			for v, b := range block {
 				railCores[b] = append(railCores[b], ids[v])
 			}
-			return distributeWidths(s, times, railCores, wmax, groups, m, best)
+			return distributeWidths(s, times, railCores, wmax, planner, best)
 		}
 		for b := 0; b <= maxBlock+1; b++ {
 			block[i] = b
@@ -102,14 +106,14 @@ func Optimize(ctx context.Context, s *soc.SOC, wmax int, groups []*sischedule.Gr
 // distributeWidths enumerates compositions of wmax into len(railCores)
 // positive parts and scores each resulting architecture.
 func distributeWidths(s *soc.SOC, times *wrapper.TimeTable, railCores [][]int, wmax int,
-	groups []*sischedule.Group, m sischedule.Model, best *Result) error {
+	planner *sischedule.Planner, best *Result) error {
 	k := len(railCores)
 	widths := make([]int, k)
 	var compose func(i, left int) error
 	compose = func(i, left int) error {
 		if i == k-1 {
 			widths[i] = left
-			return score(s, times, railCores, widths, groups, m, best)
+			return score(s, times, railCores, widths, planner, best)
 		}
 		// Leave at least 1 wire for each remaining rail. Widths above
 		// what any core can use still matter for SI shift time, so the
@@ -125,19 +129,21 @@ func distributeWidths(s *soc.SOC, times *wrapper.TimeTable, railCores [][]int, w
 	return compose(0, wmax)
 }
 
+// score evaluates one candidate: its InTest time plus, when planner is
+// not nil (the search has SI groups), its Algorithm 1 SI time.
 func score(s *soc.SOC, times *wrapper.TimeTable, railCores [][]int, widths []int,
-	groups []*sischedule.Group, m sischedule.Model, best *Result) error {
+	planner *sischedule.Planner, best *Result) error {
 	a := tam.New(s, times)
 	for i, cores := range railCores {
 		a.AddRail(cores, widths[i])
 	}
 	obj := a.InTestTime()
-	if len(groups) > 0 {
-		sched, err := sischedule.ScheduleSITest(a, groups, m)
+	if planner != nil {
+		si, _, err := planner.Cost(a)
 		if err != nil {
 			return err
 		}
-		obj += sched.TotalSI
+		obj += si
 	}
 	best.Evaluated++
 	if best.Architecture == nil || obj < best.Objective {

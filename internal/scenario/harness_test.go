@@ -62,9 +62,9 @@ func persistFailure(t *testing.T, sc *Scenario, origErr error) {
 
 // TestScenarioSweep is the generative differential harness: every
 // seeded scenario (100-1000 cores, randomized constraints) is solved
-// by the production scheduler, cross-checked against the planner, the
-// compiled validator and the independent checker. A violation is
-// shrunk and frozen under testdata/.
+// by the production scheduler and checked by the compiled validator
+// and the independent checker. A violation is shrunk and frozen under
+// testdata/.
 func TestScenarioSweep(t *testing.T) {
 	n := sweepSeeds(t)
 	for seed := int64(1); seed <= n; seed++ {

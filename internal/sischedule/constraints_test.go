@@ -223,11 +223,11 @@ func TestPlannerMatchesConstrainedScheduler(t *testing.T) {
 	for i, cs := range cases {
 		a, groups := disjointSetup(t)
 		cons := compile(t, a, groups, cs)
-		sched, err := ScheduleSITestCons(a, groups, Model{}, cons, nil)
+		sched, err := oracleScheduleSITest(a, groups, Model{}, cons)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		p := NewPlanner(groups, Model{}, cons)
+		p := NewMemoPlanner(groups, Model{}, cons)
 		for pass := 0; pass < 2; pass++ { // cold memo, then warm
 			total, _, err := p.Cost(a)
 			if err != nil {
@@ -364,10 +364,10 @@ func TestValidateScheduleCatchesViolations(t *testing.T) {
 func TestConstrainedInfeasibleGroup(t *testing.T) {
 	a, groups := disjointSetup(t)
 	cons := compile(t, a, groups, &soc.ConstraintSet{PowerBudget: 4})
-	if _, err := ScheduleSITestCons(a, groups, Model{}, cons, nil); err == nil {
+	if _, err := oracleScheduleSITest(a, groups, Model{}, cons); err == nil {
 		t.Error("scheduler accepted group hotter than the budget")
 	}
-	p := NewPlanner(groups, Model{}, cons)
+	p := NewMemoPlanner(groups, Model{}, cons)
 	if _, _, err := p.Cost(a); err == nil {
 		t.Error("planner accepted group hotter than the budget")
 	}

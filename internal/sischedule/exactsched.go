@@ -182,7 +182,7 @@ func exactScheduleCons(ctx context.Context, a *tam.Architecture, groups []*Group
 	if err := ctx.Err(); err != nil {
 		return 0, 0, false, err
 	}
-	times, err := CalculateSITestTime(a, groups, m)
+	times, err := NewPlanner(groups, m, cons).groupTimes(a)
 	if err != nil {
 		return 0, 0, false, err
 	}

@@ -1,28 +1,19 @@
 package sischedule
 
-// The Planner is the incremental counterpart of CalculateSITestTime +
-// scheduleSITest: a cost-only Algorithm-1 evaluator that memoizes the
-// per-rail SI cost contributions by the rail's (width, cores)
-// composition hash. The optimizer's hot loops mutate only one or two
-// rails per candidate, so almost every rail of a candidate hits the
-// memo and only the rails that actually changed are recosted; the
-// Algorithm-1 packing itself is rebuilt from the memoized group times,
-// which is cheap (O(groups²) with tiny constants) compared to the
-// per-core cost scan it replaces.
-//
-// The memo key is tam.Rail.Hash(), which identifies the (width, cores)
-// composition — exactly the inputs of a rail's per-pattern cost — so a
-// memo hit is always semantically exact. The planner produces results
-// byte-identical to ScheduleSITest: same group times, same bottleneck
-// tie-breaks (first strict maximum in rail-index order), same
-// first-fit packing, same per-rail TimeSI side effects, same deadlock
-// error. The differential suite in internal/core pins this.
+// The Planner is the package's one implementation of CalculateSITestTime
+// and Algorithm 1: one pass assembles every group's per-rail costs and
+// packs the groups, and returns the makespan (Cost, the optimizer's hot
+// loop) or the whole Schedule. A planner from NewMemoPlanner also
+// memoizes each rail's cost profile under tam.Rail.Hash(), which
+// identifies exactly the (width, cores) inputs of the profile: a
+// candidate changes a rail or two, so the other rails hit the memo.
 
 import (
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"sitam/internal/obs"
 	"sitam/internal/soc"
 	"sitam/internal/tam"
 )
@@ -90,8 +81,14 @@ func (t *memoTable) store(info *railInfo) bool {
 	return false
 }
 
-// railTouch is one group's cost contribution of a memoized rail: the
-// group index and the rail's per-pattern cycle cost for that group.
+// scratchPool recycles the per-call state of every planner's calls;
+// reset sizes a scratch to the planner and architecture at hand. One
+// pool for all planners keeps a one-shot planner from allocating its
+// own, and keeps a planner from being held alive by a registered pool.
+var scratchPool = sync.Pool{New: func() any { return new(costScratch) }}
+
+// railTouch is one group's cost contribution of a rail: the group
+// index and the rail's per-pattern cycle cost for that group.
 type railTouch struct {
 	group      int32
 	perPattern int64
@@ -102,13 +99,6 @@ type railTouch struct {
 type railInfo struct {
 	hash    uint64
 	touches []railTouch
-}
-
-// coreMeta is the per-core data the cost model needs: the core's WOC
-// and the groups it belongs to.
-type coreMeta struct {
-	woc    int64
-	groups []int32
 }
 
 // CostStats reports how much of one Cost call was recomputed versus
@@ -124,60 +114,100 @@ type CostStats struct {
 	GroupsMemoized   int
 }
 
-// Planner evaluates the SI scheduling cost of architectures over a
-// fixed group set and cost model, memoizing per-rail cost profiles by
-// composition hash. It is safe for concurrent use; concurrent misses of
-// the same composition may compute the profile twice, which is benign
-// (the profiles are pure values).
+// Planner costs and schedules SI test groups on architectures over a
+// fixed group set, cost model and constraint set. It is safe for
+// concurrent use; concurrent memo misses of the same composition may
+// compute the profile twice, which is benign (the profiles are pure
+// values).
 type Planner struct {
 	groups []*Group
 	model  Model
 	cons   *Constraints
 
-	initOnce sync.Once
-	initErr  error
-	cores    map[int]*coreMeta
+	// The per-core data of the cost model, indexed densely by core ID
+	// and derived once from the first architecture's SOC: woc[id] is
+	// the core's WOC (-1 for an ID naming no core), and the groups
+	// involving core id are coreGroups[coreOff[id]:coreOff[id+1]].
+	initOnce   sync.Once
+	initErr    error
+	woc        []int64
+	coreOff    []int32
+	coreGroups []int32
 
-	memo [1 << memoShardBits]atomic.Pointer[memoTable]
-
-	scratch sync.Pool
+	// memo is nil for a planner that costs every rail afresh.
+	memo *[1 << memoShardBits]atomic.Pointer[memoTable]
 }
 
-// NewPlanner builds a planner over the given groups and model under a
-// compiled constraint set (nil = unconstrained): Cost packs with the
-// constrained Algorithm 1 (power, precedence, exclusion), matching
-// ScheduleSITestCons's TotalSI exactly. The rail cost memo is
-// unaffected — constraints only shape the packing, never a rail's
-// per-pattern cost. The per-core metadata is derived lazily from the
-// first architecture's SOC; all architectures passed to Cost must share
-// that SOC.
+// NewPlanner builds a one-shot planner over the given groups and model
+// under a compiled constraint set (nil = unconstrained): it costs
+// every rail of every architecture afresh and keeps no memo, so
+// building one and scheduling once costs about as much as the
+// schedule. All architectures passed to it must share one SOC.
 func NewPlanner(groups []*Group, m Model, cons *Constraints) *Planner {
-	p := &Planner{groups: groups, model: m, cons: cons}
+	return &Planner{groups: groups, model: m, cons: cons}
+}
+
+// NewMemoPlanner is NewPlanner with a rail cost memo shared by every
+// call: the planner of an optimization run, which costs many
+// architectures that differ in a rail or two. Constraints only shape
+// the packing, never a rail's per-pattern cost, so they leave the memo
+// alone.
+func NewMemoPlanner(groups []*Group, m Model, cons *Constraints) *Planner {
+	p := NewPlanner(groups, m, cons)
+	p.memo = new([1 << memoShardBits]atomic.Pointer[memoTable])
 	for i := range p.memo {
 		p.memo[i].Store(new(memoTable))
-	}
-	p.scratch.New = func() any {
-		return &costScratch{perGroup: make([][]railContrib, len(groups))}
 	}
 	return p
 }
 
-func (p *Planner) buildMeta(s *soc.SOC) {
-	cores := make(map[int]*coreMeta, s.NumCores())
-	for _, c := range s.Cores() {
-		cores[c.ID] = &coreMeta{woc: int64(c.WOC())}
+// buildMeta indexes the cost model's per-core data over s's core IDs.
+// It rejects constraints compiled for another group list and groups
+// naming a core s does not have.
+func (p *Planner) buildMeta(s *soc.SOC) error {
+	if p.cons != nil && len(p.cons.GroupPower) != len(p.groups) {
+		return fmt.Errorf("%w: constraints compiled for %d groups, scheduling %d", soc.ErrInvalid, len(p.cons.GroupPower), len(p.groups))
 	}
+	n := 0
+	for _, c := range s.Cores() {
+		n = max(n, c.ID+1)
+	}
+	p.woc, p.coreOff = make([]int64, n), make([]int32, n+1)
+	for i := range p.woc {
+		p.woc[i] = -1
+	}
+	for _, c := range s.Cores() {
+		p.woc[c.ID] = int64(c.WOC())
+	}
+	// Count each core's groups, then fill them in group order. A core
+	// listed twice in one group counts once: last[id] is one more than
+	// the last group counted for core id, then core id's fill cursor.
+	last := make([]int32, n)
 	for gi, g := range p.groups {
 		for _, id := range g.Cores {
-			cm, ok := cores[id]
-			if !ok {
-				p.initErr = fmt.Errorf("sischedule: group %q involves unknown core %d", g.Name, id)
-				return
+			if id < 0 || id >= n || p.woc[id] < 0 {
+				return fmt.Errorf("sischedule: group %q involves unknown core %d", g.Name, id)
 			}
-			cm.groups = append(cm.groups, int32(gi))
+			if last[id] != int32(gi)+1 {
+				last[id] = int32(gi) + 1
+				p.coreOff[id+1]++
+			}
 		}
 	}
-	p.cores = cores
+	for id := range last {
+		p.coreOff[id+1] += p.coreOff[id]
+		last[id] = p.coreOff[id]
+	}
+	p.coreGroups = make([]int32, p.coreOff[n])
+	for gi, g := range p.groups {
+		for _, id := range g.Cores {
+			if c := last[id]; c == p.coreOff[id] || p.coreGroups[c-1] != int32(gi) {
+				p.coreGroups[c] = int32(gi)
+				last[id]++
+			}
+		}
+	}
+	return nil
 }
 
 // railContrib is one rail's contribution to a group, assembled per
@@ -187,30 +217,51 @@ type railContrib struct {
 	time int64 // Patterns × perPattern
 }
 
-// costScratch holds the reusable per-evaluation state of one Cost call.
+// placed is one slot of the packing: a group and its start time and
+// power (power is 0 for a group that occupies no rail).
+type placed struct {
+	group        int32
+	begin, power int64
+}
+
+// groupAcc accumulates one group's care-core shift and count on the
+// rail being costed; epoch marks it as belonging to that rail.
+type groupAcc struct {
+	shift int64
+	nCare int32
+	epoch uint32
+}
+
+// costScratch holds the reusable per-call state of a planner.
 type costScratch struct {
-	// Assembly state (indexed by group).
+	// Assembly state (indexed by group). Every perGroup[g], up to
+	// cap(perGroup), has room for one contribution per rail, up to
+	// railCap rails.
 	perGroup   [][]railContrib
+	railCap    int
 	groupTime  []int64
 	groupDirty []bool
 
-	// Packing state (indexed by rail / queue position).
+	// Packing state (indexed by rail / queue position). order is the
+	// slot order: the groups that occupy no rail, then the others in
+	// the order they were placed.
 	railSI []int64
 	busy   []bool
 	queue  []int32
 	active []activeRun
+	order  []placed
 
-	// Constrained packing state (indexed by group; used only when the
+	// Constrained packing state (indexed by group; read only when the
 	// planner carries constraints). endOf[g] is -1 while unscheduled.
 	endOf    []int64
 	runningG []bool
 
-	// computeRail state (indexed by group, epoch-marked).
-	shift    []int64
-	nCare    []int32
-	gEpoch   []uint32
+	// computeRail state: per-group accumulators, epoch-marked, the
+	// groups the current rail touches and its profile.
+	acc      []groupAcc
 	epoch    uint32
 	touchedG []int32
+	touches  []railTouch
 }
 
 type activeRun struct {
@@ -218,90 +269,95 @@ type activeRun struct {
 	group int32
 }
 
+// reset readies sc for nGroups groups on nRails rails, growing what is
+// too small.
 func (sc *costScratch) reset(nGroups, nRails int) {
-	for i := range sc.perGroup {
-		sc.perGroup[i] = sc.perGroup[i][:0]
+	if cap(sc.perGroup) < nGroups || sc.railCap < nRails {
+		// A group takes at most one contribution per rail.
+		g, r := max(nGroups, cap(sc.perGroup)), max(nRails, sc.railCap)
+		arena := make([]railContrib, g*r)
+		sc.perGroup = make([][]railContrib, g)
+		for i := range sc.perGroup {
+			sc.perGroup[i] = arena[i*r : i*r : (i+1)*r]
+		}
+		sc.railSI, sc.busy, sc.railCap = make([]int64, r), make([]bool, r), r
 	}
 	if cap(sc.groupTime) < nGroups {
-		sc.groupTime = make([]int64, nGroups)
-		sc.groupDirty = make([]bool, nGroups)
-		sc.shift = make([]int64, nGroups)
-		sc.nCare = make([]int32, nGroups)
-		sc.gEpoch = make([]uint32, nGroups)
+		sc.groupTime, sc.groupDirty, sc.acc = make([]int64, nGroups), make([]bool, nGroups), make([]groupAcc, nGroups)
+		sc.endOf, sc.runningG = make([]int64, nGroups), make([]bool, nGroups)
 	}
-	sc.groupTime = sc.groupTime[:nGroups]
-	sc.groupDirty = sc.groupDirty[:nGroups]
-	for i := range sc.groupDirty {
-		sc.groupTime[i] = 0
-		sc.groupDirty[i] = false
+	sc.perGroup, sc.groupTime, sc.groupDirty = sc.perGroup[:nGroups], sc.groupTime[:nGroups], sc.groupDirty[:nGroups]
+	sc.acc, sc.endOf, sc.runningG = sc.acc[:nGroups], sc.endOf[:nGroups], sc.runningG[:nGroups]
+	for g := range sc.perGroup {
+		sc.perGroup[g], sc.groupDirty[g] = sc.perGroup[g][:0], false
 	}
-	if cap(sc.railSI) < nRails {
-		sc.railSI = make([]int64, nRails)
-		sc.busy = make([]bool, nRails)
-	}
-	sc.railSI = sc.railSI[:nRails]
-	sc.busy = sc.busy[:nRails]
-	for i := range sc.railSI {
-		sc.railSI[i] = 0
-		sc.busy[i] = false
-	}
-	sc.queue = sc.queue[:0]
-	sc.active = sc.active[:0]
+	sc.railSI, sc.busy = sc.railSI[:nRails], sc.busy[:nRails]
+	clear(sc.railSI)
+	clear(sc.busy)
+	sc.queue, sc.active, sc.order = sc.queue[:0], sc.active[:0], sc.order[:0]
 }
 
-// computeRail builds the cost profile of one rail composition: for each
-// group with care cores on the rail, the per-pattern cycle cost
+// computeRail appends rail r's cost profile to touches: for each group
+// with care cores on the rail, in first-touch order, the per-pattern
+// cycle cost
 //
 //	Σ ceil(WOC/width) over care cores + Bypass·(don't-care cores) + Overhead
 //
-// identical to CalculateSITestTime's inner loop.
-func (p *Planner) computeRail(r *tam.Rail, sc *costScratch) *railInfo {
+// Rail cores outside the SOC carry no group membership and contribute
+// only to the bypass term.
+func (p *Planner) computeRail(r *tam.Rail, sc *costScratch, touches []railTouch) []railTouch {
 	sc.epoch++
 	sc.touchedG = sc.touchedG[:0]
 	w := int64(r.Width)
 	for _, id := range r.Cores {
-		cm := p.cores[id]
-		if cm == nil {
-			// Rail cores outside the SOC carry no group membership and
-			// contribute only to the bypass term, matching the original
-			// lookup-miss behavior.
+		if id < 0 || id >= len(p.woc) || p.coreOff[id] == p.coreOff[id+1] {
 			continue
 		}
-		for _, g := range cm.groups {
-			if sc.gEpoch[g] != sc.epoch {
-				sc.gEpoch[g] = sc.epoch
-				sc.shift[g] = 0
-				sc.nCare[g] = 0
+		shift := (p.woc[id] + w - 1) / w
+		for _, g := range p.coreGroups[p.coreOff[id]:p.coreOff[id+1]] {
+			acc := &sc.acc[g]
+			if acc.epoch != sc.epoch {
+				*acc = groupAcc{epoch: sc.epoch}
 				sc.touchedG = append(sc.touchedG, g)
 			}
-			sc.shift[g] += (cm.woc + w - 1) / w
-			sc.nCare[g]++
+			acc.shift += shift
+			acc.nCare++
 		}
 	}
-	info := &railInfo{hash: r.Hash(), touches: make([]railTouch, 0, len(sc.touchedG))}
 	nCores := int64(len(r.Cores))
 	for _, g := range sc.touchedG {
-		perPattern := sc.shift[g] + p.model.Bypass*(nCores-int64(sc.nCare[g])) + p.model.Overhead
-		info.touches = append(info.touches, railTouch{group: g, perPattern: perPattern})
+		acc := &sc.acc[g]
+		perPattern := acc.shift + p.model.Bypass*(nCores-int64(acc.nCare)) + p.model.Overhead
+		touches = append(touches, railTouch{group: g, perPattern: perPattern})
 	}
-	return info
+	return touches
 }
 
-// railProfile returns the (possibly memoized) cost profile of rail r,
-// recording memo statistics and marking recomputed groups in st/sc.
-func (p *Planner) railProfile(r *tam.Rail, sc *costScratch, st *CostStats) *railInfo {
-	h := r.Hash()
-	shard := &p.memo[memoSpread(h)>>(64-memoShardBits)]
-	tab := shard.Load()
-	if info := tab.lookup(h); info != nil {
-		st.RailsMemoized++
-		return info
+// railProfile returns rail r's cost profile, from the memo when the
+// planner has one and the composition is there, recording memo
+// statistics and marking recomputed groups in st/sc. A profile
+// computed without a memo lives in sc until the next call.
+func (p *Planner) railProfile(r *tam.Rail, sc *costScratch, st *CostStats) []railTouch {
+	var shard *atomic.Pointer[memoTable]
+	var tab *memoTable
+	if p.memo != nil {
+		h := r.Hash()
+		shard = &p.memo[memoSpread(h)>>(64-memoShardBits)]
+		tab = shard.Load()
+		if info := tab.lookup(h); info != nil {
+			st.RailsMemoized++
+			return info.touches
+		}
 	}
-	info := p.computeRail(r, sc)
+	sc.touches = p.computeRail(r, sc, sc.touches[:0])
 	st.RailsRecomputed++
-	for _, t := range info.touches {
+	for _, t := range sc.touches {
 		sc.groupDirty[t.group] = true
 	}
+	if p.memo == nil {
+		return sc.touches
+	}
+	info := &railInfo{hash: r.Hash(), touches: append([]railTouch(nil), sc.touches...)}
 	if !tab.store(info) {
 		// The shard is full: flush it. When a concurrent miss flushed
 		// it first, its table stays and info goes unmemoized.
@@ -309,39 +365,33 @@ func (p *Planner) railProfile(r *tam.Rail, sc *costScratch, st *CostStats) *rail
 		fresh.store(info)
 		shard.CompareAndSwap(tab, fresh)
 	}
-	return info
+	return info.touches
 }
 
-// Cost evaluates the SI scheduling cost of a: it refreshes the
-// architecture (recomputing only dirty rails), assembles each group's
-// time from the memoized per-rail profiles, packs the groups with
-// Algorithm 1, and refreshes every rail's TimeSI. The returned total is
-// identical to ScheduleSITest's TotalSI.
-func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
-	p.initOnce.Do(func() { p.buildMeta(a.SOC) })
-	var st CostStats
+// assemble costs a into sc: every group's per-rail contributions in
+// rail-index order, its time (the first strict maximum over its rails)
+// and every rail's summed SI time. A memoizing planner refreshes a
+// first (recomputing only dirty rails), since its memo keys on the
+// rails' composition hashes.
+func (p *Planner) assemble(a *tam.Architecture, sc *costScratch, st *CostStats) error {
+	p.initOnce.Do(func() { p.initErr = p.buildMeta(a.SOC) })
 	if p.initErr != nil {
-		return 0, st, p.initErr
+		return p.initErr
 	}
-	a.Refresh()
-
-	sc := p.scratch.Get().(*costScratch)
-	defer p.scratch.Put(sc)
+	if p.memo != nil {
+		a.Refresh()
+	}
 	sc.reset(len(p.groups), len(a.Rails))
-
-	// Assemble group contributions in rail-index order, preserving the
-	// original bottleneck tie-break (first strict maximum wins).
 	for ri, r := range a.Rails {
-		info := p.railProfile(r, sc, &st)
-		for _, t := range info.touches {
+		for _, t := range p.railProfile(r, sc, st) {
 			g := t.group
 			sc.perGroup[g] = append(sc.perGroup[g], railContrib{rail: int32(ri), time: p.groups[g].Patterns * t.perPattern})
 		}
 	}
 	for gi := range p.groups {
 		var mx int64
-		for _, c := range sc.perGroup[gi] {
-			if c.time > mx {
+		for i, c := range sc.perGroup[gi] {
+			if i == 0 || c.time > mx {
 				mx = c.time
 			}
 			sc.railSI[c.rail] += c.time
@@ -353,36 +403,36 @@ func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
 			st.GroupsMemoized++
 		}
 	}
+	return nil
+}
 
-	// Algorithm 1, cost only: first-fit packing of the groups onto the
-	// rails, concurrent when rail sets are disjoint. Zero-pattern and
-	// rail-less groups take no time and are skipped (scheduleSITest
-	// records them as zero-length slots, which do not move TotalSI).
-	// Under constraints the pick additionally requires power headroom,
-	// finished predecessors and idle exclusion partners, exactly like
-	// ScheduleSITestCons; skipped groups count as finished at t=0.
+// pack runs Algorithm 1 over the assembled groups and returns the
+// makespan, recording the slot order in sc.order. In input order, the
+// first unscheduled group whose rails are all free starts now; when
+// none can, time advances to the earliest finish after now and that
+// group's rails are released (Fig. 5, Lines 13-16). Under constraints
+// the pick additionally requires power headroom, finished
+// predecessors and idle exclusion partners, and a group hotter than
+// the budget is an error. Groups that occupy no rail (zero patterns or
+// no involved rail) take no time, are exempt from constraints, count
+// as finished at t=0 and lead the slot order.
+func (p *Planner) pack(sc *costScratch) (int64, error) {
 	cons := p.cons
 	if cons != nil {
-		if cap(sc.endOf) < len(p.groups) {
-			sc.endOf = make([]int64, len(p.groups))
-			sc.runningG = make([]bool, len(p.groups))
-		}
-		sc.endOf = sc.endOf[:len(p.groups)]
-		sc.runningG = sc.runningG[:len(p.groups)]
 		for i := range sc.endOf {
-			sc.endOf[i] = -1
-			sc.runningG[i] = false
+			sc.endOf[i], sc.runningG[i] = -1, false
 		}
 	}
 	for gi, g := range p.groups {
 		if g.Patterns == 0 || len(sc.perGroup[gi]) == 0 {
+			sc.order = append(sc.order, placed{group: int32(gi)})
 			if cons != nil {
 				sc.endOf[gi] = 0
 			}
 			continue
 		}
 		if cons != nil && cons.PowerBudget > 0 && cons.GroupPower[gi] > cons.PowerBudget {
-			return 0, st, fmt.Errorf("sischedule: group %q needs power %d > budget %d", g.Name, cons.GroupPower[gi], cons.PowerBudget)
+			return 0, fmt.Errorf("sischedule: group %q needs power %d > budget %d", g.Name, cons.GroupPower[gi], cons.PowerBudget)
 		}
 		sc.queue = append(sc.queue, int32(gi))
 	}
@@ -413,11 +463,14 @@ func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
 				sc.busy[c.rail] = true
 			}
 			sc.active = append(sc.active, activeRun{end: end, group: g})
+			var power int64
 			if cons != nil {
-				powerInUse += cons.GroupPower[g]
+				power = cons.GroupPower[g]
+				powerInUse += power
 				sc.endOf[g] = end
 				sc.runningG[g] = true
 			}
+			sc.order = append(sc.order, placed{group: g, begin: currTime, power: power})
 			if end > total {
 				total = end
 			}
@@ -430,7 +483,7 @@ func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
 			}
 		}
 		if next < 0 {
-			return 0, st, fmt.Errorf("sischedule: deadlock — %d groups unscheduled with no active group", len(sc.queue))
+			return 0, fmt.Errorf("sischedule: deadlock — %d groups unscheduled with no active group", len(sc.queue))
 		}
 		currTime = next
 		keep := sc.active[:0]
@@ -449,9 +502,134 @@ func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
 		}
 		sc.active = keep
 	}
+	return total, nil
+}
 
-	for i := range a.Rails {
-		a.Rails[i].SetTimeSI(sc.railSI[i])
+// admissible reports whether group gi may start at currTime under the
+// constraints, given the scheduler's running state: power headroom,
+// predecessors finished (scheduled with end <= now), and no running
+// exclusion partner. Rail availability is the caller's check.
+func (c *Constraints) admissible(gi int32, power, powerInUse, currTime int64, endOf []int64, runningG []bool) bool {
+	if c.PowerBudget > 0 && powerInUse+power > c.PowerBudget {
+		return false
 	}
-	return total, st, nil
+	for _, p := range c.preds[gi] {
+		if endOf[p] < 0 || endOf[p] > currTime {
+			return false
+		}
+	}
+	for _, e := range c.excl[gi] {
+		if runningG[e] {
+			return false
+		}
+	}
+	return true
+}
+
+// plan assembles and packs a and sets every rail's TimeSI.
+func (p *Planner) plan(a *tam.Architecture, sc *costScratch, st *CostStats) (int64, error) {
+	if err := p.assemble(a, sc, st); err != nil {
+		return 0, err
+	}
+	total, err := p.pack(sc)
+	if err != nil {
+		return 0, err
+	}
+	for i, r := range a.Rails {
+		r.SetTimeSI(sc.railSI[i])
+	}
+	return total, nil
+}
+
+// Cost returns the SI testing time T_soc_si of a, the TotalSI of the
+// schedule Schedule returns, and refreshes every rail's TimeSI.
+func (p *Planner) Cost(a *tam.Architecture) (int64, CostStats, error) {
+	var st CostStats
+	sc := scratchPool.Get().(*costScratch)
+	defer scratchPool.Put(sc)
+	total, err := p.plan(a, sc, &st)
+	return total, st, err
+}
+
+// Schedule schedules the groups on a with Algorithm 1 and returns the
+// schedule: the groups that occupy no rail first, as zero-length slots
+// at t=0, then the others in the order they were placed, and each
+// rail's busy SI time, which it also stores in the rail's TimeSI.
+//
+// Each slot that occupies a rail is reported to sink as an
+// si_group_scheduled event (group name, begin and end times, involved
+// rail count, bottleneck rail, pattern count) in slot order, which is
+// deterministic. Under a constraint set each event additionally
+// carries the group's power and the budget, making every event
+// self-contained for downstream power validation (sitrace -check) even
+// on truncated traces. A nil sink traces nothing.
+func (p *Planner) Schedule(a *tam.Architecture, sink obs.Sink) (*Schedule, error) {
+	var st CostStats
+	sc := scratchPool.Get().(*costScratch)
+	defer scratchPool.Put(sc)
+	total, err := p.plan(a, sc, &st)
+	if err != nil {
+		return nil, err
+	}
+	times := sc.groupTimes()
+	sched := &Schedule{Slots: make([]Slot, len(sc.order)), TotalSI: total, RailSI: make([]int64, len(sc.railSI))}
+	copy(sched.RailSI, sc.railSI)
+	var budget int64
+	if p.cons != nil {
+		budget = p.cons.PowerBudget
+	}
+	for i, pl := range sc.order {
+		sl := Slot{Group: p.groups[pl.group], GroupTime: times[pl.group], Begin: pl.begin, Power: pl.power}
+		sl.End = sl.Begin + sl.Time
+		sched.Slots[i] = sl
+		if sink != nil && len(sl.Rails) > 0 { // a group on no rail was not placed
+			sink.Emit(obs.Event{
+				Type: obs.SIGroupScheduled, Group: sl.Group.Name,
+				Begin: sl.Begin, End: sl.End,
+				Rails: len(sl.Rails), Rail: sl.Bottleneck,
+				N:     sl.Group.Patterns,
+				Power: sl.Power, Budget: budget,
+			})
+		}
+	}
+	return sched, nil
+}
+
+// groupTimes costs a and returns every group's GroupTime, leaving the
+// rails' TimeSI alone.
+func (p *Planner) groupTimes(a *tam.Architecture) ([]GroupTime, error) {
+	var st CostStats
+	sc := scratchPool.Get().(*costScratch)
+	defer scratchPool.Put(sc)
+	if err := p.assemble(a, sc, &st); err != nil {
+		return nil, err
+	}
+	return sc.groupTimes(), nil
+}
+
+// groupTimes builds every assembled group's GroupTime. The Rails and
+// PerRail slices of all groups share two arenas; a group on no rail
+// keeps them nil, with Bottleneck -1.
+func (sc *costScratch) groupTimes() []GroupTime {
+	n := 0
+	for _, cs := range sc.perGroup {
+		n += len(cs)
+	}
+	rails, per := make([]int, n), make([]int64, n)
+	out := make([]GroupTime, len(sc.perGroup))
+	for gi, cs := range sc.perGroup {
+		gt := GroupTime{Time: sc.groupTime[gi], Bottleneck: -1}
+		if len(cs) > 0 {
+			gt.Rails, rails = rails[:len(cs):len(cs)], rails[len(cs):]
+			gt.PerRail, per = per[:len(cs):len(cs)], per[len(cs):]
+			for i, c := range cs {
+				gt.Rails[i], gt.PerRail[i] = int(c.rail), c.time
+				if gt.Bottleneck < 0 && c.time == gt.Time {
+					gt.Bottleneck = int(c.rail)
+				}
+			}
+		}
+		out[gi] = gt
+	}
+	return out
 }
