@@ -28,9 +28,9 @@
 //
 // # Cancellation, deadlines, and partial results
 //
-// Every expensive entry point takes a context or has a context-aware
-// variant (Solve, BuildGroupsCtx, GeneratePatternsCtx, ExactScheduleSI,
-// RunTableCtx). They are anytime algorithms: when
+// Every expensive entry point takes a context (Solve, ExactScheduleSI,
+// RunTableCtx) or has a context-aware variant (BuildGroupsCtx,
+// GeneratePatternsCtx). They are anytime algorithms: when
 // the context is cancelled or its deadline expires mid-search, the best
 // valid result found so far is returned with its Partial flag set and a
 // nil error; the context's error comes back only when nothing usable
@@ -434,17 +434,13 @@ func InTestTime(c *Core, width int) (t int64, err error) {
 type (
 	// TableConfig parameterizes a Tables 2/3-style sweep.
 	TableConfig = experiments.TableConfig
-	// Table is the outcome of RunTable.
+	// Table is the outcome of RunTableCtx.
 	Table = experiments.Table
 )
 
-// RunTable regenerates one of the paper's evaluation tables for s.
-func RunTable(s *SOC, cfg TableConfig) (t *Table, err error) {
-	defer guard(&err)
-	return experiments.RunTableCtx(context.Background(), s, cfg)
-}
-
-// RunTableCtx is RunTable with graceful degradation under a done
+// RunTableCtx regenerates one of the paper's evaluation tables for s,
+// running the sweep's generations, groupings and solves concurrently
+// under cfg.Parallel.Workers. It degrades gracefully under a done
 // context: the cells completed before the interruption come back in a
 // Table marked Partial with a nil error (cells in flight are discarded,
 // so every reported value is exact). The context's error is returned

@@ -192,7 +192,7 @@ func TestFacadeRunTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl, err := RunTable(s, TableConfig{Widths: []int{8}, Nr: []int{1000}, Groupings: []int{1}, Seed: 1})
+	tbl, err := RunTableCtx(context.Background(), s, TableConfig{Widths: []int{8}, Nr: []int{1000}, Groupings: []int{1}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func run(ctx context.Context, socName, file string, parts int, seed int64, out, 
 	}
 
 	var tracer *obs.Tracer
-	gopts := core.GroupingOptions{Parts: parts, Seed: seed}
+	gopts := core.GroupingOptions{Parts: parts, Seed: seed, KeepPatterns: out != ""}
 	if stats {
 		tracer = obs.NewTracer()
 		gopts.Trace = tracer
@@ -126,9 +126,12 @@ func run(ctx context.Context, socName, file string, parts int, seed int64, out, 
 		if err != nil {
 			return false, "", err
 		}
-		defer f.Close()
-		if err := sifault.WritePatterns(f, sp, all); err != nil {
-			return false, "", err
+		werr := sifault.WritePatterns(f, sp, all)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+		if werr != nil {
+			return false, "", werr
 		}
 		log.Printf("wrote %d compacted patterns to %s", len(all), out)
 	}

@@ -122,17 +122,20 @@ func run(ctx context.Context, o genOptions) (partial bool, err error) {
 	}
 	genDur := time.Since(genStart)
 
-	w := os.Stdout
+	w, closeOut := os.Stdout, func() error { return nil }
 	if o.out != "" {
 		f, err := os.Create(o.out)
 		if err != nil {
 			return false, err
 		}
-		defer f.Close()
-		w = f
+		w, closeOut = f, f.Close
 	}
-	if err := sifault.WritePatterns(w, sifault.NewSpace(s), patterns); err != nil {
-		return false, err
+	werr := sifault.WritePatterns(w, sifault.NewSpace(s), patterns)
+	if cerr := closeOut(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return false, werr
 	}
 	log.Printf("wrote %d patterns for %s", len(patterns), s.Name)
 	if o.stats {

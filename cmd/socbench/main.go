@@ -13,8 +13,8 @@
 //	socbench -ablation            # run the ablation sweeps instead
 //	socbench -scenarios 200       # constrained-scenario matrix instead
 //
-// The full sweep takes several minutes on a laptop-class machine; use
-// -v to watch progress. With -timeout, or on SIGINT/SIGTERM, the cells
+// The full sweep takes a few seconds on two cores; use -v to watch
+// progress. With -timeout, or on SIGINT/SIGTERM, the cells
 // completed so far are printed with a "RESULT PARTIAL" marker and the
 // exit code is 3. Exit codes: 0 success, 1 error, 3 partial result.
 package main
@@ -40,12 +40,12 @@ func main() {
 		socName  = flag.String("soc", "", "run a single benchmark SOC (default: all)")
 		quick    = flag.Bool("quick", false, "reduced sweep (fewer widths, smaller Nr)")
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
-		verbose  = flag.Bool("v", false, "log per-cell progress to stderr")
+		verbose  = flag.Bool("v", false, "log progress (generations, groupings, solves, cells) to stderr")
 		seed     = flag.Int64("seed", 1, "random seed")
 		ablation = flag.Bool("ablation", false, "run ablation sweeps instead of the main tables")
 		nScen    = flag.Int("scenarios", 0, "run N seeded constrained-scheduling scenarios (seed, seed+1, ...) through the solve-and-check harness instead of the main tables")
 		coverage = flag.Bool("coverage", false, "run the SI fault coverage experiment instead of the main tables")
-		workers  = flag.Int("workers", 0, "concurrent candidate evaluations per optimization and compaction workers per grouping (0 = GOMAXPROCS, 1 = serial); table numbers are identical at any worker count")
+		workers  = flag.Int("workers", 0, "concurrent sweep tasks (pattern generations, groupings and solves, each on one core; 0 = GOMAXPROCS, 1 = serial); table numbers are identical at any worker count")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file shared by every cell of the sweep; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "deadline; on expiry the completed cells are printed and the exit code is 3 (0 = none)")
 		stats    = flag.Bool("stats", false, "print the accumulated metrics snapshot (worker pool, phase timings) to stderr after the tables")

@@ -52,7 +52,7 @@ func TestPipelinePropertyRandomSOCs(t *testing.T) {
 		if parts > s.NumCores() {
 			parts = s.NumCores()
 		}
-		gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: parts, Seed: seed})
+		gr, err := BuildGroups(s, patterns, GroupingOptions{Parts: parts, Seed: seed, KeepPatterns: true})
 		if err != nil {
 			t.Logf("seed %d: groups: %v", seed, err)
 			return false

@@ -373,7 +373,7 @@ func TestParallelForPanicPropagation(t *testing.T) {
 			t.Fatalf("propagated %v, want the lowest-index panic boom-3", r)
 		}
 	}()
-	parallelFor(4, 16, func(_, i int) {
+	ParallelFor(4, 16, func(_, i int) {
 		if i >= 3 && i%2 == 1 {
 			panic("boom-" + string(rune('0'+i%10)))
 		}

@@ -132,7 +132,7 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed i
 		r.a, r.obj, r.st, r.err = inner.ils(ctx, kicks, seed+int64(i))
 	}
 	if k := e.Par.workers(); k > 1 {
-		parallelFor(k, restarts, func(_, i int) { run(i) })
+		ParallelFor(k, restarts, func(_, i int) { run(i) })
 	} else {
 		for i := 0; i < restarts; i++ {
 			run(i)

@@ -61,13 +61,16 @@ type candResult struct {
 	err error
 }
 
-// parallelFor runs fn(i) for i in [0, n) on k goroutines fed by a
-// shared counter. fn receives the worker index so callers can keep
-// per-worker scratch state. Panics inside fn are captured and the one
-// with the lowest candidate index is re-raised on the caller's
-// goroutine after all workers drain, so the engine's panic surface is
-// the same as in a serial run and the facade guard still applies.
-func parallelFor(k, n int, fn func(worker, i int)) {
+// ParallelFor runs fn(i) for i in [0, n) on min(k, n) goroutines fed
+// by a shared counter; k must be at least 1. fn receives the worker
+// index so callers can keep per-worker scratch state. Indices are
+// handed out in increasing order, so fn(i) may block until fn(j) for
+// some j < i has finished without deadlocking the pool: the lowest
+// unfinished index never waits. Panics inside fn are captured and the
+// one with the lowest index is re-raised on the caller's goroutine
+// after all workers drain, so the panic surface is the same as in a
+// serial run and the facade guard still applies.
+func ParallelFor(k, n int, fn func(worker, i int)) {
 	if k > n {
 		k = n
 	}
@@ -149,7 +152,7 @@ func (p *ParallelEvaluator) mapCandidates(ctx context.Context, base *tam.Archite
 	res := make([]candResult, n)
 	scratches := make([]*tam.Architecture, k)
 	busy := make([]int64, k)
-	parallelFor(k, n, func(worker, i int) {
+	ParallelFor(k, n, func(worker, i int) {
 		if err := ctx.Err(); err != nil {
 			res[i].err = err
 			return

@@ -25,7 +25,10 @@ type GroupingResult struct {
 	// The residual group, when present, is first.
 	Groups []*sischedule.Group
 
-	// GroupPatterns[i] holds the compacted patterns of Groups[i].
+	// GroupPatterns[i] holds the compacted patterns of Groups[i] when
+	// GroupingOptions.KeepPatterns was set, and is nil otherwise:
+	// Groups[i].Patterns already counts them, and building them costs
+	// memory that only a caller writing them out needs.
 	GroupPatterns [][]*sifault.Pattern
 
 	// PartOf maps core ID to partition part (0..Parts-1).
@@ -58,13 +61,16 @@ type GroupingResult struct {
 // groups.
 func (g *GroupingResult) TotalCompacted() int {
 	n := 0
-	for _, ps := range g.GroupPatterns {
-		n += len(ps)
+	for _, grp := range g.Groups {
+		n += int(grp.Patterns)
 	}
 	return n
 }
 
-// GroupingOptions configures BuildGroupsCtx.
+// GroupingOptions configures BuildGroupsCtx. Only Parts must be set;
+// the zero value of every other field groups untraced, on GOMAXPROCS
+// compaction workers, counting the compacted patterns without keeping
+// them.
 type GroupingOptions struct {
 	// Parts is the number of hypergraph partition parts (the paper's
 	// g). 1 disables horizontal compaction (pure pattern-count
@@ -93,6 +99,12 @@ type GroupingOptions struct {
 	// Metrics, when non-nil, receives the compact_runs counter: one
 	// count per compacted group.
 	Metrics *obs.Registry
+
+	// KeepPatterns builds the compacted patterns into
+	// GroupingResult.GroupPatterns. Without it the first-fit engine
+	// only counts them, which is all scheduling needs; the groups,
+	// statistics and trace are the same either way.
+	KeepPatterns bool
 }
 
 // BuildGroupsCtx runs the paper's two-dimensional SI test-set
@@ -206,7 +218,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		workers = runtime.GOMAXPROCS(0)
 	}
 	compact := func(b *bucket) {
-		cfg := compaction.Config{Group: b.name}
+		cfg := compaction.Config{Group: b.name, CountOnly: !opts.KeepPatterns}
 		if opts.Trace != nil {
 			b.trace = obs.NewLocal()
 			cfg.Sink = b.trace
@@ -222,7 +234,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		// own bucket.
 		bySize := append([]*bucket(nil), buckets...)
 		sort.SliceStable(bySize, func(i, j int) bool { return len(bySize[i].patterns) > len(bySize[j].patterns) })
-		parallelFor(workers, len(bySize), func(_, i int) { compact(bySize[i]) })
+		ParallelFor(workers, len(bySize), func(_, i int) { compact(bySize[i]) })
 	}
 	opts.Metrics.Counter("compact_runs").Add(int64(len(buckets)))
 	compactionCut := mergeBuckets(res, buckets, cores, opts)
@@ -313,9 +325,11 @@ func mergeBuckets(res *GroupingResult, buckets []*bucket, cores []*soc.Core, opt
 		res.Groups = append(res.Groups, &sischedule.Group{
 			Name:     b.name,
 			Cores:    ids,
-			Patterns: int64(len(b.comp)),
+			Patterns: int64(b.stats.Compacted),
 		})
-		res.GroupPatterns = append(res.GroupPatterns, b.comp)
+		if opts.KeepPatterns {
+			res.GroupPatterns = append(res.GroupPatterns, b.comp)
+		}
 	}
 	return cut
 }

@@ -33,7 +33,7 @@ func TestBuildGroupsSinglePart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 1, Seed: 2})
+	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 1, Seed: 2, KeepPatterns: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBuildGroupsPartitionInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parts := range []int{2, 4, 8} {
-		gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: parts, Seed: 4})
+		gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: parts, Seed: 4, KeepPatterns: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestBuildGroupsWorkersAgree(t *testing.T) {
 			for _, workers := range []int{1, 2, 8} {
 				tr, reg := obs.NewTracer(), obs.NewRegistry()
 				gr, err := BuildGroupsCtx(ctx, tc.s, patterns, GroupingOptions{
-					Parts: g, Seed: 3, Trace: tr, Metrics: reg, CompactWorkers: workers,
+					Parts: g, Seed: 3, Trace: tr, Metrics: reg, CompactWorkers: workers, KeepPatterns: true,
 				})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", name, workers, err)
@@ -260,4 +260,77 @@ func sameGrouping(a, b *GroupingResult) bool {
 	ac, bc := *a, *b
 	ac.GroupPatterns, bc.GroupPatterns = nil, nil
 	return reflect.DeepEqual(ac, bc)
+}
+
+// TestBuildGroupsCountOnly pins count-only grouping to a KeepPatterns
+// grouping: the same groups, statistics, residual, partition, anytime
+// status and canonical trace, and no patterns. It covers the benchmark
+// SOCs at every grouping count, run to completion and cut midway by a
+// countdown context.
+func TestBuildGroupsCountOnly(t *testing.T) {
+	cases := []struct {
+		name string
+		nr   int
+	}{{"d695", 2000}, {"p34392", 2500}, {"p93791", 3000}}
+	for _, tc := range cases {
+		s := soc.MustLoadBenchmark(tc.name)
+		patterns, err := sifault.Generate(s, sifault.GenConfig{N: tc.nr, Seed: 12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []int{1, 2, 4, 8} {
+			polls := &countingCtx{Context: context.Background()}
+			if _, err := BuildGroupsCtx(polls, s, patterns, GroupingOptions{Parts: g, Seed: 5, CompactWorkers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			for _, cut := range []bool{false, true} {
+				name := fmt.Sprintf("%s/g%d/cut=%v", tc.name, g, cut)
+				build := func(keep bool) (*GroupingResult, []obs.Event) {
+					var ctx context.Context = context.Background()
+					if cut {
+						ctx = newCountdown(polls.calls / 2)
+					}
+					tr := obs.NewTracer()
+					gr, err := BuildGroupsCtx(ctx, s, patterns, GroupingOptions{
+						Parts: g, Seed: 5, CompactWorkers: 1, Trace: tr, KeepPatterns: keep,
+					})
+					if err != nil {
+						t.Fatalf("%s keep=%v: %v", name, keep, err)
+					}
+					var trace []obs.Event
+					for _, ev := range tr.Events() {
+						trace = append(trace, ev.Canonical())
+					}
+					return gr, trace
+				}
+				kept, keptTrace := build(true)
+				counted, countedTrace := build(false)
+				if kept.Partial != cut {
+					t.Fatalf("%s: Partial = %v", name, kept.Partial)
+				}
+				if counted.GroupPatterns != nil {
+					t.Errorf("%s: count-only grouping kept %d pattern lists", name, len(counted.GroupPatterns))
+				}
+				n := 0
+				for i, ps := range kept.GroupPatterns {
+					n += len(ps)
+					if kept.Groups[i].Patterns != int64(len(ps)) {
+						t.Errorf("%s: group %s counts %d patterns, holds %d", name, kept.Groups[i].Name, kept.Groups[i].Patterns, len(ps))
+					}
+				}
+				if kept.TotalCompacted() != n || counted.TotalCompacted() != n || counted.Stats.Compacted != n {
+					t.Errorf("%s: TotalCompacted %d (count-only %d, Stats %d), kept patterns %d",
+						name, kept.TotalCompacted(), counted.TotalCompacted(), counted.Stats.Compacted, n)
+				}
+				k := *kept
+				k.GroupPatterns = nil
+				if !reflect.DeepEqual(&k, counted) {
+					t.Errorf("%s: count-only grouping differs from the kept one", name)
+				}
+				if !slices.Equal(countedTrace, keptTrace) {
+					t.Errorf("%s: count-only trace differs (%d vs %d events)", name, len(countedTrace), len(keptTrace))
+				}
+			}
+		}
+	}
 }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sitam/internal/core"
 	"sitam/internal/soc"
 )
 
@@ -85,6 +87,41 @@ func TestRunTableSmall(t *testing.T) {
 	md := tbl.Markdown()
 	if !strings.Contains(md, "| Wmax |") || !strings.Contains(md, "#### p34392") {
 		t.Errorf("Markdown malformed:\n%s", md)
+	}
+}
+
+// TestRunTableWorkersAgree runs a reduced sweep at one, two and eight
+// sweep workers: the cells, the compaction statistics and every
+// progress byte must be the serial run's.
+func TestRunTableWorkersAgree(t *testing.T) {
+	s := soc.MustLoadBenchmark("p34392")
+	var want *Table
+	var wantProgress string
+	for _, workers := range []int{1, 2, 8} {
+		var progress bytes.Buffer
+		tbl, err := RunTableCtx(context.Background(), s, TableConfig{
+			Widths: []int{8, 16, 32}, Nr: []int{1000, 3000}, Groupings: []int{1, 2, 4}, Seed: 3,
+			Progress: &progress, Parallel: core.ParallelConfig{Workers: workers},
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if tbl.Partial || len(tbl.Cells) != 6 {
+			t.Fatalf("workers=%d: %d cells, partial %v", workers, len(tbl.Cells), tbl.Partial)
+		}
+		if want == nil {
+			want, wantProgress = tbl, progress.String()
+			continue
+		}
+		if !reflect.DeepEqual(tbl.Cells, want.Cells) {
+			t.Errorf("workers=%d: cells %+v, serial %+v", workers, tbl.Cells, want.Cells)
+		}
+		if !reflect.DeepEqual(tbl.CompactionStats, want.CompactionStats) {
+			t.Errorf("workers=%d: compaction stats %+v, serial %+v", workers, tbl.CompactionStats, want.CompactionStats)
+		}
+		if progress.String() != wantProgress {
+			t.Errorf("workers=%d: progress differs from the serial run\n got:\n%s\nwant:\n%s", workers, progress.String(), wantProgress)
+		}
 	}
 }
 

@@ -50,7 +50,8 @@ func publishedRows(t *testing.T) []string {
 
 // TestTablesMatchExperiments pins every Table 2/3 cell published in
 // EXPERIMENTS.md: the full seed-1 sweep of both SOCs must reproduce
-// each row byte for byte, serially and on a two-worker pool.
+// each row byte for byte, serially and with two and eight sweep
+// workers.
 func TestTablesMatchExperiments(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("full Tables 2/3 sweep")
@@ -59,7 +60,7 @@ func TestTablesMatchExperiments(t *testing.T) {
 	if len(want) != 32 {
 		t.Fatalf("parsed %d rows from EXPERIMENTS.md, want 32", len(want))
 	}
-	for _, workers := range []int{1, 2} {
+	for _, workers := range []int{1, 2, 8} {
 		var got []string
 		for _, name := range []string{"p34392", "p93791"} {
 			tbl, err := RunTableCtx(context.Background(), soc.MustLoadBenchmark(name), TableConfig{
