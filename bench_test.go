@@ -159,6 +159,7 @@ func BenchmarkMotivationMASet(b *testing.B) {
 
 func BenchmarkPatternGeneration(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: int64(i)}); err != nil {

@@ -88,6 +88,24 @@ func TestSchedulerRunsJobToCompletion(t *testing.T) {
 	}
 }
 
+// TestSchedulerInlineSourceFewExternals runs a job on an inline SOC
+// whose 12-output core has a single WOC in reach for its external
+// aggressors: pattern generation must end, and so must the job.
+func TestSchedulerInlineSourceFewExternals(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1})
+	src := "SocName fewext\nTotalModules 3\n" +
+		"Module 0\n Name top\n Inputs 4\n Outputs 4\n" +
+		"Module 1\n Name wide\n Inputs 4\n Outputs 12\n Patterns 5\n" +
+		"Module 2\n Name narrow\n Inputs 2\n Outputs 1\n Patterns 3\n"
+	job, err := s.Submit(Request{Source: src, Wmax: 4, Nr: 1000, Parts: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, job); st.State != StateDone {
+		t.Fatalf("state = %s (%s), want done", st.State, st.Error)
+	}
+}
+
 func TestSchedulerDeterministicOutcomes(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 2})
 	a, err := s.Submit(quickReq())

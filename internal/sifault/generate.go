@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"sitam/internal/soc"
@@ -124,8 +125,11 @@ func Generate(s *soc.SOC, cfg GenConfig) ([]*Pattern, error) {
 // GenerateCtx is Generate as an anytime algorithm: the context is
 // polled every 512 patterns, and on cancellation or deadline expiry the
 // prefix generated so far is returned with the partial flag set and a
-// nil error. The prefix is exactly what a full run with the same seed
-// would have produced first, so downstream consumers see a smaller but
+// nil error. The context is not polled within a pattern, but every
+// pattern finishes after a bounded expected number of draws: it never
+// asks for more distinct aggressors than there are positions in its
+// reach. The prefix is exactly what a full run with the same seed would
+// have produced first, so downstream consumers see a smaller but
 // otherwise identical workload. If the context fires before any
 // pattern was generated, the context's error is returned instead.
 func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bool, error) {
@@ -143,165 +147,201 @@ func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bo
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
+	g := newGenerator(sp, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	patterns := make([]*Pattern, 0, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		if i > 0 && i&511 == 0 && ctx.Err() != nil {
 			return patterns, true, nil
 		}
-		patterns = append(patterns, genOne(sp, cfg, rng))
+		patterns = append(patterns, g.genOne(rng))
 	}
 	return patterns, false, nil
 }
 
-func genOne(sp *Space, cfg GenConfig, rng *rand.Rand) *Pattern {
-	victim := int32(rng.Intn(sp.Total()))
-	victimCore := sp.CoreAt(victim)
-	start, n := sp.Range(victimCore)
+// generator draws the patterns of one GenerateCtx call. It holds what a
+// pattern needs to know about its victim's core, worked out once per
+// call, and the scratch each pattern is assembled in.
+type generator struct {
+	cfg      GenConfig
+	total    int
+	busWidth int
+	cores    []victimCore // in position order
 
-	// External aggressors come from cores within cfg.ExternalLocality
-	// of the victim's core in layout order (a ring), or from all other
-	// cores when the locality is unlimited.
-	extRanges, extTotal := externalRanges(sp, victimCore, cfg.ExternalLocality)
+	// block holds, per offset in the victim's core, the victim's or an
+	// aggressor's symbol and X elsewhere; genOne leaves it all X. It is
+	// as long as the widest core's WOC count.
+	block []Symbol
+
+	// ext holds the current pattern's external aggressor positions,
+	// sorted.
+	ext []int32
+}
+
+// victimCore is one core of the space, seen as a victim's core.
+type victimCore struct {
+	id, start, n int
+
+	// ext lists the runs of positions an external aggressor may take,
+	// in the order a uniform draw over their extTotal positions is laid
+	// onto them.
+	ext      []posRange
+	extTotal int
+}
+
+// posRange is one contiguous run of allowed external positions.
+type posRange struct{ start, n int }
+
+// newGenerator works out each core's position block and external
+// aggressor ranges. External aggressors come from the cores within
+// cfg.ExternalLocality of the victim's core in layout order (a ring),
+// nearest first and the following core before the preceding one, or
+// from all other cores in position order when the locality is
+// unlimited or spans the ring.
+func newGenerator(sp *Space, cfg GenConfig) *generator {
+	nc := len(sp.order)
+	g := &generator{cfg: cfg, total: sp.Total(), busWidth: sp.busWidth, cores: make([]victimCore, nc)}
+	all := cfg.ExternalLocality < 0 || 2*cfg.ExternalLocality+1 >= nc
+	widest := 0
+	for i := range g.cores {
+		c := &g.cores[i]
+		c.id, c.start, c.n = sp.order[i], sp.starts[i], sp.starts[i+1]-sp.starts[i]
+		widest = max(widest, c.n)
+		if all {
+			c.addExt(0, c.start)
+			c.addExt(c.start+c.n, g.total-c.start-c.n)
+			continue
+		}
+		for d := 1; d <= cfg.ExternalLocality; d++ {
+			for _, j := range [2]int{(i + d) % nc, (i - d + nc) % nc} {
+				c.addExt(sp.starts[j], sp.starts[j+1]-sp.starts[j])
+			}
+		}
+	}
+	g.block = make([]Symbol, widest)
+	return g
+}
+
+// addExt appends a run of n external positions from start, if any.
+func (c *victimCore) addExt(start, n int) {
+	if n > 0 {
+		c.ext = append(c.ext, posRange{start, n})
+		c.extTotal += n
+	}
+}
+
+// extPos returns the external position a draw in [0, extTotal) names.
+func (c *victimCore) extPos(off int) int32 {
+	i := 0
+	for off >= c.ext[i].n {
+		off -= c.ext[i].n
+		i++
+	}
+	return int32(c.ext[i].start + off)
+}
+
+// genOne draws one pattern. The draws and their order are the corpus's
+// contract (equal seeds give equal corpora in every front end), so they
+// must not change; the care list is written in position order as the
+// draws come, with no sort.
+func (g *generator) genOne(rng *rand.Rand) *Pattern {
+	cfg := &g.cfg
+	victim := int32(rng.Intn(g.total))
+	// The victim's core is the first whose block ends past the victim.
+	vi := sort.Search(len(g.cores), func(i int) bool { return g.cores[i].start+g.cores[i].n > int(victim) })
+	vc := &g.cores[vi]
 
 	na := cfg.MinAggressors + rng.Intn(cfg.MaxAggressors-cfg.MinAggressors+1)
 	maxExt := cfg.MaxExternal
 	if maxExt < 0 || maxExt > na {
 		maxExt = na
 	}
-	if extTotal == 0 {
+	if vc.extTotal == 0 {
 		maxExt = 0 // single-core SOC: no external positions exist
 	}
 	nExt := 0
 	if maxExt > 0 && rng.Float64() < cfg.ExternalProb {
-		nExt = 1 + rng.Intn(maxExt)
+		// No more external aggressors than positions in reach.
+		nExt = min(1+rng.Intn(maxExt), vc.extTotal)
 	}
 	nInt := na - nExt
-	if avail := n - 1; nInt > avail {
+	if avail := vc.n - 1; nInt > avail {
 		// Victim core boundary too narrow: spill to external aggressors.
 		nInt = avail
-		nExt = na - nInt
-		if nExt > extTotal {
-			nExt = extTotal
-		}
+		nExt = min(na-nInt, vc.extTotal)
 	}
 
 	kind := maFaultKinds[rng.Intn(len(maFaultKinds))]
-	used := map[int32]struct{}{victim: {}}
-	care := make([]Care, 0, 1+nInt+nExt)
-	care = append(care, Care{Pos: victim, Sym: kind.victim})
-
-	pick := func(lo, span int) int32 {
-		for {
-			p := int32(lo + rng.Intn(span))
-			if _, dup := used[p]; !dup {
-				used[p] = struct{}{}
-				return p
-			}
-		}
-	}
+	block := g.block[:vc.n]
+	block[int(victim)-vc.start] = kind.victim
 	for j := 0; j < nInt; j++ {
-		care = append(care, Care{Pos: pick(start, n), Sym: kind.aggressor})
+		off := rng.Intn(vc.n)
+		for block[off] != X {
+			off = rng.Intn(vc.n)
+		}
+		block[off] = kind.aggressor
 	}
+	// External aggressors are uniform over the positions in reach.
+	ext := g.ext[:0]
 	for j := 0; j < nExt; j++ {
-		// Uniform over the allowed external positions.
 		for {
-			off := rng.Intn(extTotal)
-			var p int32
-			for _, r := range extRanges {
-				if off < r.n {
-					p = int32(r.start + off)
-					break
-				}
-				off -= r.n
-			}
-			if _, dup := used[p]; !dup {
-				used[p] = struct{}{}
-				care = append(care, Care{Pos: p, Sym: kind.aggressor})
+			p := vc.extPos(rng.Intn(vc.extTotal))
+			if i, dup := slices.BinarySearch(ext, p); !dup {
+				ext = slices.Insert(ext, i, p)
 				break
 			}
 		}
 	}
-	// Quiesce the remaining outputs of the victim's core at steady
-	// random background values (see GenConfig.QuiesceProb).
-	if cfg.QuiesceProb > 0 {
-		for off := 0; off < n; off++ {
-			pos := int32(start + off)
-			if _, taken := used[pos]; taken {
-				continue
-			}
-			if cfg.QuiesceProb < 1 && rng.Float64() >= cfg.QuiesceProb {
-				continue
-			}
-			sym := Zero
+	g.ext = ext
+
+	// The care list: the externals below the victim's core, its block
+	// in position order, the externals above it. The block's remaining
+	// outputs are quiesced at steady random background values (see
+	// GenConfig.QuiesceProb), drawn in position order.
+	quiesce := cfg.QuiesceProb > 0
+	bound := 1 + nInt
+	if quiesce {
+		bound = vc.n
+	}
+	care := make([]Care, 0, nExt+bound)
+	below, _ := slices.BinarySearch(ext, int32(vc.start))
+	for _, p := range ext[:below] {
+		care = append(care, Care{Pos: p, Sym: kind.aggressor})
+	}
+	for off, sym := range block {
+		switch {
+		case sym != X:
+			block[off] = X
+		case !quiesce || cfg.QuiesceProb < 1 && rng.Float64() >= cfg.QuiesceProb:
+			continue
+		default:
+			sym = Zero
 			if rng.Intn(2) == 1 {
 				sym = One
 			}
-			care = append(care, Care{Pos: pos, Sym: sym})
 		}
+		care = append(care, Care{Pos: int32(vc.start + off), Sym: sym})
 	}
-	sort.Slice(care, func(a, b int) bool { return care[a].Pos < care[b].Pos })
+	for _, p := range ext[below:] {
+		care = append(care, Care{Pos: p, Sym: kind.aggressor})
+	}
 
 	p := &Pattern{
 		Care:       care,
 		VictimPos:  victim,
-		VictimCore: int32(victimCore),
+		VictimCore: int32(vc.id),
 		Weight:     1,
 	}
-	if sp.BusWidth() > 0 && rng.Float64() < cfg.BusProb {
-		nLines := 1 + rng.Intn(na)
-		if nLines > sp.BusWidth() {
-			nLines = sp.BusWidth()
-		}
-		lines := rng.Perm(sp.BusWidth())[:nLines]
+	if g.busWidth > 0 && rng.Float64() < cfg.BusProb {
+		nLines := min(1+rng.Intn(na), g.busWidth)
+		lines := rng.Perm(g.busWidth)[:nLines]
 		sort.Ints(lines)
-		for _, l := range lines {
-			p.Bus = append(p.Bus, BusUse{Line: int32(l), Driver: int32(victimCore)})
+		p.Bus = make([]BusUse, nLines)
+		for i, l := range lines {
+			p.Bus[i] = BusUse{Line: int32(l), Driver: int32(vc.id)}
 		}
 	}
 	return p
-}
-
-// posRange is one contiguous run of allowed external positions.
-type posRange struct{ start, n int }
-
-// externalRanges returns the WOC position ranges of the cores within
-// the given locality (in core order, as a ring) of the victim core,
-// excluding the victim core itself, together with the total position
-// count. A negative locality allows every other core.
-func externalRanges(sp *Space, victimCore, locality int) ([]posRange, int) {
-	order := sp.CoreOrder()
-	nc := len(order)
-	vIdx := 0
-	for i, id := range order {
-		if id == victimCore {
-			vIdx = i
-			break
-		}
-	}
-	var ranges []posRange
-	total := 0
-	add := func(idx int) {
-		start, n := sp.Range(order[idx])
-		if n == 0 {
-			return
-		}
-		ranges = append(ranges, posRange{start, n})
-		total += n
-	}
-	if locality < 0 || 2*locality+1 >= nc {
-		for i := range order {
-			if i != vIdx {
-				add(i)
-			}
-		}
-		return ranges, total
-	}
-	for d := 1; d <= locality; d++ {
-		add((vIdx + d) % nc)
-		add((vIdx - d + nc) % nc)
-	}
-	return ranges, total
 }
 
 // MACount returns the test-vector-pair count of the maximal-aggressor

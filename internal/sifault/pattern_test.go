@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"sitam/internal/scenario"
 	"sitam/internal/soc"
@@ -459,26 +458,42 @@ func TestFaultModelCounts(t *testing.T) {
 	}
 }
 
+// TestExternalRangesProperty checks each core's external aggressor
+// ranges, worked out once per generation call, against the oracle's
+// per-pattern scan: the same position count, every draw offset mapped
+// to the same position, and no position inside the victim's core.
 func TestExternalRangesProperty(t *testing.T) {
-	s := soc.MustLoadBenchmark("p93791")
-	sp := NewSpace(s)
-	f := func(coreIdx uint8, locality uint8) bool {
-		order := sp.CoreOrder()
-		victim := order[int(coreIdx)%len(order)]
-		loc := 1 + int(locality%5)
-		ranges, total := externalRanges(sp, victim, loc)
-		sum := 0
-		vStart, vN := sp.Range(victim)
-		for _, r := range ranges {
-			sum += r.n
-			// No range overlaps the victim core.
-			if r.start < vStart+vN && r.start+r.n > vStart {
-				return false
+	fewExt, err := soc.Parse(strings.NewReader(fewExternalsSOC))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*soc.SOC{soc.MustLoadBenchmark("p93791"), permutedSOC(soc.MustLoadBenchmark("p34392"), 2), fewExt} {
+		sp := NewSpace(s)
+		for _, loc := range []int{-1, 1, 2, 3, 5, 20} {
+			g := newGenerator(sp, GenConfig{ExternalLocality: loc})
+			for _, c := range g.cores {
+				ranges, total := externalRanges(sp, c.id, loc)
+				if c.extTotal != total {
+					t.Fatalf("%s core %d locality %d: %d external positions, oracle %d", s.Name, c.id, loc, c.extTotal, total)
+				}
+				for off := 0; off < total; off++ {
+					want, o := int32(-1), off
+					for _, r := range ranges {
+						if o < r.n {
+							want = int32(r.start + o)
+							break
+						}
+						o -= r.n
+					}
+					got := c.extPos(off)
+					if got != want {
+						t.Fatalf("%s core %d locality %d: offset %d at %d, oracle %d", s.Name, c.id, loc, off, got, want)
+					}
+					if int(got) >= c.start && int(got) < c.start+c.n {
+						t.Fatalf("%s core %d locality %d: offset %d inside the victim's core", s.Name, c.id, loc, off)
+					}
+				}
 			}
 		}
-		return sum == total && total > 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
