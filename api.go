@@ -287,7 +287,7 @@ type (
 	Method = core.Method
 	// ParallelConfig bundles the concurrency, memoization and
 	// observability knobs of a Solve run: Workers bounds concurrent
-	// candidate evaluations (0 = GOMAXPROCS, 1 = serial) and CacheSize
+	// ILS restarts (0 = GOMAXPROCS, 1 = serial) and CacheSize
 	// caps the evaluation cache (0 = default, negative = disabled).
 	ParallelConfig = core.ParallelConfig
 	// CacheStats reports the evaluation cache's hit/miss/eviction

@@ -48,7 +48,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent sweep tasks (pattern generations, groupings and solves, each on one core; 0 = GOMAXPROCS, 1 = serial); table numbers are identical at any worker count")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file shared by every cell of the sweep; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "deadline; on expiry the completed cells are printed and the exit code is 3 (0 = none)")
-		stats    = flag.Bool("stats", false, "print the accumulated metrics snapshot (worker pool, phase timings) to stderr after the tables")
+		stats    = flag.Bool("stats", false, "print the accumulated metrics snapshot (evaluations, cache, phase timings) to stderr after the tables")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		httpProf = flag.String("httpprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")

@@ -34,7 +34,7 @@ func main() {
 		socName = flag.String("soc", "p34392", "embedded benchmark SOC name")
 		file    = flag.String("file", "", ".soc file to load instead of a benchmark")
 		widths  = flag.String("w", "1,8,16,32,64", "comma-separated TAM widths to tabulate")
-		stats   = flag.Bool("stats", false, "print the accumulated optimizer metrics (phase timings, pool counters) to stderr")
+		stats   = flag.Bool("stats", false, "print the accumulated optimizer metrics (evaluations, cache, phase timings) to stderr")
 		timeout = flag.Duration("timeout", 0, "deadline; on expiry the rows computed so far are printed and the exit code is 3 (0 = none)")
 	)
 	flag.Parse()

@@ -55,13 +55,13 @@ func main() {
 		jsonOut  = flag.String("json", "", "also write the result as JSON to this file (\"-\" for stdout)")
 		ils      = flag.Int("ils", 0, "iterated-local-search kicks after the greedy optimization (0 = paper's algorithm)")
 		restarts = flag.Int("restarts", 1, "independent ILS restarts with seeds seed, seed+1, ... (only with -ils > 0)")
-		workers  = flag.Int("workers", 0, "concurrent candidate evaluations and compaction workers (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
+		workers  = flag.Int("workers", 0, "concurrent grouping buckets and ILS restarts (0 = GOMAXPROCS, 1 = serial); results are identical at any worker count")
 		cache    = flag.Int("cache", 0, "evaluation cache capacity in entries (0 = default, negative = disabled)")
 		cacheFil = flag.String("cache-file", "", "persistent evaluation-cache file: loaded before the run, appended during it; a locked or damaged file degrades to memory-only")
 		timeout  = flag.Duration("timeout", 0, "overall deadline; on expiry the best result so far is printed and the exit code is 3 (0 = none)")
 		budget   = flag.Int64("budget", 0, "objective-evaluation budget; on exhaustion the best result so far is printed and the exit code is 3 (0 = unlimited)")
 		traceOut = flag.String("trace", "", "write the structured search trace as JSONL to this file")
-		stats    = flag.Bool("stats", false, "print the run's metrics snapshot (evaluations, cache, worker pool, phase timings) after the result")
+		stats    = flag.Bool("stats", false, "print the run's metrics snapshot (evaluations, cache, phase timings) after the result")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		httpProf = flag.String("httpprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")

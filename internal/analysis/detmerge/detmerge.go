@@ -1,7 +1,7 @@
-// Package detmerge guards the repeatability pillar on the parallel
-// reduction paths (DESIGN §15): everything reachable from the
-// compaction entry point, the grouping pipeline's bucket merge and the
-// parallel evaluator's candidate map must combine results in
+// Package detmerge guards the repeatability pillar on the reduction
+// paths (DESIGN §15): everything reachable from the compaction entry
+// point, the grouping pipeline's bucket merge, the engine's candidate
+// scorer and the ILS restart reduction must combine results in
 // deterministic index order, because two runs of the same optimization
 // must produce byte-identical architectures.
 //
@@ -39,8 +39,9 @@ import (
 // Name or Type.Name for methods). Mutable for the analysistest
 // fixtures.
 var Roots = map[string]bool{
-	"sitam/internal/compaction.GreedyWith":                true,
-	"sitam/internal/core.ParallelEvaluator.mapCandidates": true,
+	"sitam/internal/compaction.GreedyWith":      true,
+	"sitam/internal/core.scoreCandidates":       true,
+	"sitam/internal/core.Engine.OptimizeILSCtx": true,
 }
 
 // rootMarker promotes a function to a root from source.
@@ -248,4 +249,4 @@ func posKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
 
-func rootsLabel() string { return "GreedyWith/ParallelEvaluator merge roots" }
+func rootsLabel() string { return "GreedyWith/scoreCandidates/OptimizeILSCtx merge roots" }

@@ -8,8 +8,8 @@ import (
 	"sitam/internal/tam"
 )
 
-// This file implements the memoized cost cache behind the parallel
-// candidate evaluation layer. The optimization loops of Fig. 6
+// This file implements the memoized cost cache the engine scores its
+// candidates through. The optimization loops of Fig. 6
 // re-evaluate T_soc = T_soc_in + T_soc_si for thousands of candidate
 // architectures, and the same rail composition recurs across merge
 // rounds, the remaining-rails sweep, ILS local searches and winner
@@ -105,9 +105,8 @@ type cacheShard struct {
 }
 
 // CachedEvaluator memoizes an Evaluator by rail composition. It is
-// safe for concurrent use: the worker pool's candidate evaluations and
-// concurrent ILS restarts share one cache, split into shards so that
-// they rarely contend. Values are pure, so a racing double-miss stores
+// safe for concurrent use: concurrent ILS restarts share one cache,
+// split into shards so that they rarely contend. Values are pure, so a racing double-miss stores
 // the same entry twice and determinism is unaffected (only the
 // hit/miss counters are timing-dependent under concurrency).
 type CachedEvaluator struct {

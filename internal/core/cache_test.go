@@ -194,7 +194,7 @@ func TestCacheEviction(t *testing.T) {
 // lookups of one composition race, and every answer is checked against
 // a fresh SIEvaluator: at a capacity small enough that the shards
 // flush all the time, at capacity 2, and with an attached cache file
-// that a goroutine closes mid-run, which must detach it.
+// that a goroutine closes mid-run, which the next miss must detach.
 func TestCacheConcurrentEvaluations(t *testing.T) {
 	const goroutines, steps = 8, 150
 	groups := smallGroups()
@@ -258,6 +258,14 @@ func TestCacheConcurrentEvaluations(t *testing.T) {
 				}
 			}
 			if cf != nil {
+				// The closed file is detached by the first Append that
+				// fails, and only a miss appends. If every miss came
+				// before the Close, none has failed yet, so make one
+				// more: no goroutine reaches a rail of width 13, since
+				// mutateArch widens no rail past 12.
+				if err := cachedMatchesFresh(c, &SIEvaluator{Groups: groups, Model: m}, freshRails(13)); err != nil {
+					t.Fatal(err)
+				}
 				if c.persist.Load() != nil {
 					t.Error("the closed cache file is still attached")
 				}
@@ -322,9 +330,9 @@ func (c *atomicCountdown) Err() error {
 	return nil
 }
 
-// TestParallelCancellationNoLeak cancels parallel optimizations at
-// many points mid-flight and checks the anytime contract holds and no
-// worker goroutines outlive the call.
+// TestParallelCancellationNoLeak cancels optimizations configured with
+// eight workers at many points mid-flight and checks the anytime
+// contract holds and no goroutines outlive the call.
 func TestParallelCancellationNoLeak(t *testing.T) {
 	s := smallSOC()
 	groups := smallGroups()
@@ -346,8 +354,8 @@ func TestParallelCancellationNoLeak(t *testing.T) {
 			t.Fatalf("n=%d: invalid partial architecture: %v", n, err)
 		}
 	}
-	// Workers are scoped to each batch; give the scheduler a moment and
-	// require the goroutine count to settle back.
+	// Goroutines are scoped to each call; give the scheduler a moment
+	// and require the goroutine count to settle back.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		runtime.GC()
@@ -373,7 +381,7 @@ func TestParallelForPanicPropagation(t *testing.T) {
 			t.Fatalf("propagated %v, want the lowest-index panic boom-3", r)
 		}
 	}()
-	ParallelFor(4, 16, func(_, i int) {
+	ParallelFor(4, 16, func(i int) {
 		if i >= 3 && i%2 == 1 {
 			panic("boom-" + string(rune('0'+i%10)))
 		}

@@ -10,8 +10,8 @@ import (
 	"sitam/internal/tam"
 )
 
-// Differential harness for the parallel evaluation layer: for every
-// embedded SOC fixture and W_max in {8, 16, 32, 64}, the parallel
+// Differential harness for the worker count and the cache: for every
+// embedded SOC fixture and W_max in {8, 16, 32, 64}, the configured
 // engine at workers = 1, 2 and 8 (with memoization on) must return the
 // same T_soc and a byte-identical architecture dump as the serial,
 // cache-free engine — including the ILS path with fixed seeds. The
@@ -198,7 +198,7 @@ func mustEngine(t *testing.T, s *soc.SOC, groups []*sischedule.Group, m sischedu
 	return eng
 }
 
-// TestCopyFrom pins the scratch-reset semantics mapCandidates relies
+// TestCopyFrom pins the scratch-reset semantics scoreCandidates relies
 // on: CopyFrom must produce a deep, independent copy whatever the
 // previous shape of the destination.
 func TestCopyFrom(t *testing.T) {

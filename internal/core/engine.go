@@ -22,18 +22,11 @@ type Engine struct {
 	Times *wrapper.TimeTable
 	Eval  Evaluator
 
-	// Par fans independent candidate evaluations across a bounded
-	// worker pool. nil (the NewEngine default) evaluates serially;
-	// either way the selected architectures are byte-identical — see
-	// parallel.go. When Par is used with a concurrency-unsafe
-	// Evaluator, wrap the evaluator or keep Workers at 1.
-	Par *ParallelEvaluator
-
 	// Trace receives the structured search-trace events of the run
 	// (see internal/obs). nil — the default — disables tracing at the
 	// cost of one branch per emission site. Candidate events are
-	// emitted by the coordinating goroutine in candidate order, so the
-	// trace is deterministic for a fixed seed at any worker count.
+	// emitted in candidate order, so the trace is deterministic for a
+	// fixed seed at any worker count.
 	Trace obs.Sink
 
 	// Metrics receives the run's counters and phase-duration
@@ -50,6 +43,12 @@ type Engine struct {
 	// cache is the memoization layer configure wrapped around Eval;
 	// nil when the engine evaluates uncached.
 	cache *CachedEvaluator
+
+	// workers is how many ILS restarts OptimizeILSCtx runs at once,
+	// resolved from ParallelConfig.Workers by configure. The NewEngine
+	// default, 0, runs them one after another like 1, so an engine
+	// shares its Evaluator across goroutines only when configured to.
+	workers int
 
 	// evals counts objective evaluations. A pointer so that the
 	// shallow engine copies the ILS restart fan-out makes share one
@@ -159,16 +158,50 @@ func (e *Engine) stopEvent(err error, phase string, kick int) {
 	}
 }
 
+// scoreCandidates scores n candidate architectures derived from base,
+// in index order, and returns their objectives. job receives one
+// scratch architecture, reset to a copy of base before every
+// candidate, plus the candidate index; it must mutate only the
+// scratch. The context is checked before every candidate, and the
+// first error ends the batch with a nil result.
+func scoreCandidates(ctx context.Context, base *tam.Architecture, n int, job func(cand *tam.Architecture, i int) (int64, error)) ([]int64, error) {
+	scratch := &tam.Architecture{}
+	objs := make([]int64, n)
+	for i := range objs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		scratch.CopyFrom(base)
+		obj, err := job(scratch, i)
+		if err != nil {
+			return nil, err
+		}
+		objs[i] = obj
+	}
+	return objs, nil
+}
+
+// rebuild reconstructs the winning candidate: jobs only score
+// candidates into the batch's scratch, so the selected architecture
+// is rebuilt once from the base — one clone per improving batch
+// instead of one per candidate. With a memoized evaluator the
+// re-evaluation inside job is a cache hit.
+func rebuild(base *tam.Architecture, i int, job func(cand *tam.Architecture, i int) (int64, error)) (*tam.Architecture, error) {
+	cand := base.Clone()
+	if _, err := job(cand, i); err != nil {
+		return nil, err
+	}
+	return cand, nil
+}
+
 // emitCandidates reports one scored batch to the trace in candidate
-// order. Emission happens on the coordinating goroutine after the
-// batch completes, so the event stream is identical at any worker
-// count.
-func (e *Engine) emitCandidates(phase string, res []candResult) {
+// order, after the batch completes.
+func (e *Engine) emitCandidates(phase string, objs []int64) {
 	if e.Trace == nil {
 		return
 	}
-	for i := range res {
-		e.Trace.Emit(obs.Event{Type: obs.CandidateEvaluated, Phase: phase, Cand: i, Obj: res[i].obj})
+	for i, obj := range objs {
+		e.Trace.Emit(obs.Event{Type: obs.CandidateEvaluated, Phase: phase, Cand: i, Obj: obj})
 	}
 }
 
@@ -320,7 +353,7 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 			// the objective. Start-solution rails all have width 1 and
 			// stay width 1.
 			victim := e.Wmax
-			res, err := e.Par.mapCandidates(ctx, a, e.Wmax, func(cand *tam.Architecture, i int) (int64, error) {
+			objs, err := scoreCandidates(ctx, a, e.Wmax, func(cand *tam.Architecture, i int) (int64, error) {
 				cand.MergeRails(i, victim, 1)
 				return e.eval(cand)
 			})
@@ -329,12 +362,12 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 				// architecture is not feasible yet.
 				return nil, 0, err
 			}
-			e.emitCandidates(phaseStartSol, res)
+			e.emitCandidates(phaseStartSol, objs)
 			best := -1
 			var bestObj int64
-			for i, r := range res {
-				if best < 0 || r.obj < bestObj {
-					best, bestObj = i, r.obj
+			for i, o := range objs {
+				if best < 0 || o < bestObj {
+					best, bestObj = i, o
 				}
 			}
 			a.MergeRails(best, victim, 1)
@@ -370,7 +403,8 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 // trial leaves on a is overwritten by the closing evaluation. The
 // context is checked before every wire and every trial. Only the
 // start solution's call passes a sink: the per-candidate calls in
-// mergeTAMs may run on pool workers and trace nothing.
+// mergeTAMs trace nothing, because their batch reports one
+// candidate_evaluated event per merge candidate.
 func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, free int, sink obs.Sink) (int64, error) {
 	var objs []int64 // one wire's trial objectives, kept only for the sink
 	for ; free > 0; free-- {
@@ -458,15 +492,15 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 		}
 		return e.eval(cand)
 	}
-	res, err := e.Par.mapCandidates(ctx, a, len(specs), build)
+	objs, err := scoreCandidates(ctx, a, len(specs), build)
 	if err != nil {
 		return nil, 0, err
 	}
-	e.emitCandidates(phase, res)
+	e.emitCandidates(phase, objs)
 	best, bestObj := -1, curObj
-	for i, r := range res {
-		if r.obj < bestObj {
-			best, bestObj = i, r.obj
+	for i, o := range objs {
+		if o < bestObj {
+			best, bestObj = i, o
 		}
 	}
 	if best < 0 {
@@ -517,15 +551,15 @@ func (e *Engine) coreReshuffle(ctx context.Context, a *tam.Architecture, curObj 
 			cand.MoveCore(mv.from, mv.to, mv.coreID)
 			return e.eval(cand)
 		}
-		res, err := e.Par.mapCandidates(ctx, a, len(specs), build)
+		objs, err := scoreCandidates(ctx, a, len(specs), build)
 		if err != nil {
 			return nil, 0, err
 		}
-		e.emitCandidates(phase, res)
+		e.emitCandidates(phase, objs)
 		best, bestObj := -1, curObj
-		for i, r := range res {
-			if r.obj < bestObj {
-				best, bestObj = i, r.obj
+		for i, o := range objs {
+			if o < bestObj {
+				best, bestObj = i, o
 			}
 		}
 		if best < 0 {

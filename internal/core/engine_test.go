@@ -52,7 +52,7 @@ func optimizeILSRestarts(e *Engine, kicks, restarts int, seed int64) (*tam.Archi
 
 // parallelEngine is Solve's engine wiring around a caller-chosen
 // objective, so the differential suites can pin the scratch evaluator
-// against the incremental one under the same pool and cache.
+// against the incremental one under the same worker count and cache.
 func parallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig) (*Engine, *CachedEvaluator, error) {
 	eng, err := NewEngine(s, wmax, eval)
 	if err != nil {

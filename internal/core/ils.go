@@ -78,11 +78,11 @@ func (e *Engine) ils(ctx context.Context, kicks int, seed int64) (*tam.Architect
 // runs with seeds seed, seed+1, ..., seed+restarts-1 and returns the
 // best architecture found. Each run is OptimizeCtx followed by `kicks`
 // perturbation rounds; with kicks == 0 it is exactly OptimizeCtx.
-// Restarts are mutually independent, so with a parallel evaluator they
-// fan out across the worker pool (each restart then evaluates serially
-// inside, keeping total concurrency bounded); the reduction picks the
-// smallest objective, ties broken by the lowest seed, so the outcome is
-// byte-identical at any worker count.
+// Restarts are mutually independent, so a configured engine runs up to
+// its resolved worker count of them at once, each scoring its
+// candidates serially; the reduction picks the smallest objective,
+// ties broken by the lowest seed, so the outcome is byte-identical at
+// any worker count.
 //
 // It is an anytime algorithm: cancellation, deadline expiry or budget
 // exhaustion mid-search returns the best architecture any restart
@@ -119,10 +119,7 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed i
 	}
 	counters := make([]*atomic.Int64, restarts)
 	run := func(i int) {
-		// Each restart searches serially: concurrency lives at the
-		// restart level, so the pool stays bounded by Par.Workers.
 		inner := *e
-		inner.Par = nil
 		inner.evals = new(atomic.Int64)
 		counters[i] = inner.evals
 		if locals != nil {
@@ -131,8 +128,8 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed i
 		r := &res[i]
 		r.a, r.obj, r.st, r.err = inner.ils(ctx, kicks, seed+int64(i))
 	}
-	if k := e.Par.workers(); k > 1 {
-		ParallelFor(k, restarts, func(_, i int) { run(i) })
+	if e.workers > 1 {
+		ParallelFor(e.workers, restarts, run)
 	} else {
 		for i := 0; i < restarts; i++ {
 			run(i)

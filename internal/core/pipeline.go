@@ -234,7 +234,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		// own bucket.
 		bySize := append([]*bucket(nil), buckets...)
 		sort.SliceStable(bySize, func(i, j int) bool { return len(bySize[i].patterns) > len(bySize[j].patterns) })
-		ParallelFor(workers, len(bySize), func(_, i int) { compact(bySize[i]) })
+		ParallelFor(workers, len(bySize), func(i int) { compact(bySize[i]) })
 	}
 	opts.Metrics.Counter("compact_runs").Add(int64(len(buckets)))
 	compactionCut := mergeBuckets(res, buckets, cores, opts)
@@ -440,7 +440,6 @@ type Result struct {
 	// Metrics is the run's metrics snapshot. Always non-nil on results
 	// assembled by the engine: it carries at least the "evals" counter
 	// and, with memoization, the cache totals; runs configured with a
-	// metrics registry add the pool counters and phase-duration
-	// histograms.
+	// metrics registry add the phase-duration histograms.
 	Metrics *obs.Snapshot
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"runtime"
 
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
@@ -127,21 +128,26 @@ func fingerprint(m Method, p Problem) uint64 {
 }
 
 // configure wires cfg onto the engine: a memoization cache whose keys
-// mix in fp (none when cfg.CacheSize is negative), the worker pool,
-// the evaluation budget, the trace and metrics sinks, and the
-// persistent cache file.
+// mix in fp (none when cfg.CacheSize is negative), the ILS restart
+// worker count (0 = GOMAXPROCS, negative = 1), the evaluation budget,
+// the trace and metrics sinks, and the persistent cache file.
 func (e *Engine) configure(cfg ParallelConfig, fp uint64) {
 	if cfg.CacheSize >= 0 {
 		e.cache = NewCachedEvaluator(e.Eval, cfg.CacheSize)
 		e.cache.salt = fp
 		e.Eval = e.cache
 	}
-	par := &ParallelEvaluator{Workers: cfg.Workers}
-	e.Par = par
+	e.workers = cfg.Workers
+	switch {
+	case cfg.Workers == 0:
+		e.workers = runtime.GOMAXPROCS(0)
+	case cfg.Workers < 0:
+		e.workers = 1
+	}
 	e.MaxEvals = cfg.MaxEvals
 	if cfg.Trace != nil {
 		e.Trace = cfg.Trace
-		if par.workers() == 1 {
+		if e.workers == 1 {
 			// Per-lookup cache and eval_incremental events are
 			// deterministic only when one goroutine evaluates; see the
 			// obs package comment.
@@ -158,13 +164,5 @@ func (e *Engine) configure(cfg ParallelConfig, fp uint64) {
 		// records its one deterministic cache_load event.
 		e.cache.AttachPersistent(cfg.Persist)
 	}
-	if cfg.Metrics != nil {
-		e.Metrics = cfg.Metrics
-		par.batches = cfg.Metrics.Counter("pool_batches")
-		par.candidates = cfg.Metrics.Counter("pool_candidates")
-		par.busyNS = cfg.Metrics.Counter("pool_busy_ns")
-		par.wallNS = cfg.Metrics.Counter("pool_wall_ns")
-		par.timed = true
-		cfg.Metrics.Gauge("pool_workers").Set(int64(par.workers()))
-	}
+	e.Metrics = cfg.Metrics
 }

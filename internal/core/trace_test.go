@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
 
@@ -285,15 +286,7 @@ func TestResultMetricsSnapshot(t *testing.T) {
 	if snap.Counter("cache_hits")+snap.Counter("cache_misses") <= 0 {
 		t.Error("cache counters missing")
 	}
-	if got := snap.Gauges["pool_workers"]; got != 2 {
-		t.Errorf("pool_workers = %d, want 2", got)
-	}
-	if snap.Counter("pool_batches") <= 0 || snap.Counter("pool_candidates") <= 0 {
-		t.Error("pool counters missing")
-	}
-	if snap.Counter("pool_busy_ns") <= 0 || snap.Counter("pool_wall_ns") <= 0 {
-		t.Error("pool timing counters missing")
-	}
+	noPoolMetrics(t, snap)
 	var phases int
 	for name := range snap.Histograms {
 		if strings.HasPrefix(name, "phase_ns_") {
@@ -316,6 +309,75 @@ func TestResultMetricsSnapshot(t *testing.T) {
 	}
 	if bare.Metrics.Counter("cache_hits")+bare.Metrics.Counter("cache_misses") <= 0 {
 		t.Error("bare run cache counters missing")
+	}
+}
+
+// noPoolMetrics fails the test if snap names a metric of the candidate
+// worker pool, which no longer exists.
+func noPoolMetrics(t *testing.T, snap *obs.Snapshot) {
+	t.Helper()
+	for _, names := range []map[string]int64{snap.Counters, snap.Gauges} {
+		for name := range names {
+			if strings.HasPrefix(name, "pool_") {
+				t.Errorf("metric %s remains", name)
+			}
+		}
+	}
+	for name := range snap.Histograms {
+		if strings.HasPrefix(name, "pool_") {
+			t.Errorf("metric %s remains", name)
+		}
+	}
+}
+
+// searchCounters picks the counters a single search's work determines:
+// evaluations, cache lookups and the incremental evaluator's recompute
+// accounting.
+func searchCounters(snap *obs.Snapshot) map[string]int64 {
+	out := map[string]int64{}
+	for name, v := range snap.Counters {
+		if name == "evals" || name == "cache_hits" || name == "cache_misses" || strings.HasPrefix(name, "eval_") {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// TestSolveCountersIndependentOfWorkers: the worker count does not
+// change an SI or baseline solve. Every candidate batch is scored
+// serially, so a Workers 8 run spends the same evaluations, cache hits
+// and misses and incremental recomputes as a Workers 1 run.
+func TestSolveCountersIndependentOfWorkers(t *testing.T) {
+	for _, name := range []string{"d695", "p93791"} {
+		t.Run(name, func(t *testing.T) {
+			if testing.Short() && name == "p93791" {
+				t.Skip("skipping the largest fixture in -short mode")
+			}
+			s := soc.MustLoadBenchmark(name)
+			p := Problem{SOC: s, Wmax: 64, Groups: diffGroups(t, s), Model: sischedule.DefaultModel()}
+			for _, method := range []Method{MethodSI, MethodBaseline} {
+				var want map[string]int64
+				for _, workers := range []int{1, 8} {
+					res, err := Solve(context.Background(), p, Options{Method: method,
+						ParallelConfig: ParallelConfig{Workers: workers, Metrics: obs.NewRegistry()}})
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", method, workers, err)
+					}
+					noPoolMetrics(t, res.Metrics)
+					got := searchCounters(res.Metrics)
+					if want == nil {
+						want = got
+						continue
+					}
+					if !maps.Equal(got, want) {
+						t.Errorf("%s workers=%d counters %v, workers=1 %v", method, workers, got, want)
+					}
+				}
+				if want["evals"] == 0 || want["cache_hits"] == 0 {
+					t.Errorf("%s: evaluation or cache counters missing: %v", method, want)
+				}
+			}
+		})
 	}
 }
 

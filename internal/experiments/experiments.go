@@ -49,13 +49,13 @@ type TableConfig struct {
 
 	// Parallel configures the sweep. Workers is its task budget: the
 	// generations, groupings and solves run on that many goroutines
-	// (0 = GOMAXPROCS, 1 = serially), and each task runs at one worker,
-	// a solve with one candidate evaluator and a grouping with one
-	// compaction worker. The other fields apply to every solve; a Trace
-	// receives the events of concurrent solves interleaved (no front
-	// end sets one). The zero value runs serially without a cache,
-	// matching the historical behavior; any setting yields
-	// byte-identical table numbers.
+	// (0 = GOMAXPROCS, 1 = serially), and each task runs on one of
+	// them: a solve scores its candidates serially and a grouping
+	// compacts its buckets one after another. The other fields apply
+	// to every solve; a Trace receives the events of concurrent solves
+	// interleaved (no front end sets one). The zero value runs
+	// serially without a cache, matching the historical behavior; any
+	// setting yields byte-identical table numbers.
 	Parallel core.ParallelConfig
 }
 

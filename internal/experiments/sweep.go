@@ -311,7 +311,7 @@ func (sw *sweep) solve(ni, wi, gi int) func() (bool, error) {
 // runTask is the ParallelFor body: it waits for the task that task i
 // reads, runs task i unless it can no longer reach the table, records
 // the outcome and walks the table as far as the finished tasks allow.
-func (sw *sweep) runTask(_, i int) {
+func (sw *sweep) runTask(i int) {
 	t := sw.tasks[i]
 	defer close(t.finished)
 	out, err := stopped, error(nil)

@@ -46,9 +46,9 @@ const (
 	PhaseEnd   Type = "phase_end"
 
 	// CandidateEvaluated reports one scored candidate of a batch: its
-	// index within the batch and its objective. Emitted by the
-	// coordinating goroutine after the batch completes, in candidate
-	// order, so it is identical at any worker count.
+	// index within the batch and its objective. Emitted after the
+	// batch completes, in candidate order, so it is identical at any
+	// worker count.
 	CandidateEvaluated Type = "candidate_evaluated"
 
 	// MergeAccepted and MergeRejected close one improvement batch

@@ -71,8 +71,8 @@ type Request struct {
 	Kicks    int    `json:"kicks,omitempty"`
 	Restarts int    `json:"restarts,omitempty"`
 
-	// Workers bounds the job's compaction and candidate-evaluation
-	// concurrency; the scheduler clamps it to Config.MaxJobWorkers
+	// Workers bounds how many grouping buckets and ILS restarts the
+	// job runs at once; the scheduler clamps it to Config.MaxJobWorkers
 	// (default 1: jobs are the unit of parallelism, not workers within
 	// a job).
 	Workers int `json:"workers,omitempty"`

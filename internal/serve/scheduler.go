@@ -19,7 +19,7 @@ import (
 type Config struct {
 	// Workers is the number of jobs run concurrently; 0 means
 	// runtime.GOMAXPROCS(0). Jobs are the unit of parallelism — each
-	// job's own grouping and candidate evaluation default to serial
+	// job's own grouping buckets and ILS restarts default to serial
 	// (MaxJobWorkers).
 	Workers int
 
@@ -28,8 +28,8 @@ type Config struct {
 	QueueDepth int
 
 	// MaxJobWorkers caps the per-job worker budget a request may
-	// claim, spent on both compaction and candidate evaluation. 0
-	// means 1 (serial grouping and evaluation inside each job).
+	// claim, spent on grouping buckets and ILS restarts. 0 means 1
+	// (serial grouping and search inside each job).
 	MaxJobWorkers int
 
 	// DefaultDeadline applies when a request carries no timeout;
