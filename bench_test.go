@@ -175,9 +175,30 @@ func BenchmarkGreedyCompaction10k(b *testing.B) {
 		b.Fatal(err)
 	}
 	sp := sifault.NewSpace(s)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		compaction.Greedy(sp, patterns)
+	}
+}
+
+// BenchmarkBuildGroups times one one-shot grouping: p93791, N_r=10000,
+// g=8, on the default GOMAXPROCS compaction workers. That is the
+// set-up grouping of e2ebench's ils-search workload and a typical
+// sitamd job's.
+func BenchmarkBuildGroups(b *testing.B) {
+	s := soc.MustLoadBenchmark("p93791")
+	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{Parts: 8, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

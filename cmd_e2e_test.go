@@ -142,6 +142,38 @@ func TestE2EToolRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestE2ESicompactRejectsEmptyPattern feeds sicompact a pattern file
+// whose last pattern has no care positions: a pattern with no care
+// core belongs to no SI group, so grouping must reject it with an
+// error naming it, not crash.
+func TestE2ESicompactRejectsEmptyPattern(t *testing.T) {
+	dir := t.TempDir()
+	raw := filepath.Join(dir, "raw.pat")
+	runTool(t, "sigen", "-soc", "d695", "-nr", "3", "-o", raw)
+	f, err := os.OpenFile(raw, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString("p w=1\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"1", "2"} {
+		code, out := exitCode(t, exec.Command(filepath.Join(binaries(t), "sicompact"), "-soc", "d695", "-g", g, raw))
+		if code == 0 {
+			t.Fatalf("-g %s: sicompact accepted a pattern without care positions:\n%s", g, out)
+		}
+		if !strings.Contains(out, "pattern 3") || !strings.Contains(out, "no care positions") {
+			t.Errorf("-g %s: error does not name the empty pattern:\n%s", g, out)
+		}
+		if strings.Contains(out, "goroutine ") || strings.Contains(out, "panic") {
+			t.Errorf("-g %s: sicompact crashed:\n%s", g, out)
+		}
+	}
+}
+
 // exitCode runs a tool and returns its exit code and combined output,
 // treating any exit (clean or not) as a result rather than a failure.
 func exitCode(t *testing.T, cmd *exec.Cmd) (int, string) {

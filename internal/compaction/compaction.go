@@ -59,8 +59,8 @@ func Greedy(sp *sifault.Space, patterns []*sifault.Pattern) ([]*sifault.Pattern,
 	return out, stats
 }
 
-// Config configures a compaction run (GreedyWith). The zero value is
-// valid and traces nothing.
+// Config configures a compaction run (Compact, GreedyWith). The zero
+// value is valid and traces nothing.
 type Config struct {
 	// Sink receives the compaction phase span and deadline events; nil
 	// traces nothing.
@@ -70,40 +70,57 @@ type Config struct {
 	Group string
 
 	// CountOnly counts the merged patterns instead of building them:
-	// GreedyWith returns nil patterns with the same Stats, trace and
-	// cut flag.
+	// Compact returns nil patterns with the same Stats, trace and cut
+	// flag.
 	CountOnly bool
 }
 
-// GreedyWith is the production compaction pass: Greedy's clique cover,
-// traced and cancellable. The paper's seed-pass greedy is first-fit in
-// input order — every pattern joins the lowest-numbered bin whose
-// merged pattern it is compatible with, or opens the next bin — so the
-// conflict-index engine (engine.go) can run 64 seed passes as one fused
-// super-pass over the remaining patterns and still emit the scalar
-// reference's bytes, as the bitset-vs-scalar differential and fuzz
-// suites check.
+// GreedyWith is Greedy's clique cover, traced and cancellable: it packs
+// the patterns into a Corpus and compacts all of them with Compact. The
+// patterns must be valid (sifault.Pattern.Validate); GreedyWith panics
+// otherwise. Unvalidated input goes through NewCorpus, which reports
+// the first invalid pattern as an error.
+func GreedyWith(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern, cfg Config) ([]*sifault.Pattern, Stats, bool) {
+	c, err := NewCorpus(sp, patterns, 1)
+	if err != nil {
+		panic("compaction: " + err.Error())
+	}
+	all := make([]int32, c.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return c.Compact(ctx, all, cfg)
+}
+
+// Compact is the production compaction pass over the corpus patterns
+// that idx lists, in list order. The paper's seed-pass greedy is
+// first-fit in input order — every pattern joins the lowest-numbered
+// bin whose merged pattern it is compatible with, or opens the next
+// bin — so the conflict-index engine (engine.go) can run 64 seed passes
+// as one fused super-pass over the remaining patterns and still emit
+// the scalar reference's bytes, as the bitset-vs-scalar differential
+// and fuzz suites check.
 //
 // The context is checked before each super-pass of 64 fused seed
 // passes. A cut degrades gracefully: bins materialized before it are
-// followed by the unmerged remainder in input order (sharing the input
-// pattern values, which are never modified), so the output is still a
-// valid, less compacted cover, and the cut flag is returned. A run
-// cancelled before any work emits the input unchanged. With
-// cfg.CountOnly the output is nil and Stats.Compacted counts what it
-// would have held. With a sink, the run is bracketed in a "compaction"
-// phase span whose PhaseEnd carries the compacted count, and a cut
-// emits a deadline_hit event labeled with cfg.Group.
-func GreedyWith(ctx context.Context, sp *sifault.Space, patterns []*sifault.Pattern, cfg Config) ([]*sifault.Pattern, Stats, bool) {
+// followed by copies of the unmerged remainder in list order, so the
+// output is still a valid, less compacted cover, and the cut flag is
+// returned. A run cancelled before any work emits copies of the listed
+// patterns, unmerged. With cfg.CountOnly the output is nil and
+// Stats.Compacted counts what it would have held. With a sink, the run
+// is bracketed in a "compaction" phase span whose PhaseEnd carries the
+// compacted count, and a cut emits a deadline_hit event labeled with
+// cfg.Group.
+func (c *Corpus) Compact(ctx context.Context, idx []int32, cfg Config) ([]*sifault.Pattern, Stats, bool) {
 	span := obs.Span(cfg.Sink, "compaction")
 	var stats Stats
-	for _, p := range patterns {
-		stats.Original += int64(p.Weight)
+	for _, ci := range idx {
+		stats.Original += int64(c.weight[ci])
 	}
 	var out []*sifault.Pattern
 	rest := 0
-	if len(patterns) > 0 {
-		out, stats.Passes, rest = newFFEngine(sp, patterns).run(ctx, !cfg.CountOnly)
+	if len(idx) > 0 {
+		out, stats.Passes, rest = newFFEngine(c, idx).run(ctx, !cfg.CountOnly)
 	}
 	stats.Compacted = stats.Passes + rest
 	cut := rest > 0

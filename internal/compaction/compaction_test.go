@@ -2,6 +2,8 @@ package compaction
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -301,34 +303,106 @@ func TestPairwiseImpliesSetwise(t *testing.T) {
 	}
 }
 
-// TestPackArenaExactSize pins the packing arena to the packed word
-// count: one PackedWord per distinct 64-position word of a care list,
-// not one per care position.
+// TestPackArenaExactSize pins the corpus's word arena to the packed
+// word count: one PackedWord per distinct 64-position word of a care
+// list, not one per care position, at one packing goroutine and at
+// several.
 func TestPackArenaExactSize(t *testing.T) {
 	s := soc.MustLoadBenchmark("p93791")
-	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 2000, Seed: 1})
+	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 5000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena, words := packWords(patterns)
-	packedWords, care := 0, 0
-	for pi, p := range patterns {
-		want := sifault.AppendPackedWords(nil, p)
-		if len(words[pi]) != len(want) || cap(words[pi]) != len(want) {
-			t.Fatalf("pattern %d: view len %d cap %d, want %d words", pi, len(words[pi]), cap(words[pi]), len(want))
+	for _, workers := range []int{1, 3} {
+		c, err := NewCorpus(sifault.NewSpace(s), patterns, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if words[pi][i] != want[i] {
-				t.Fatalf("pattern %d word %d: %+v, want %+v", pi, i, words[pi][i], want[i])
+		packedWords, care := 0, 0
+		for pi, p := range patterns {
+			want := sifault.AppendPackedWords(nil, p)
+			words := c.wordsOf(int32(pi))
+			if len(words) != len(want) || cap(words) != len(want) {
+				t.Fatalf("workers=%d pattern %d: view len %d cap %d, want %d words", workers, pi, len(words), cap(words), len(want))
 			}
+			for i := range want {
+				if words[i] != want[i] {
+					t.Fatalf("workers=%d pattern %d word %d: %+v, want %+v", workers, pi, i, words[i], want[i])
+				}
+			}
+			packedWords += len(want)
+			care += len(p.Care)
 		}
-		packedWords += len(want)
-		care += len(p.Care)
+		if len(c.words) != packedWords || cap(c.words) != packedWords {
+			t.Errorf("workers=%d: arena len %d cap %d, want %d packed words (care count %d)", workers, len(c.words), cap(c.words), packedWords, care)
+		}
+		if packedWords*2 > care {
+			t.Fatalf("degenerate corpus: %d packed words for %d care positions", packedWords, care)
+		}
 	}
-	if len(arena) != packedWords || cap(arena) != packedWords {
-		t.Errorf("arena len %d cap %d, want %d packed words (care count %d)", len(arena), cap(arena), packedWords, care)
+}
+
+// TestCorpusSameAtAnyWorkerCount pins the chunked packing to the
+// serial one: every arena, offset, class and care set is the same
+// whatever the number of packing goroutines.
+func TestCorpusSameAtAnyWorkerCount(t *testing.T) {
+	s := soc.MustLoadBenchmark("p34392")
+	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 5000, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if packedWords*2 > care {
-		t.Fatalf("degenerate corpus: %d packed words for %d care positions", packedWords, care)
+	sp := sifault.NewSpace(s)
+	want, err := NewCorpus(sp, patterns, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{2, 3, 8} {
+		got, err := NewCorpus(sp, patterns, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: corpus differs from the serial packing", workers)
+		}
+	}
+	bad := append(append([]*sifault.Pattern(nil), patterns...), pat(1, nil, nil))
+	if _, err := NewCorpus(sp, bad, 3); err == nil || !strings.Contains(err.Error(), "pattern 5000") {
+		t.Errorf("pattern without care: err = %v, want one naming pattern 5000", err)
+	}
+}
+
+// TestCorpusCareSets checks the corpus walk's care sets against
+// sifault's CareCores: every pattern's care set names its care cores,
+// and each set's weight and count add up over its patterns.
+func TestCorpusCareSets(t *testing.T) {
+	s := soc.MustLoadBenchmark("p93791")
+	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 3000, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sifault.NewSpace(s)
+	c, err := NewCorpus(sp, patterns, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := c.CareSets()
+	weight := make([]int64, len(sets))
+	count := make([]int, len(sets))
+	for i, p := range patterns {
+		set := c.CareSetOf(i)
+		weight[set] += int64(p.Weight)
+		count[set]++
+		var ids []int
+		for _, b := range sets[set].Blocks {
+			ids = append(ids, sp.CoreOrder()[b])
+		}
+		if want := p.CareCores(sp); !reflect.DeepEqual(ids, want) {
+			t.Fatalf("pattern %d: care set cores %v, CareCores %v", i, ids, want)
+		}
+	}
+	for i, set := range sets {
+		if set.Weight != weight[i] || set.Patterns != count[i] {
+			t.Errorf("care set %d: weight %d patterns %d, want %d and %d", i, set.Weight, set.Patterns, weight[i], count[i])
+		}
 	}
 }

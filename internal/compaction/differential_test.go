@@ -3,6 +3,7 @@ package compaction
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -171,5 +172,51 @@ func FuzzGreedyMatchesScalar(f *testing.F) {
 			t.Fatalf("stats %+v vs scalar %+v", gotStats, wantStats)
 		}
 		samePatternSets(t, got, want)
+	})
+}
+
+// FuzzCorpusSubsetMatchesScalar cross-checks a run over an index list
+// into a shared corpus against the scalar reference over the listed
+// patterns: one corpus, packed on two goroutines from a mix of the
+// default and the core-local generator, and a fuzzed subset in fuzzed
+// order. Stats and patterns must match, and so must the pass-through
+// of an already-cancelled run.
+func FuzzCorpusSubsetMatchesScalar(f *testing.F) {
+	s := soc.MustLoadBenchmark("d695")
+	mixed, err := sifault.Generate(s, sifault.GenConfig{N: 1500, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	local, err := sifault.Generate(s, sifault.GenConfig{N: 1000, Seed: 4, BusProb: -1, ExternalProb: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	patterns := append(mixed, local...)
+	sp := sifault.NewSpace(s)
+	c, err := NewCorpus(sp, patterns, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Add(int64(1), uint16(300))
+	f.Add(int64(2), uint16(0))
+	f.Add(int64(3), uint16(399))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
+		perm := rand.New(rand.NewSource(seed)).Perm(len(patterns))[:int(n%400)+1]
+		idx := make([]int32, len(perm))
+		subset := make([]*sifault.Pattern, len(perm))
+		for i, pi := range perm {
+			idx[i] = int32(pi)
+			subset[i] = patterns[pi]
+		}
+		for _, ctx := range []context.Context{context.Background(), cancelled} {
+			want, wantStats, wantCut := greedyScalar(ctx, sp, subset)
+			got, gotStats, gotCut := c.Compact(ctx, idx, Config{})
+			if gotStats != wantStats || gotCut != wantCut {
+				t.Fatalf("stats %+v cut %v vs scalar %+v cut %v", gotStats, gotCut, wantStats, wantCut)
+			}
+			samePatternSets(t, got, want)
+		}
 	})
 }

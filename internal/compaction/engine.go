@@ -11,7 +11,7 @@ import (
 // Conflict-index first-fit engine.
 //
 // The fused super-pass form of the greedy clique cover (see the
-// equivalence argument on GreedyWith) spends essentially all of its
+// equivalence argument on Corpus.Compact) spends essentially all of its
 // time answering one question per (candidate, open accumulator) pair:
 // "do they conflict?". The packed
 // bit-plane probe answers it in a handful of word operations, but the
@@ -30,17 +30,18 @@ import (
 //   - full-block care: SI patterns quiesce the victim core, so their
 //     care typically covers the core's whole WOC block. Two patterns
 //     that both cover block g in full are compatible exactly when
-//     their block contents are IDENTICAL — an equality, so contents
-//     are interned into per-block classes at pack time and per class a
-//     mask of accumulators holding that class (clsState[..][0]) turns
-//     the whole same-block check into fullOcc[g] &^ sameMask.
+//     their block contents are IDENTICAL — an equality, so the corpus
+//     interns contents into per-block classes once, each run numbers
+//     the classes its candidates use, and per class a mask of
+//     accumulators holding that class (clsState[..][0]) turns the
+//     whole same-block check into fullOcc[g] &^ sameMask.
 //
 //   - loose care (externals, partially-quiesced or file-loaded
 //     patterns): per WOC position, a mask of accumulators caring at
 //     that position (posOcc any-plane) and per symbol the agreeing
 //     subset — a candidate's loose position kills occAny &^ occSym.
 //     The mirror case, an accumulator's loose care landing inside a
-//     candidate's full block, is resolved by pack-time AGREE sets:
+//     candidate's full block, is resolved by per-run AGREE sets:
 //     for every distinct (position, symbol) loose pair the set of
 //     block classes it agrees with; an accumulator's first loose in a
 //     block ORs itself into the okMask (clsState[..][1]) of the
@@ -51,7 +52,7 @@ import (
 // per-accumulator bit planes are kept as ground truth: whatever the
 // masks cannot decide exactly — an accumulator with two or more loose
 // positions in one block (stale okMask), a block whose AGREE table
-// blew the pack-time budget, a candidate with more loose care than
+// blew the per-run budget, a candidate with more loose care than
 // looseCap — is routed to the generic word probe via suspect masks.
 // Byte-identity with the scalar reference therefore never depends on
 // the filters being complete, only sound; the differential and fuzz
@@ -64,7 +65,7 @@ const (
 	// generic probe for every surviving accumulator.
 	looseCap = 16
 
-	// agreeBudget bounds the total pack-time AGREE table work
+	// agreeBudget bounds the total per-run AGREE table work
 	// (Σ nPairs(g)·nClasses(g) over blocks); blocks beyond it resolve
 	// loose-vs-full conflicts by probing instead.
 	agreeBudget = 1 << 25
@@ -93,12 +94,14 @@ type pairKey struct {
 	sym uint8
 }
 
-// ffEngine is one first-fit run over a pattern slice: packed
-// candidates plus the per-super-pass accumulator mask state. All slices
-// are reused across passes; reset cost is proportional to what the pass
+// ffEngine is one first-fit run over an index list into a corpus:
+// the candidates' per-run metadata plus the per-super-pass accumulator
+// mask state. Candidates are numbered by list position; all slices are
+// reused across passes; reset cost is proportional to what the pass
 // touched.
 type ffEngine struct {
-	patterns []*sifault.Pattern
+	c   *Corpus
+	idx []int32 // candidate -> corpus pattern
 
 	nWords  int32
 	nBlocks int
@@ -108,17 +111,17 @@ type ffEngine struct {
 	blockStart []int32
 	blockLen   []int32
 
-	// Per-candidate packed metadata (arena-backed, index-aligned with patterns).
+	// Per-candidate metadata (arena-backed, index-aligned with idx).
 	words    [][]sifault.PackedWord
 	fulls    [][]fullRef
 	looses   [][]looseRef
 	buses    [][]busRef
 	filtered []bool
 
-	// Per-block class interning.
+	// Per-block class numbering, in first-use order over the run.
 	nCls       []int32
 	clsOff     []int32   // block -> first slot in clsState
-	clsContent [][]uint8 // block -> concatenated class contents (blockLen symbols each)
+	clsGlobal  [][]int32 // block -> the run's classes as corpus classes
 	pairs      [][]pairKey
 	agree      [][]uint64 // block -> nPairs x stride bitset over classes; nil when not exact
 	agreeW     []int32    // block -> stride in words
@@ -150,109 +153,91 @@ type ffEngine struct {
 	busTouched []int32
 }
 
-func newFFEngine(sp *sifault.Space, patterns []*sifault.Pattern) *ffEngine {
+func newFFEngine(c *Corpus, idx []int32) *ffEngine {
 	e := &ffEngine{
-		patterns: patterns,
-		nWords:   int32((sp.Total() + 63) / 64),
-		nBus:     sp.BusWidth(),
+		c:          c,
+		idx:        idx,
+		nWords:     int32((c.nPos + 63) / 64),
+		nBlocks:    len(c.blockStart),
+		nBus:       c.nBus,
+		blockStart: c.blockStart,
+		blockLen:   c.blockLen,
 	}
-	order := sp.CoreOrder()
-	e.nBlocks = len(order)
-	e.blockStart = make([]int32, e.nBlocks)
-	e.blockLen = make([]int32, e.nBlocks)
-	for i, id := range order {
-		start, n := sp.Range(id)
-		e.blockStart[i] = int32(start)
-		e.blockLen[i] = int32(n)
-	}
-	e.pack(sp)
-	e.buildAgree()
-	e.initState(sp)
+	e.buildAgree(e.number())
+	e.initState()
 	return e
 }
 
-// pack interns every candidate into packed care words plus the
-// full/loose/bus metadata the filter masks operate on.
-func (e *ffEngine) pack(sp *sifault.Space) {
-	n := len(e.patterns)
-	var nBusTotal int
-	for _, p := range e.patterns {
-		nBusTotal += len(p.Bus)
+// number gathers the candidates' corpus metadata into run-local arenas
+// and renumbers their classes, loose (offset, symbol) pairs and bus
+// drivers in first-use order over the list, so the run's tables hold
+// only what its candidates use, exactly as if the list's patterns had
+// been packed on their own. It returns, per block, the pair ids by
+// offset*4+symbol (plus one; zero for none) and the distinct loose
+// offsets in first-use order.
+func (e *ffEngine) number() (pairIDs, offs [][]int32) {
+	c := e.c
+	n := len(e.idx)
+	var nFull, nLoose, nBus int
+	for _, ci := range e.idx {
+		nFull += int(c.fullOff[ci+1] - c.fullOff[ci])
+		nLoose += int(c.looseOff[ci+1] - c.looseOff[ci])
+		nBus += int(c.busOff[ci+1] - c.busOff[ci])
 	}
+	fullArena := make([]fullRef, 0, nFull)
+	looseArena := make([]looseRef, 0, nLoose)
+	busArena := make([]busRef, 0, nBus)
 
-	_, e.words = packWords(e.patterns)
-	fullArena := make([]fullRef, 0, n)
-	fullOff := make([]int32, n+1)
-	looseArena := make([]looseRef, 0, 16)
-	looseOff := make([]int32, n+1)
-	busArena := make([]busRef, 0, nBusTotal)
-	busOff := make([]int32, n+1)
-
-	clsMap := make([]map[string]int32, e.nBlocks)
-	pairMap := make([]map[pairKey]int32, e.nBlocks)
+	// Local ids by corpus class (per block) and by offset*4+symbol
+	// (per block), stored plus one so that zero means unseen.
+	clsLocal := make([][]int32, e.nBlocks)
+	pairIDs = make([][]int32, e.nBlocks)
+	offs = make([][]int32, e.nBlocks)
 	e.nCls = make([]int32, e.nBlocks)
-	e.clsContent = make([][]uint8, e.nBlocks)
+	e.clsGlobal = make([][]int32, e.nBlocks)
 	e.pairs = make([][]pairKey, e.nBlocks)
 	drvMap := make(map[int32]int32)
 
+	e.words = make([][]sifault.PackedWord, n)
+	e.fulls = make([][]fullRef, n)
+	e.looses = make([][]looseRef, n)
+	e.buses = make([][]busRef, n)
 	e.filtered = make([]bool, n)
-	keyBuf := make([]uint8, 0, 128)
-
-	for ci, p := range e.patterns {
-		fullOff[ci] = int32(len(fullArena))
-		looseOff[ci] = int32(len(looseArena))
-		busOff[ci] = int32(len(busArena))
-
-		// Walk the sorted care list block by block; a run covering its
-		// whole block is interned as a class, anything else is loose.
-		care := p.Care
-		bi := 0
-		for i := 0; i < len(care); {
-			pos := care[i].Pos
-			for bi < e.nBlocks-1 && pos >= e.blockStart[bi+1] {
-				bi++
+	for k, ci := range e.idx {
+		e.words[k] = c.wordsOf(ci)
+		f0, l0, b0 := len(fullArena), len(looseArena), len(busArena)
+		for _, f := range c.fulls[c.fullOff[ci]:c.fullOff[ci+1]] {
+			local := clsLocal[f.block]
+			if local == nil {
+				local = make([]int32, c.nCls[f.block])
+				clsLocal[f.block] = local
 			}
-			end := e.blockStart[bi] + e.blockLen[bi]
-			j := i
-			for j < len(care) && care[j].Pos < end {
-				j++
+			if local[f.cls] == 0 {
+				e.nCls[f.block]++
+				local[f.cls] = e.nCls[f.block]
+				e.clsGlobal[f.block] = append(e.clsGlobal[f.block], f.cls)
 			}
-			if int32(j-i) == e.blockLen[bi] {
-				keyBuf = keyBuf[:0]
-				for k := i; k < j; k++ {
-					keyBuf = append(keyBuf, uint8(care[k].Sym))
-				}
-				if clsMap[bi] == nil {
-					clsMap[bi] = make(map[string]int32)
-				}
-				cls, ok := clsMap[bi][string(keyBuf)]
-				if !ok {
-					cls = e.nCls[bi]
-					e.nCls[bi]++
-					clsMap[bi][string(keyBuf)] = cls
-					e.clsContent[bi] = append(e.clsContent[bi], keyBuf...)
-				}
-				fullArena = append(fullArena, fullRef{block: int32(bi), cls: cls})
-			} else {
-				for k := i; k < j; k++ {
-					pk := pairKey{off: care[k].Pos - e.blockStart[bi], sym: uint8(care[k].Sym - 1)}
-					if pairMap[bi] == nil {
-						pairMap[bi] = make(map[pairKey]int32)
-					}
-					pid, ok := pairMap[bi][pk]
-					if !ok {
-						pid = int32(len(e.pairs[bi]))
-						pairMap[bi][pk] = pid
-						e.pairs[bi] = append(e.pairs[bi], pk)
-					}
-					looseArena = append(looseArena, looseRef{
-						pos: care[k].Pos, block: int32(bi), pair: pid, sym: uint8(care[k].Sym - 1),
-					})
-				}
-			}
-			i = j
+			fullArena = append(fullArena, fullRef{block: f.block, cls: local[f.cls] - 1})
 		}
-		for _, b := range p.Bus {
+		for _, l := range c.looses[c.looseOff[ci]:c.looseOff[ci+1]] {
+			ids := pairIDs[l.block]
+			if ids == nil {
+				ids = make([]int32, 4*e.blockLen[l.block])
+				pairIDs[l.block] = ids
+			}
+			pk := pairKey{off: l.pos - e.blockStart[l.block], sym: l.sym}
+			at := ids[4*pk.off : 4*pk.off+4]
+			if at[0]|at[1]|at[2]|at[3] == 0 {
+				offs[l.block] = append(offs[l.block], pk.off)
+			}
+			if at[pk.sym] == 0 {
+				e.pairs[l.block] = append(e.pairs[l.block], pk)
+				at[pk.sym] = int32(len(e.pairs[l.block]))
+			}
+			l.pair = at[pk.sym] - 1
+			looseArena = append(looseArena, l)
+		}
+		for _, b := range c.bus[c.busOff[ci]:c.busOff[ci+1]] {
 			di, ok := drvMap[b.Driver]
 			if !ok {
 				di = int32(len(drvMap))
@@ -260,64 +245,23 @@ func (e *ffEngine) pack(sp *sifault.Space) {
 			}
 			busArena = append(busArena, busRef{line: b.Line, drv: di, driver: b.Driver})
 		}
-		e.filtered[ci] = int(looseOff[ci])+looseCap >= len(looseArena)
-	}
-	fullOff[n] = int32(len(fullArena))
-	looseOff[n] = int32(len(looseArena))
-	busOff[n] = int32(len(busArena))
-
-	e.fulls = make([][]fullRef, n)
-	e.looses = make([][]looseRef, n)
-	e.buses = make([][]busRef, n)
-	for i := 0; i < n; i++ {
-		e.fulls[i] = fullArena[fullOff[i]:fullOff[i+1]:fullOff[i+1]]
-		e.looses[i] = looseArena[looseOff[i]:looseOff[i+1]:looseOff[i+1]]
-		e.buses[i] = busArena[busOff[i]:busOff[i+1]:busOff[i+1]]
+		e.fulls[k] = fullArena[f0:len(fullArena):len(fullArena)]
+		e.looses[k] = looseArena[l0:len(looseArena):len(looseArena)]
+		e.buses[k] = busArena[b0:len(busArena):len(busArena)]
+		e.filtered[k] = len(e.looses[k]) <= looseCap
 	}
 	e.nDrv = len(drvMap)
 	e.busDisabled = e.nBus > 0 && e.nDrv > 0 && e.nBus*e.nDrv > 1<<22
-}
-
-// packWords packs the candidates' care lists into one arena of exactly
-// their packed word count and returns it with the per-candidate views
-// into it. An SI pattern's care list of tens of positions packs into a
-// handful of 64-position words, so sizing the arena by care count
-// would leave most of it unused.
-func packWords(patterns []*sifault.Pattern) ([]sifault.PackedWord, [][]sifault.PackedWord) {
-	n := 0
-	for _, p := range patterns {
-		n += packedWordCount(p)
-	}
-	arena := make([]sifault.PackedWord, 0, n)
-	words := make([][]sifault.PackedWord, len(patterns))
-	for ci, p := range patterns {
-		start := len(arena)
-		arena = sifault.AppendPackedWords(arena, p)
-		words[ci] = arena[start:len(arena):len(arena)]
-	}
-	return arena, words
-}
-
-// packedWordCount returns the number of PackedWords
-// sifault.AppendPackedWords emits for p: the distinct 64-position
-// words its sorted care list touches.
-func packedWordCount(p *sifault.Pattern) int {
-	n := 0
-	last := int32(-1)
-	for _, c := range p.Care {
-		if w := c.Pos >> 6; w != last {
-			n++
-			last = w
-		}
-	}
-	return n
+	return pairIDs, offs
 }
 
 // buildAgree precomputes, per block and per distinct loose (position,
 // symbol) pair, the set of block classes that AGREE at that position —
 // the basis of the okMask excusal. Blocks whose table would exceed the
-// remaining budget fall back to probing (looseExact=false).
-func (e *ffEngine) buildAgree() {
+// remaining budget fall back to probing (looseExact=false). pairIDs
+// and offs are number's per-block pair ids (by offset*4+symbol, plus
+// one) and distinct loose offsets.
+func (e *ffEngine) buildAgree(pairIDs, offs [][]int32) {
 	e.agree = make([][]uint64, e.nBlocks)
 	e.agreeW = make([]int32, e.nBlocks)
 	e.agreeT = make([][]uint64, e.nBlocks)
@@ -350,14 +294,15 @@ func (e *ffEngine) buildAgree() {
 		e.agreeTW[g] = strideT
 		tbl := make([]uint64, nP*int64(stride))
 		tblT := make([]uint64, nC*int64(strideT))
-		content := e.clsContent[g]
-		bl := int(e.blockLen[g])
-		for pi, pk := range e.pairs[g] {
-			row := tbl[int32(pi)*stride : (int32(pi)+1)*stride]
-			for j := 0; j < int(nC); j++ {
-				if content[j*bl+int(pk.off)] == pk.sym+1 {
-					row[j>>6] |= 1 << uint(j&63)
-					tblT[int32(j)*strideT+int32(pi>>6)] |= 1 << uint(pi&63)
+		// A class agrees with exactly one pair per loose offset: the
+		// one carrying its own symbol there, if the run has it.
+		content, bl, ids := e.c.content[g], e.blockLen[g], pairIDs[g]
+		for j, cls := range e.clsGlobal[g] {
+			content := content[cls*bl : (cls+1)*bl]
+			for _, o := range offs[g] {
+				if pi := ids[4*o+int32(content[o])-1] - 1; pi >= 0 {
+					tbl[pi*stride+int32(j>>6)] |= 1 << uint(j&63)
+					tblT[int32(j)*strideT+pi>>6] |= 1 << uint(pi&63)
 				}
 			}
 		}
@@ -369,11 +314,11 @@ func (e *ffEngine) buildAgree() {
 	e.pairOff[e.nBlocks] = poff
 }
 
-func (e *ffEngine) initState(sp *sifault.Space) {
+func (e *ffEngine) initState() {
 	e.planes = make([][3]uint64, int(e.nWords)*fanout)
 	e.accWords = make([][]int32, fanout)
 	e.accBus = make([][]sifault.BusUse, fanout)
-	e.posOcc = make([]uint64, sp.Total()*5)
+	e.posOcc = make([]uint64, e.c.nPos*5)
 	e.fullOcc = make([]uint64, e.nBlocks)
 	e.baseKill = make([]uint64, e.nBlocks)
 	e.suspect = make([]uint64, e.nBlocks)
@@ -508,7 +453,7 @@ func (e *ffEngine) mergeInto(b int, ci int32) {
 			}
 		}
 	}
-	e.weights[b] += int64(e.patterns[ci].Weight)
+	e.weights[b] += int64(e.c.weight[e.idx[ci]])
 }
 
 // materialize emits accumulator b as a merged pattern, byte-identical
@@ -587,12 +532,12 @@ func (e *ffEngine) resetPass(nOpen int) {
 	}
 }
 
-// run first-fits the patterns into passes bins. With keep, out holds
+// run first-fits the candidates into passes bins. With keep, out holds
 // the materialized merged patterns in bin order. A context cut leaves
-// rest patterns unmerged; with keep, out follows the bins with them in
-// input order.
+// rest candidates unmerged; with keep, out follows the bins with copies
+// of them in list order.
 func (e *ffEngine) run(ctx context.Context, keep bool) (out []*sifault.Pattern, passes, rest int) {
-	remaining := make([]int32, len(e.patterns))
+	remaining := make([]int32, len(e.idx))
 	for i := range remaining {
 		remaining[i] = int32(i)
 	}
@@ -602,7 +547,7 @@ func (e *ffEngine) run(ctx context.Context, keep bool) (out []*sifault.Pattern, 
 		if ctx.Err() != nil {
 			if keep {
 				for _, ci := range remaining {
-					out = append(out, e.patterns[ci])
+					out = append(out, e.c.pattern(e.idx[ci]))
 				}
 			}
 			return out, passes, len(remaining)

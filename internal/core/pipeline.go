@@ -90,10 +90,11 @@ type GroupingOptions struct {
 	Trace obs.Sink
 
 	// CompactWorkers bounds the compaction goroutines: 0 or negative
-	// uses runtime.GOMAXPROCS(0), 1 compacts serially. The buckets
-	// (RES, G1…Gg) compact concurrently, one goroutine each. The count
-	// never changes a single output bit or the trace — buckets merge
-	// in bucket order — only wall-clock.
+	// uses runtime.GOMAXPROCS(0), 1 compacts serially. BuildGroupsCtx
+	// packs the patterns in chunks on that many goroutines, and the
+	// buckets (RES, G1…Gg) compact concurrently, one goroutine each.
+	// The count never changes a single output bit or the trace —
+	// chunks join and buckets merge in order — only wall-clock.
 	CompactWorkers int
 
 	// Metrics, when non-nil, receives the compact_runs counter: one
@@ -113,7 +114,8 @@ type GroupingOptions struct {
 // count; hyperedges: patterns connecting their care cores, weighted by
 // multiplicity), classifies each pattern into the part containing all
 // its care cores or into the residual group, and then compacts every
-// group separately with the greedy clique-cover heuristic.
+// group separately with the greedy clique-cover heuristic. It is
+// NewCorpus followed by Corpus.Group.
 //
 // It degrades gracefully under a done context: the partitioner falls
 // back to unrefined greedy bisections and the per-group compaction
@@ -122,64 +124,120 @@ type GroupingOptions struct {
 // every input pattern. The context's error is returned only when it is
 // done before any work started.
 func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern, opts GroupingOptions) (*GroupingResult, error) {
-	if opts.Parts < 1 {
-		return nil, fmt.Errorf("core: Parts must be >= 1, got %d", opts.Parts)
+	if err := checkParts(s, opts.Parts); err != nil {
+		return nil, err
 	}
-	sp := sifault.NewSpace(s)
+	c, err := NewCorpus(s, patterns, opts.CompactWorkers)
+	if err != nil {
+		return nil, err
+	}
+	return c.Group(ctx, opts)
+}
+
+// Corpus is an SI pattern set validated and packed once
+// (compaction.Corpus) together with its care-core hypergraph: all that
+// the groupings of one pattern set share. Group runs one grouping from
+// it; a Corpus is read-only, so groupings may run concurrently, and the
+// patterns need not outlive NewCorpus.
+type Corpus struct {
+	s      *soc.SOC
+	packed *compaction.Corpus
+	h      *hypergraph.Hypergraph
+}
+
+// NewCorpus validates and packs the patterns for SOC s on at most
+// workers goroutines (0 or negative: GOMAXPROCS), and builds the
+// hypergraph every grouping partitions: one vertex per core in position
+// order, weighted by its WOC count, and one hyperedge per distinct set
+// of care cores, weighted by the total weight of its patterns. The
+// corpus is the same at any worker count; the error names the first
+// invalid pattern.
+func NewCorpus(s *soc.SOC, patterns []*sifault.Pattern, workers int) (*Corpus, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	packed, err := compaction.NewCorpus(sifault.NewSpace(s), patterns, workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	cores := s.Cores()
-	if opts.Parts > len(cores) {
-		return nil, fmt.Errorf("core: Parts=%d exceeds core count %d", opts.Parts, len(cores))
+	weights := make([]int64, len(cores))
+	for i, c := range cores {
+		weights[i] = int64(c.WOC())
 	}
-	// Caller-built patterns may reference positions outside the SOC's
-	// WOC space; validate up front so bad input surfaces as an error
-	// here instead of a panic inside the care-core scan below.
-	for i, p := range patterns {
-		if err := p.Validate(sp); err != nil {
-			return nil, fmt.Errorf("core: pattern %d: %w", i, err)
+	// Hyperedge pins are vertices in core-ID order; edges go in by the
+	// order of their pin keys, which fixes the partitioner's input.
+	type edge struct {
+		key    string
+		pins   []int
+		weight int64
+	}
+	sets := packed.CareSets()
+	edges := make([]edge, len(sets))
+	for i, set := range sets {
+		pins := make([]int, len(set.Blocks))
+		for j, v := range set.Blocks {
+			pins[j] = int(v)
 		}
+		sort.Slice(pins, func(a, b int) bool { return cores[pins[a]].ID < cores[pins[b]].ID })
+		edges[i] = edge{key: pinKey(pins), pins: pins, weight: set.Weight}
+	}
+	sort.Slice(edges, func(a, b int) bool { return edges[a].key < edges[b].key })
+	h := hypergraph.New(weights)
+	for _, e := range edges {
+		if err := h.AddEdge(e.pins, e.weight); err != nil {
+			return nil, err
+		}
+	}
+	return &Corpus{s: s, packed: packed, h: h}, nil
+}
+
+// checkParts rejects a partition count outside [1, cores of s].
+func checkParts(s *soc.SOC, parts int) error {
+	if parts < 1 {
+		return fmt.Errorf("core: Parts must be >= 1, got %d", parts)
+	}
+	if n := len(s.Cores()); parts > n {
+		return fmt.Errorf("core: Parts=%d exceeds core count %d", parts, n)
+	}
+	return nil
+}
+
+// Group runs one grouping of the corpus with opts, as BuildGroupsCtx
+// describes: it partitions the shared hypergraph, gives every bucket
+// (RES, G1…Gg) the index list of its patterns and compacts the buckets
+// on at most opts.CompactWorkers goroutines.
+func (c *Corpus) Group(ctx context.Context, opts GroupingOptions) (*GroupingResult, error) {
+	if err := checkParts(c.s, opts.Parts); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	// Vertex numbering: position order.
-	vertexOf := make(map[int]int, len(cores))
-	weights := make([]int64, len(cores))
-	for i, c := range cores {
-		vertexOf[c.ID] = i
-		weights[i] = int64(c.WOC())
-	}
-
-	// Care cores per pattern, as hyperedge pins: vertices in core-ID
-	// order.
-	pinsOf := make([][]int, len(patterns))
-	for i, p := range patterns {
-		pins := p.CareCores(sp)
-		for j, id := range pins {
-			pins[j] = vertexOf[id]
-		}
-		pinsOf[i] = pins
-	}
-
+	cores := c.s.Cores()
 	assign := make([]int, len(cores)) // all zero for Parts == 1
 	partitionCut := false
 	if opts.Parts > 1 {
 		var err error
-		assign, partitionCut, err = partitionCores(ctx, weights, patterns, pinsOf, opts)
+		assign, _, partitionCut, err = hypergraph.PartitionKCtx(ctx, c.h, opts.Parts, hypergraph.Options{
+			Seed:      opts.Seed,
+			Tolerance: opts.Tolerance,
+			Trace:     opts.Trace,
+		})
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	res := &GroupingResult{Parts: opts.Parts, PartOf: make(map[int]int, len(cores))}
-	for i, c := range cores {
-		res.PartOf[c.ID] = assign[i]
+	for i, cr := range cores {
+		res.PartOf[cr.ID] = assign[i]
 	}
 
-	// Classify patterns into buckets: RES for the patterns whose care
-	// cores span parts, then one per part. The residual group comes
-	// first: it involves (nearly) every core, so scheduling it early
-	// keeps Algorithm 1's packing tight.
+	// Classify care sets into buckets: RES for the sets that span
+	// parts, then one per part. The residual group comes first: it
+	// involves (nearly) every core, so scheduling it early keeps
+	// Algorithm 1's packing tight.
 	buckets := make([]*bucket, opts.Parts+1)
 	for i := range buckets {
 		buckets[i] = &bucket{name: "RES", inCore: make([]bool, len(cores))}
@@ -187,25 +245,35 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 			buckets[i].name = fmt.Sprintf("G%d", i)
 		}
 	}
-	for i, p := range patterns {
-		pins := pinsOf[i]
-		part := assign[pins[0]]
-		b := buckets[part+1]
-		for _, v := range pins[1:] {
+	sets := c.packed.CareSets()
+	bucketOf := make([]*bucket, len(sets))
+	size := make([]int, len(buckets))
+	for si, set := range sets {
+		part := assign[set.Blocks[0]]
+		bi := part + 1
+		for _, v := range set.Blocks[1:] {
 			if assign[v] != part {
-				b = buckets[0]
-				res.CutPatterns += int64(p.Weight)
+				bi = 0
+				res.CutPatterns += set.Weight
 				break
 			}
 		}
-		b.patterns = append(b.patterns, p)
-		for _, v := range pins {
-			b.inCore[v] = true
+		bucketOf[si] = buckets[bi]
+		size[bi] += set.Patterns
+		for _, v := range set.Blocks {
+			buckets[bi].inCore[v] = true
 		}
+	}
+	for bi, b := range buckets {
+		b.idx = make([]int32, 0, size[bi])
+	}
+	for i := 0; i < c.packed.Len(); i++ {
+		b := bucketOf[c.packed.CareSetOf(i)]
+		b.idx = append(b.idx, int32(i))
 	}
 	nonEmpty := buckets[:0]
 	for _, b := range buckets {
-		if len(b.patterns) > 0 {
+		if len(b.idx) > 0 {
 			nonEmpty = append(nonEmpty, b)
 		}
 	}
@@ -223,7 +291,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 			b.trace = obs.NewLocal()
 			cfg.Sink = b.trace
 		}
-		b.comp, b.stats, b.cut = compaction.GreedyWith(ctx, sp, b.patterns, cfg)
+		b.comp, b.stats, b.cut = c.packed.Compact(ctx, b.idx, cfg)
 	}
 	if workers == 1 {
 		for _, b := range buckets {
@@ -233,7 +301,7 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 		// Largest bucket first, for balance. Each call writes only its
 		// own bucket.
 		bySize := append([]*bucket(nil), buckets...)
-		sort.SliceStable(bySize, func(i, j int) bool { return len(bySize[i].patterns) > len(bySize[j].patterns) })
+		sort.SliceStable(bySize, func(i, j int) bool { return len(bySize[i].idx) > len(bySize[j].idx) })
 		ParallelFor(workers, len(bySize), func(i int) { compact(bySize[i]) })
 	}
 	opts.Metrics.Counter("compact_runs").Add(int64(len(buckets)))
@@ -254,44 +322,12 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 	return res, nil
 }
 
-// partitionCores dedupes the patterns' pins into weighted hyperedges
-// (weight: the patterns' multiplicity) and partitions the cores into
-// opts.Parts parts. It returns the part of every vertex and whether a
-// done context cut the partitioner short.
-func partitionCores(ctx context.Context, weights []int64, patterns []*sifault.Pattern, pinsOf [][]int, opts GroupingOptions) ([]int, bool, error) {
-	edgeWeight := make(map[string]int64)
-	edgePins := make(map[string][]int)
-	for i, p := range patterns {
-		k := pinKey(pinsOf[i])
-		edgeWeight[k] += int64(p.Weight)
-		if _, ok := edgePins[k]; !ok {
-			edgePins[k] = pinsOf[i]
-		}
-	}
-	h := hypergraph.New(weights)
-	keys := make([]string, 0, len(edgePins))
-	for k := range edgePins {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys) // deterministic edge order
-	for _, k := range keys {
-		if err := h.AddEdge(edgePins[k], edgeWeight[k]); err != nil {
-			return nil, false, err
-		}
-	}
-	assign, _, cut, err := hypergraph.PartitionKCtx(ctx, h, opts.Parts, hypergraph.Options{
-		Seed:      opts.Seed,
-		Tolerance: opts.Tolerance,
-		Trace:     opts.Trace,
-	})
-	return assign, cut, err
-}
-
-// bucket is one group's patterns on their way through compaction.
+// bucket is one group's index list into the corpus on its way through
+// compaction.
 type bucket struct {
-	name     string
-	patterns []*sifault.Pattern
-	inCore   []bool // by vertex: some pattern of the bucket cares about the core
+	name   string
+	idx    []int32
+	inCore []bool // by vertex: some pattern of the bucket cares about the core
 
 	comp  []*sifault.Pattern
 	stats compaction.Stats

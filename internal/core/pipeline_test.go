@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"sitam/internal/obs"
@@ -24,6 +25,15 @@ func TestBuildGroupsValidation(t *testing.T) {
 	}
 	if _, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 99}); err == nil {
 		t.Error("accepted Parts > core count")
+	}
+	// A pattern without care positions has no care core and belongs to
+	// no group: an error naming it, at any partition count.
+	empty := append(append([]*sifault.Pattern(nil), patterns...), &sifault.Pattern{VictimPos: -1, VictimCore: -1, Weight: 1})
+	for _, parts := range []int{1, 2} {
+		_, err := BuildGroupsCtx(context.Background(), s, empty, GroupingOptions{Parts: parts})
+		if err == nil || !strings.Contains(err.Error(), "pattern 100") {
+			t.Errorf("Parts=%d: pattern without care positions: err = %v, want one naming pattern 100", parts, err)
+		}
 	}
 }
 
@@ -183,7 +193,9 @@ func TestGroupingReducesPatternLengthWork(t *testing.T) {
 // serial run: every GroupingResult field, the canonical trace and the
 // metrics snapshot are the same at CompactWorkers 1, 2 and 8, for every
 // grouping count, on the benchmark SOCs and on a SOC whose core list is
-// not in core-ID order. compact_runs counts every group.
+// not in core-ID order. One corpus per case, packed on two goroutines
+// and grouped at every count as the sweep groups it, gives the same
+// results as the one-shot runs. compact_runs counts every group.
 func TestBuildGroupsWorkersAgree(t *testing.T) {
 	p93791 := soc.MustLoadBenchmark("p93791")
 	permuted := *p93791
@@ -202,8 +214,18 @@ func TestBuildGroupsWorkersAgree(t *testing.T) {
 		{&permuted, 2000},
 	}
 	ctx := context.Background()
+	type run struct {
+		name    string
+		workers int
+		shared  bool // group the case's one corpus, as the sweep does
+	}
+	runs := []run{{"workers=1", 1, false}, {"workers=2", 2, false}, {"workers=8", 8, false}, {"shared corpus", 1, true}}
 	for _, tc := range cases {
 		patterns, err := sifault.Generate(tc.s, sifault.GenConfig{N: tc.nr, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := NewCorpus(tc.s, patterns, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,13 +234,19 @@ func TestBuildGroupsWorkersAgree(t *testing.T) {
 			var wantGR *GroupingResult
 			var wantTrace []obs.Event
 			var wantSnap *obs.Snapshot
-			for _, workers := range []int{1, 2, 8} {
+			for _, r := range runs {
 				tr, reg := obs.NewTracer(), obs.NewRegistry()
-				gr, err := BuildGroupsCtx(ctx, tc.s, patterns, GroupingOptions{
-					Parts: g, Seed: 3, Trace: tr, Metrics: reg, CompactWorkers: workers, KeepPatterns: true,
-				})
+				opts := GroupingOptions{
+					Parts: g, Seed: 3, Trace: tr, Metrics: reg, CompactWorkers: r.workers, KeepPatterns: true,
+				}
+				var gr *GroupingResult
+				if r.shared {
+					gr, err = shared.Group(ctx, opts)
+				} else {
+					gr, err = BuildGroupsCtx(ctx, tc.s, patterns, opts)
+				}
 				if err != nil {
-					t.Fatalf("%s workers=%d: %v", name, workers, err)
+					t.Fatalf("%s %s: %v", name, r.name, err)
 				}
 				var trace []obs.Event
 				for _, ev := range tr.Events() {
@@ -226,20 +254,20 @@ func TestBuildGroupsWorkersAgree(t *testing.T) {
 				}
 				snap := reg.Snapshot()
 				if got := snap.Counter("compact_runs"); got != int64(len(gr.Groups)) {
-					t.Errorf("%s workers=%d: compact_runs = %d, want one per group (%d)", name, workers, got, len(gr.Groups))
+					t.Errorf("%s %s: compact_runs = %d, want one per group (%d)", name, r.name, got, len(gr.Groups))
 				}
-				if workers == 1 {
+				if wantGR == nil {
 					wantGR, wantTrace, wantSnap = gr, trace, snap
 					continue
 				}
 				if !sameGrouping(gr, wantGR) {
-					t.Errorf("%s workers=%d: grouping differs from the serial run", name, workers)
+					t.Errorf("%s %s: grouping differs from the serial run", name, r.name)
 				}
 				if !slices.Equal(trace, wantTrace) {
-					t.Errorf("%s workers=%d: trace differs from the serial run (%d vs %d events)", name, workers, len(trace), len(wantTrace))
+					t.Errorf("%s %s: trace differs from the serial run (%d vs %d events)", name, r.name, len(trace), len(wantTrace))
 				}
 				if !reflect.DeepEqual(snap, wantSnap) {
-					t.Errorf("%s workers=%d: metrics %+v, serial %+v", name, workers, snap, wantSnap)
+					t.Errorf("%s %s: metrics %+v, serial %+v", name, r.name, snap, wantSnap)
 				}
 			}
 		}

@@ -30,18 +30,17 @@ type PackedWord struct {
 // slice with the caller recording offsets. The pattern must be valid
 // (no X symbols in the care list).
 func AppendPackedWords(dst []PackedWord, p *Pattern) []PackedWord {
-	start := len(dst)
-	for _, c := range p.Care {
-		idx := c.Pos >> 6
-		bit := uint(c.Pos & 63)
-		v := uint64(c.Sym - 1)
-		if n := len(dst); n == start || dst[n-1].Idx != idx {
-			dst = append(dst, PackedWord{Idx: idx})
+	care := p.Care
+	for i := 0; i < len(care); {
+		w := PackedWord{Idx: care[i].Pos >> 6}
+		for ; i < len(care) && care[i].Pos>>6 == w.Idx; i++ {
+			bit := uint(care[i].Pos & 63)
+			v := uint64(care[i].Sym - 1)
+			w.Care |= 1 << bit
+			w.V0 |= (v & 1) << bit
+			w.V1 |= (v >> 1) << bit
 		}
-		w := &dst[len(dst)-1]
-		w.Care |= 1 << bit
-		w.V0 |= (v & 1) << bit
-		w.V1 |= (v >> 1) << bit
+		dst = append(dst, w)
 	}
 	return dst
 }

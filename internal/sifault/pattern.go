@@ -148,10 +148,15 @@ func (p *Pattern) CareCores(sp *Space) []int {
 	return out
 }
 
-// Validate checks internal invariants: sorted unique care positions
-// within the space, no X symbols stored, sorted unique bus lines within
-// the bus width.
+// Validate checks internal invariants: at least one care position,
+// sorted unique care positions within the space, no X symbols stored,
+// sorted unique bus lines within the bus width. A pattern without care
+// positions tests no interconnect and has no care core, so it belongs
+// to no SI test group.
 func (p *Pattern) Validate(sp *Space) error {
+	if len(p.Care) == 0 {
+		return fmt.Errorf("sifault: pattern has no care positions")
+	}
 	for i, c := range p.Care {
 		if c.Sym == X {
 			return fmt.Errorf("sifault: pattern stores X at position %d", c.Pos)

@@ -223,9 +223,10 @@ func TestPatternValidateRejects(t *testing.T) {
 		"pos out of range": {Care: []Care{{Pos: 99, Sym: One}}, Weight: 1},
 		"unsorted":         {Care: []Care{{Pos: 3, Sym: One}, {Pos: 1, Sym: One}}, Weight: 1},
 		"dup pos":          {Care: []Care{{Pos: 3, Sym: One}, {Pos: 3, Sym: One}}, Weight: 1},
-		"bus out of range": {Bus: []BusUse{{Line: 9, Driver: 1}}, Weight: 1},
-		"bus unsorted":     {Bus: []BusUse{{Line: 2, Driver: 1}, {Line: 1, Driver: 1}}, Weight: 1},
-		"zero weight":      {Weight: 0},
+		"bus out of range": {Care: []Care{{Pos: 0, Sym: One}}, Bus: []BusUse{{Line: 9, Driver: 1}}, Weight: 1},
+		"bus unsorted":     {Care: []Care{{Pos: 0, Sym: One}}, Bus: []BusUse{{Line: 2, Driver: 1}, {Line: 1, Driver: 1}}, Weight: 1},
+		"zero weight":      {Care: []Care{{Pos: 0, Sym: One}}, Weight: 0},
+		"no care":          {Bus: []BusUse{{Line: 1, Driver: 1}}, Weight: 1},
 	}
 	for name, p := range cases {
 		if err := p.Validate(sp); err == nil {
