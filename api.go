@@ -424,7 +424,8 @@ func InTestLowerBound(s *SOC, wmax int) (t int64, err error) {
 
 // InTestTime returns the InTest application time of one core at a TAM
 // width, using Best Fit Decreasing wrapper design (the Combine
-// procedure).
+// procedure). An invalid core (Core.Validate) or a width below 1 is an
+// error.
 func InTestTime(c *Core, width int) (t int64, err error) {
 	defer guard(&err)
 	return wrapper.InTestTime(c, width)

@@ -133,6 +133,24 @@ func TestFacadeInTestTime(t *testing.T) {
 	}
 }
 
+// TestFacadeBuildGroupsRejectsBadSymbol hands BuildGroups a pattern
+// whose care symbol lies above Fall: grouping must fail and name the
+// pattern instead of packing a corrupted care.
+func TestFacadeBuildGroupsRejectsBadSymbol(t *testing.T) {
+	s, err := LoadBenchmark("d695")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns, err := GeneratePatterns(s, GenConfig{N: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns[3].Care[0].Sym = 7
+	if _, err := BuildGroups(s, patterns, GroupingOptions{Parts: 2, Seed: 1}); err == nil || !strings.Contains(err.Error(), "pattern 3") {
+		t.Fatalf("BuildGroups: err = %v, want an error naming pattern 3", err)
+	}
+}
+
 func TestFacadeExtensions(t *testing.T) {
 	s, err := LoadBenchmark("d695")
 	if err != nil {

@@ -168,6 +168,19 @@ func BenchmarkPatternGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkNewTimeTable builds p93791's InTest table up to width 64,
+// as every engine of a p93791 solve at W=64 does.
+func BenchmarkNewTimeTable(b *testing.B) {
+	s := soc.MustLoadBenchmark("p93791")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := wrapper.NewTimeTable(s, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGreedyCompaction10k(b *testing.B) {
 	s := soc.MustLoadBenchmark("p93791")
 	patterns, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: 1})

@@ -119,6 +119,9 @@ func TestHTTPValidationAndNotFound(t *testing.T) {
 		"unknown benchmark":      func(r *Request) { r.SOC = "nope" },
 		"unparsable source":      func(r *Request) { r.SOC, r.Source = "", "Module x" },
 		"more groups than cores": func(r *Request) { r.Parts = 64 },
+		"core ID above the bound": func(r *Request) {
+			r.SOC, r.Source = "", "SocName big\nModule 1\nInputs 1\nOutputs 1\nPatterns 1\nModule 4000000\nInputs 1\nOutputs 2\nPatterns 1\n"
+		},
 	} {
 		bad := quickReq()
 		mutate(&bad)

@@ -132,6 +132,10 @@ func Generate(s *soc.SOC, cfg GenConfig) ([]*Pattern, error) {
 // have produced first, so downstream consumers see a smaller but
 // otherwise identical workload. If the context fires before any
 // pattern was generated, the context's error is returned instead.
+//
+// The patterns share allocation chunks, but each care and bus list's
+// capacity is its length, so appending to one pattern's list never
+// changes another's.
 func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bool, error) {
 	cfg = cfg.withDefaults()
 	if cfg.N < 0 {
@@ -150,13 +154,49 @@ func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bo
 	g := newGenerator(sp, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	patterns := make([]*Pattern, 0, cfg.N)
+	var slab []Pattern
 	for i := 0; i < cfg.N; i++ {
 		if i > 0 && i&511 == 0 && ctx.Err() != nil {
 			return patterns, true, nil
 		}
-		patterns = append(patterns, g.genOne(rng))
+		if len(slab) == 0 {
+			slab = make([]Pattern, min(patternChunk, cfg.N-i))
+		}
+		p := &slab[0]
+		slab = slab[1:]
+		g.genOne(rng, p)
+		patterns = append(patterns, p)
 	}
 	return patterns, false, nil
+}
+
+// The chunk sizes a GenerateCtx call carves its Pattern structs, care
+// lists and bus lists from. A corpus's patterns are dropped together,
+// so a chunk never outlives the corpus that shares it.
+const (
+	patternChunk = 1 << 10
+	careChunk    = 16 << 10
+	busChunk     = 4 << 10
+)
+
+// reserve returns room for n elements at the front of *chunk, as a
+// zero-length slice whose capacity is n. A chunk of size elements
+// replaces *chunk when it is too short, and a request longer than a
+// chunk gets a chunk of its own length. The caller appends at most n
+// elements and then hands the result to commit.
+func reserve[T any](chunk *[]T, n, size int) []T {
+	if len(*chunk) < n {
+		*chunk = make([]T, max(n, size))
+	}
+	return (*chunk)[:0:n]
+}
+
+// commit cuts s, the filled slice reserve returned, from the front of
+// *chunk and caps its capacity at its length: appending to it then
+// reallocates instead of writing into the next slice carved.
+func commit[T any](chunk *[]T, s []T) []T {
+	*chunk = (*chunk)[len(s):]
+	return s[:len(s):len(s)]
 }
 
 // generator draws the patterns of one GenerateCtx call. It holds what a
@@ -176,6 +216,14 @@ type generator struct {
 	// ext holds the current pattern's external aggressor positions,
 	// sorted.
 	ext []int32
+
+	// perm is the bus-line permutation of rng.Perm, drawn in place.
+	perm []int
+
+	// care and bus are the chunks the care and bus lists are carved
+	// from.
+	care []Care
+	bus  []BusUse
 }
 
 // victimCore is one core of the space, seen as a victim's core.
@@ -200,7 +248,7 @@ type posRange struct{ start, n int }
 // unlimited or spans the ring.
 func newGenerator(sp *Space, cfg GenConfig) *generator {
 	nc := len(sp.order)
-	g := &generator{cfg: cfg, total: sp.Total(), busWidth: sp.busWidth, cores: make([]victimCore, nc)}
+	g := &generator{cfg: cfg, total: sp.Total(), busWidth: sp.busWidth, cores: make([]victimCore, nc), perm: make([]int, sp.busWidth)}
 	all := cfg.ExternalLocality < 0 || 2*cfg.ExternalLocality+1 >= nc
 	widest := 0
 	for i := range g.cores {
@@ -240,11 +288,11 @@ func (c *victimCore) extPos(off int) int32 {
 	return int32(c.ext[i].start + off)
 }
 
-// genOne draws one pattern. The draws and their order are the corpus's
-// contract (equal seeds give equal corpora in every front end), so they
-// must not change; the care list is written in position order as the
-// draws come, with no sort.
-func (g *generator) genOne(rng *rand.Rand) *Pattern {
+// genOne draws one pattern into p. The draws and their order are the
+// corpus's contract (equal seeds give equal corpora in every front
+// end), so they must not change; the care list is written in position
+// order as the draws come, with no sort.
+func (g *generator) genOne(rng *rand.Rand, p *Pattern) {
 	cfg := &g.cfg
 	victim := int32(rng.Intn(g.total))
 	// The victim's core is the first whose block ends past the victim.
@@ -285,9 +333,9 @@ func (g *generator) genOne(rng *rand.Rand) *Pattern {
 	ext := g.ext[:0]
 	for j := 0; j < nExt; j++ {
 		for {
-			p := vc.extPos(rng.Intn(vc.extTotal))
-			if i, dup := slices.BinarySearch(ext, p); !dup {
-				ext = slices.Insert(ext, i, p)
+			pos := vc.extPos(rng.Intn(vc.extTotal))
+			if i, dup := slices.BinarySearch(ext, pos); !dup {
+				ext = slices.Insert(ext, i, pos)
 				break
 			}
 		}
@@ -303,10 +351,10 @@ func (g *generator) genOne(rng *rand.Rand) *Pattern {
 	if quiesce {
 		bound = vc.n
 	}
-	care := make([]Care, 0, nExt+bound)
+	care := reserve(&g.care, nExt+bound, careChunk)
 	below, _ := slices.BinarySearch(ext, int32(vc.start))
-	for _, p := range ext[:below] {
-		care = append(care, Care{Pos: p, Sym: kind.aggressor})
+	for _, pos := range ext[:below] {
+		care = append(care, Care{Pos: pos, Sym: kind.aggressor})
 	}
 	for off, sym := range block {
 		switch {
@@ -315,33 +363,41 @@ func (g *generator) genOne(rng *rand.Rand) *Pattern {
 		case !quiesce || cfg.QuiesceProb < 1 && rng.Float64() >= cfg.QuiesceProb:
 			continue
 		default:
-			sym = Zero
-			if rng.Intn(2) == 1 {
-				sym = One
-			}
+			// rng.Intn(2) is Int31n(2), which is Int31()&1, which is
+			// Int63()>>32&1: the same draw without two calls that do
+			// not inline.
+			sym = Zero + Symbol(rng.Int63()>>32&1)
 		}
 		care = append(care, Care{Pos: int32(vc.start + off), Sym: sym})
 	}
-	for _, p := range ext[below:] {
-		care = append(care, Care{Pos: p, Sym: kind.aggressor})
+	for _, pos := range ext[below:] {
+		care = append(care, Care{Pos: pos, Sym: kind.aggressor})
 	}
 
-	p := &Pattern{
-		Care:       care,
+	*p = Pattern{
+		Care:       commit(&g.care, care),
 		VictimPos:  victim,
 		VictimCore: int32(vc.id),
 		Weight:     1,
 	}
 	if g.busWidth > 0 && rng.Float64() < cfg.BusProb {
 		nLines := min(1+rng.Intn(na), g.busWidth)
-		lines := rng.Perm(g.busWidth)[:nLines]
-		sort.Ints(lines)
-		p.Bus = make([]BusUse, nLines)
-		for i, l := range lines {
-			p.Bus[i] = BusUse{Line: int32(l), Driver: int32(vc.id)}
+		// rng.Perm(g.busWidth)'s own loop, with its draws, into a
+		// scratch. Every entry is written before it is read.
+		perm := g.perm
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = i
 		}
+		lines := perm[:nLines]
+		slices.Sort(lines)
+		bus := reserve(&g.bus, nLines, busChunk)
+		for _, l := range lines {
+			bus = append(bus, BusUse{Line: int32(l), Driver: int32(vc.id)})
+		}
+		p.Bus = commit(&g.bus, bus)
 	}
-	return p
 }
 
 // MACount returns the test-vector-pair count of the maximal-aggressor

@@ -149,17 +149,18 @@ func (p *Pattern) CareCores(sp *Space) []int {
 }
 
 // Validate checks internal invariants: at least one care position,
-// sorted unique care positions within the space, no X symbols stored,
-// sorted unique bus lines within the bus width. A pattern without care
-// positions tests no interconnect and has no care core, so it belongs
-// to no SI test group.
+// sorted unique care positions within the space, only the four
+// determined symbols Zero..Fall stored, sorted unique bus lines within
+// the bus width. A pattern without care positions tests no
+// interconnect and has no care core, so it belongs to no SI test
+// group.
 func (p *Pattern) Validate(sp *Space) error {
 	if len(p.Care) == 0 {
 		return fmt.Errorf("sifault: pattern has no care positions")
 	}
 	for i, c := range p.Care {
-		if c.Sym == X {
-			return fmt.Errorf("sifault: pattern stores X at position %d", c.Pos)
+		if c.Sym == X || c.Sym > Fall {
+			return fmt.Errorf("sifault: pattern stores %v at position %d", c.Sym, c.Pos)
 		}
 		if c.Pos < 0 || int(c.Pos) >= sp.Total() {
 			return fmt.Errorf("sifault: position %d outside space of %d WOCs", c.Pos, sp.Total())

@@ -219,19 +219,23 @@ func TestCareCoresMatchesOracle(t *testing.T) {
 func TestPatternValidateRejects(t *testing.T) {
 	sp := NewSpace(twoCoreSOC())
 	cases := map[string]*Pattern{
-		"stored X":         {Care: []Care{{Pos: 0, Sym: X}}, Weight: 1},
-		"pos out of range": {Care: []Care{{Pos: 99, Sym: One}}, Weight: 1},
-		"unsorted":         {Care: []Care{{Pos: 3, Sym: One}, {Pos: 1, Sym: One}}, Weight: 1},
-		"dup pos":          {Care: []Care{{Pos: 3, Sym: One}, {Pos: 3, Sym: One}}, Weight: 1},
-		"bus out of range": {Care: []Care{{Pos: 0, Sym: One}}, Bus: []BusUse{{Line: 9, Driver: 1}}, Weight: 1},
-		"bus unsorted":     {Care: []Care{{Pos: 0, Sym: One}}, Bus: []BusUse{{Line: 2, Driver: 1}, {Line: 1, Driver: 1}}, Weight: 1},
-		"zero weight":      {Care: []Care{{Pos: 0, Sym: One}}, Weight: 0},
-		"no care":          {Bus: []BusUse{{Line: 1, Driver: 1}}, Weight: 1},
+		"stored X":          {Care: []Care{{Pos: 0, Sym: X}}, Weight: 1},
+		"symbol above Fall": {Care: []Care{{Pos: 0, Sym: One}, {Pos: 1, Sym: Symbol(7)}}, Weight: 1},
+		"pos out of range":  {Care: []Care{{Pos: 99, Sym: One}}, Weight: 1},
+		"unsorted":          {Care: []Care{{Pos: 3, Sym: One}, {Pos: 1, Sym: One}}, Weight: 1},
+		"dup pos":           {Care: []Care{{Pos: 3, Sym: One}, {Pos: 3, Sym: One}}, Weight: 1},
+		"bus out of range":  {Care: []Care{{Pos: 0, Sym: One}}, Bus: []BusUse{{Line: 9, Driver: 1}}, Weight: 1},
+		"bus unsorted":      {Care: []Care{{Pos: 0, Sym: One}}, Bus: []BusUse{{Line: 2, Driver: 1}, {Line: 1, Driver: 1}}, Weight: 1},
+		"zero weight":       {Care: []Care{{Pos: 0, Sym: One}}, Weight: 0},
+		"no care":           {Bus: []BusUse{{Line: 1, Driver: 1}}, Weight: 1},
 	}
 	for name, p := range cases {
 		if err := p.Validate(sp); err == nil {
 			t.Errorf("%s: Validate accepted %+v", name, p)
 		}
+	}
+	if err := cases["symbol above Fall"].Validate(sp); err == nil || !strings.Contains(err.Error(), "position 1") {
+		t.Errorf("symbol above Fall: error %v does not name position 1", err)
 	}
 }
 

@@ -21,6 +21,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("SocName bad\nModule 1\nOutputs 1\nConstraints\nExclude 1\n")
 	f.Add("SocName bad\nModule 1\nOutputs 1\nPowerBudget 5\n")
 	f.Add("SocName x\nModule 1\nOutputs 1\nConstraints\nConstraints\nPowerBudget 1\n")
+	f.Add("SocName big\nModule 1\nInputs 1\nOutputs 1\nPatterns 1\nModule 4000000\nInputs 1\nOutputs 2\nPatterns 1\n")
 	f.Fuzz(func(t *testing.T, text string) {
 		s, err := ParseString(text)
 		if err != nil {

@@ -32,7 +32,8 @@ import (
 // '#' starts a comment that runs to end of line. Keys are case-insensitive.
 // "ScanChains n : l1 ... ln" lists the n internal scan-chain lengths; a
 // module line without ScanChains describes a combinational core. Module 0,
-// when present, is stored as SOC.Top and excluded from Cores().
+// when present, is stored as SOC.Top and excluded from Cores(). Module
+// numbers run from 0 to MaxCoreID.
 //
 // An optional Constraints stanza describes test-floor scheduling
 // constraints (see ConstraintSet). The bare "Constraints" marker line

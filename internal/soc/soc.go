@@ -18,10 +18,17 @@ import (
 	"strings"
 )
 
+// MaxCoreID is the largest module number a core may carry. Tables
+// indexed by core ID (the InTest time table, the SI planner's per-core
+// data) are as long as the largest ID, so an unbounded ID in a .soc
+// file would ask for gigabytes. Scenario SOCs reach about 1,000.
+const MaxCoreID = 1 << 16
+
 // Core describes one wrapped embedded core (an ITC'02 "module").
 type Core struct {
-	// ID is the module number from the benchmark file. IDs are unique
-	// within an SOC but need not be contiguous.
+	// ID is the module number from the benchmark file, at most
+	// MaxCoreID. IDs are unique within an SOC but need not be
+	// contiguous.
 	ID int
 
 	// Name is an optional human-readable label.
@@ -86,6 +93,8 @@ func (c *Core) Validate() error {
 	switch {
 	case c.ID < 0:
 		return fmt.Errorf("core %d: negative ID", c.ID)
+	case c.ID > MaxCoreID:
+		return fmt.Errorf("core %d: ID above %d", c.ID, MaxCoreID)
 	case c.Inputs < 0 || c.Outputs < 0 || c.Bidirs < 0:
 		return fmt.Errorf("core %d: negative terminal count", c.ID)
 	case c.Patterns < 0:

@@ -31,6 +31,8 @@ func TestCoreValidate(t *testing.T) {
 		{"valid scan core", Core{ID: 1, Inputs: 2, Outputs: 2, ScanChains: []int{3}, Patterns: 1}, true},
 		{"valid combinational", Core{ID: 1, Inputs: 2, Outputs: 2, Patterns: 5}, true},
 		{"negative id", Core{ID: -1, Inputs: 1, Outputs: 1}, false},
+		{"largest id", Core{ID: MaxCoreID, Inputs: 1, Outputs: 1}, true},
+		{"id above MaxCoreID", Core{ID: MaxCoreID + 1, Inputs: 1, Outputs: 1}, false},
 		{"negative inputs", Core{ID: 1, Inputs: -2, Outputs: 2}, false},
 		{"negative patterns", Core{ID: 1, Inputs: 1, Outputs: 1, Patterns: -1}, false},
 		{"zero-length chain", Core{ID: 1, Inputs: 1, Outputs: 1, ScanChains: []int{0}}, false},
@@ -129,6 +131,7 @@ func TestParseErrors(t *testing.T) {
 		{"negative buswidth", "SocName x\nBusWidth -4\nModule 1\nInputs 1\nOutputs 1\nPatterns 1\n"},
 		{"no cores", "SocName x\n"},
 		{"empty name", "Module 1\nInputs 1\nOutputs 1\nPatterns 1\n"},
+		{"module number above MaxCoreID", "SocName x\nModule 1\nInputs 1\nOutputs 1\nPatterns 1\nModule 4000000\nInputs 1\nOutputs 2\nPatterns 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

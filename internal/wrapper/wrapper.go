@@ -14,6 +14,7 @@ package wrapper
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sitam/internal/soc"
@@ -63,16 +64,16 @@ func maxOf(v []int) int {
 // one capture cycle, and the final response needs min(si,so) extra
 // cycles to flush.
 func (d *Design) TestTime(patterns int) int64 {
+	return testTime(d.MaxScanIn(), d.MaxScanOut(), patterns)
+}
+
+// testTime is TestTime's formula over the longest scan-in and scan-out
+// chain lengths.
+func testTime(si, so, patterns int) int64 {
 	if patterns == 0 {
 		return 0
 	}
-	si := int64(d.MaxScanIn())
-	so := int64(d.MaxScanOut())
-	mx, mn := si, so
-	if mn > mx {
-		mx, mn = mn, mx
-	}
-	return (1+mx)*int64(patterns) + mn
+	return (1+int64(max(si, so)))*int64(patterns) + int64(min(si, so))
 }
 
 // Combine builds an InTest wrapper design for core c at the given TAM
@@ -176,13 +177,97 @@ func distribute(chain []int, n int) {
 	}
 }
 
-// InTestTime returns the InTest time of core c at TAM width w.
+// InTestTime returns the InTest time of core c at TAM width w:
+// Combine(c, w).TestTime(c.Patterns), computed as NewTimeTable computes
+// it, without building the design. The core must be valid
+// (soc.Core.Validate).
 func InTestTime(c *soc.Core, w int) (int64, error) {
-	d, err := Combine(c, w)
-	if err != nil {
-		return 0, err
+	if w < 1 {
+		return 0, fmt.Errorf("wrapper: width must be >= 1, got %d", w)
 	}
-	return d.TestTime(c.Patterns), nil
+	if err := c.Validate(); err != nil {
+		return 0, fmt.Errorf("wrapper: %w", err)
+	}
+	var k kernel
+	k.load(c)
+	return k.time(w), nil
+}
+
+// kernel computes one core's InTest time at any width, with the result
+// of Combine and without building a Design. TestTime reads only the
+// longest scan-in and scan-out chains, and those follow from two
+// numbers:
+//
+//   - L, the longest wrapper chain after Best Fit Decreasing places the
+//     internal scan chains. Which of several least-loaded wrapper
+//     chains takes a scan chain does not change the multiset of loads,
+//     so a min-heap of loads yields Combine's multiset.
+//   - S, the total of those loads: all the core's scan flip-flops.
+//
+// distribute then raises the shortest chains like a water level. With
+// n unit cells on w chains the longest chain is L while the cells fit
+// below it (n <= w·L − S), and ⌈(S+n)/w⌉ once every chain has reached
+// L. So the longest scan-in chain is max(L, ⌈(S+WIC)/w⌉) and the
+// longest scan-out chain max(L, ⌈(S+WOC)/w⌉).
+type kernel struct {
+	c      *soc.Core
+	chains []int // the core's scan chains, ascending
+	heap   []int // Best Fit Decreasing's loads, a min-heap
+	scan   int   // S
+}
+
+// load points the kernel at core c, whose scan chain lengths are
+// positive (soc.Core.Validate).
+func (k *kernel) load(c *soc.Core) {
+	k.c = c
+	k.chains = append(k.chains[:0], c.ScanChains...)
+	slices.Sort(k.chains)
+	k.scan = c.ScanBits()
+}
+
+// time returns the core's InTest time at width w >= 1.
+func (k *kernel) time(w int) int64 {
+	l := k.longestLoad(w)
+	si := max(l, (k.scan+k.c.WIC()+w-1)/w)
+	so := max(l, (k.scan+k.c.WOC()+w-1)/w)
+	return testTime(si, so, k.c.Patterns)
+}
+
+// longestLoad returns L at width w: the longest of w wrapper chains
+// after Best Fit Decreasing places the scan chains on them.
+func (k *kernel) longestLoad(w int) int {
+	n := len(k.chains)
+	if n == 0 {
+		return 0
+	}
+	if w >= n {
+		return k.chains[n-1]
+	}
+	// The w longest scan chains each open an empty wrapper chain, as
+	// their lengths are positive. Ascending, they already form a
+	// min-heap; each further chain, longest first, extends the root.
+	h := append(k.heap[:0], k.chains[n-w:]...)
+	l := h[w-1]
+	for i := n - w - 1; i >= 0; i-- {
+		h[0] += k.chains[i]
+		l = max(l, h[0])
+		for j := 0; ; {
+			m := 2*j + 1
+			if m >= w {
+				break
+			}
+			if m+1 < w && h[m+1] < h[m] {
+				m++
+			}
+			if h[j] <= h[m] {
+				break
+			}
+			h[j], h[m] = h[m], h[j]
+			j = m
+		}
+	}
+	k.heap = h
+	return l
 }
 
 // TimeTable precomputes InTest times for a set of cores at every width
@@ -190,25 +275,34 @@ func InTestTime(c *soc.Core, w int) (int64, error) {
 // so that architecture evaluation never re-runs wrapper design.
 type TimeTable struct {
 	maxWidth int
-	byCore   map[int][]int64 // core ID -> [width-1] -> time
+	byCore   [][]int64 // core ID -> [width-1] -> time; nil for IDs not in the SOC
 }
 
-// NewTimeTable builds the table for all cores of s.
+// NewTimeTable builds the table for all cores of s, one pass per core
+// (see kernel). Every entry equals Combine(c, w).TestTime(c.Patterns).
+// The cores must be valid (soc.Core.Validate); the table is indexed
+// densely by core ID, which soc.MaxCoreID bounds.
 func NewTimeTable(s *soc.SOC, maxWidth int) (*TimeTable, error) {
 	if maxWidth < 1 {
 		return nil, fmt.Errorf("wrapper: maxWidth must be >= 1, got %d", maxWidth)
 	}
-	t := &TimeTable{maxWidth: maxWidth, byCore: make(map[int][]int64, s.NumCores())}
+	n := 0
 	for _, c := range s.Cores() {
-		times := make([]int64, maxWidth)
-		for w := 1; w <= maxWidth; w++ {
-			tt, err := InTestTime(c, w)
-			if err != nil {
-				return nil, err
-			}
-			times[w-1] = tt
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("wrapper: %w", err)
 		}
-		t.byCore[c.ID] = times
+		n = max(n, c.ID+1)
+	}
+	t := &TimeTable{maxWidth: maxWidth, byCore: make([][]int64, n)}
+	times := make([]int64, s.NumCores()*maxWidth)
+	var k kernel
+	for i, c := range s.Cores() {
+		row := times[i*maxWidth : (i+1)*maxWidth : (i+1)*maxWidth]
+		k.load(c)
+		for w := range row {
+			row[w] = k.time(w + 1)
+		}
+		t.byCore[c.ID] = row
 	}
 	return t, nil
 }
@@ -221,8 +315,7 @@ func (t *TimeTable) MaxWidth() int { return t.maxWidth }
 // non-increasing in width, and the extra wires beyond maxWidth cannot
 // help a single core more than maxWidth wires do.
 func (t *TimeTable) Time(coreID, w int) int64 {
-	times, ok := t.byCore[coreID]
-	if !ok {
+	if coreID < 0 || coreID >= len(t.byCore) || t.byCore[coreID] == nil {
 		panic(fmt.Sprintf("wrapper: TimeTable has no core %d", coreID))
 	}
 	if w < 1 {
@@ -231,7 +324,7 @@ func (t *TimeTable) Time(coreID, w int) int64 {
 	if w > t.maxWidth {
 		w = t.maxWidth
 	}
-	return times[w-1]
+	return t.byCore[coreID][w-1]
 }
 
 // SIDesign describes the wrapper configuration used in SI (ExTest)

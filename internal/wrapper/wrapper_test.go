@@ -187,30 +187,86 @@ func TestDistributeExact(t *testing.T) {
 	}
 }
 
-func TestTimeTable(t *testing.T) {
-	s := soc.MustLoadBenchmark("p34392")
-	tt, err := NewTimeTable(s, 16)
+// combineTime is Combine(c, w).TestTime(c.Patterns), the oracle the
+// table and InTestTime are held to.
+func combineTime(t *testing.T, c *soc.Core, w int) int64 {
+	t.Helper()
+	d, err := Combine(c, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tt.MaxWidth() != 16 {
-		t.Errorf("MaxWidth = %d", tt.MaxWidth())
+	return d.TestTime(c.Patterns)
+}
+
+// checkTable holds every entry of s's table at widths 1 to maxWidth, and
+// InTestTime, to Combine, and a width above the maximum to the clamp.
+func checkTable(t *testing.T, s *soc.SOC, maxWidth int) {
+	t.Helper()
+	tt, err := NewTimeTable(s, maxWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tt.MaxWidth() != maxWidth {
+		t.Errorf("%s: MaxWidth = %d", s.Name, tt.MaxWidth())
 	}
 	for _, c := range s.Cores() {
-		for w := 1; w <= 16; w++ {
-			want, err := InTestTime(c, w)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for w := 1; w <= maxWidth; w++ {
+			want := combineTime(t, c, w)
 			if got := tt.Time(c.ID, w); got != want {
-				t.Errorf("Time(%d,%d) = %d, want %d", c.ID, w, got, want)
+				t.Fatalf("%s: Time(%d,%d) = %d, Combine %d (core %+v)", s.Name, c.ID, w, got, want, c)
+			}
+			if got, err := InTestTime(c, w); err != nil || got != want {
+				t.Fatalf("%s: InTestTime(%d,%d) = %d, %v, Combine %d (core %+v)", s.Name, c.ID, w, got, err, want, c)
 			}
 		}
-		// Clamping above max width.
-		if got := tt.Time(c.ID, 100); got != tt.Time(c.ID, 16) {
-			t.Errorf("Time(%d,100) = %d, want clamp to width 16 = %d", c.ID, got, tt.Time(c.ID, 16))
+		if got := tt.Time(c.ID, maxWidth+37); got != tt.Time(c.ID, maxWidth) {
+			t.Errorf("%s: Time(%d,%d) = %d, want clamp to width %d = %d", s.Name, c.ID, maxWidth+37, got, maxWidth, tt.Time(c.ID, maxWidth))
 		}
 	}
+}
+
+// TestTimeTable holds the tables of the three embedded SOCs at widths 1
+// to 128 to Combine.
+func TestTimeTable(t *testing.T) {
+	for _, name := range soc.Benchmarks() {
+		checkTable(t, soc.MustLoadBenchmark(name), 128)
+	}
+}
+
+// FuzzTimeTableMatchesCombine is TestTimeTable over random SOCs of one
+// to eight cores, with and without scan chains, with zero patterns,
+// with tied chain lengths, and at widths beyond their chain and cell
+// counts.
+func FuzzTimeTableMatchesCombine(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(63))
+	f.Add(int64(2), uint8(0), uint8(0))
+	f.Add(int64(3), uint8(7), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, cores, maxWidth uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		s := &soc.SOC{Name: "fuzz"}
+		for i := 0; i <= int(cores%8); i++ {
+			c := &soc.Core{
+				ID:      1 + 5*i + rng.Intn(5),
+				Inputs:  rng.Intn(300),
+				Outputs: rng.Intn(300),
+				Bidirs:  rng.Intn(2) * rng.Intn(40),
+			}
+			if rng.Intn(4) > 0 {
+				c.Patterns = rng.Intn(2000)
+			}
+			// Narrow spans tie many chains; a third of the cores has
+			// none.
+			span := 1 << rng.Intn(13)
+			for n := rng.Intn(3) * rng.Intn(40); n > 0; n-- {
+				c.ScanChains = append(c.ScanChains, 1+rng.Intn(span))
+			}
+			if c.Terminals() == 0 && len(c.ScanChains) == 0 {
+				c.Outputs = 1
+			}
+			s.CoreList = append(s.CoreList, c)
+		}
+		checkTable(t, s, 1+int(maxWidth))
+	})
 }
 
 func TestTimeTablePanics(t *testing.T) {
@@ -223,6 +279,24 @@ func TestTimeTablePanics(t *testing.T) {
 	mustPanic(t, "width 0", func() { tt.Time(1, 0) })
 	if _, err := NewTimeTable(s, 0); err == nil {
 		t.Error("NewTimeTable accepted maxWidth 0")
+	}
+}
+
+// TestTimeTableRejectsInvalidCores pins the kernel's precondition:
+// NewTimeTable and InTestTime refuse a core Core.Validate refuses, such
+// as one whose ID would size the dense index past soc.MaxCoreID or one
+// with a scan chain of length 0.
+func TestTimeTableRejectsInvalidCores(t *testing.T) {
+	for name, c := range map[string]*soc.Core{
+		"ID above MaxCoreID": {ID: soc.MaxCoreID + 1, Inputs: 1, Outputs: 1, Patterns: 1},
+		"empty scan chain":   {ID: 1, Inputs: 1, Outputs: 1, ScanChains: []int{4, 0}, Patterns: 1},
+	} {
+		if _, err := NewTimeTable(&soc.SOC{Name: "bad", CoreList: []*soc.Core{c}}, 8); err == nil {
+			t.Errorf("%s: NewTimeTable accepted %+v", name, c)
+		}
+		if _, err := InTestTime(c, 8); err == nil {
+			t.Errorf("%s: InTestTime accepted %+v", name, c)
+		}
 	}
 }
 
