@@ -1,7 +1,8 @@
 // Package cli holds the run-lifecycle plumbing shared by the sitam
 // commands: a root context wired to SIGINT/SIGTERM and an optional
-// -timeout deadline, and the exit-code convention for reporting how a
-// run ended.
+// -timeout deadline, the exit-code convention for reporting how a run
+// ended, and the loaders behind the shared -soc/-file and -cache-file
+// flags.
 //
 // All commands exit with:
 //
@@ -17,11 +18,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"os"
 	"os/signal"
 	"sync"
 	"syscall"
 	"time"
+
+	"sitam/internal/core"
+	"sitam/internal/soc"
 )
 
 // Exit codes shared by all sitam commands.
@@ -99,4 +104,40 @@ func Cause(ctx context.Context) string {
 		return "interrupted"
 	}
 	return "partial"
+}
+
+// LoadSOC loads the SOC a command's -file and -soc flags name: the
+// .soc file when file is set, otherwise the embedded benchmark.
+func LoadSOC(file, name string) (*soc.SOC, error) {
+	if file == "" {
+		return soc.LoadBenchmark(name)
+	}
+	f, err := os.Open(file)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return soc.Parse(f)
+}
+
+// OpenCacheFile opens the persistent evaluation-cache file behind a
+// command's -cache-file flag. Persistence is an accelerator, never a
+// gate: with an empty path, or a file that cannot be opened (logged),
+// it returns nil and the run goes memory-only. The returned close
+// func closes the file and logs a failed Close, whose appends since
+// the last sync may be lost.
+func OpenCacheFile(path string) (*core.CacheFile, func()) {
+	if path == "" {
+		return nil, func() {}
+	}
+	cf, err := core.OpenCacheFile(path)
+	if err != nil {
+		log.Printf("cache file %s unavailable (%v); continuing without persistence", path, err)
+		return nil, func() {}
+	}
+	return cf, func() {
+		if err := cf.Close(); err != nil {
+			log.Printf("cache file %s: close: %v (appends since the last sync may be lost)", path, err)
+		}
+	}
 }

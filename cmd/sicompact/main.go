@@ -25,7 +25,6 @@ import (
 	"sitam/internal/core"
 	"sitam/internal/obs"
 	"sitam/internal/sifault"
-	"sitam/internal/soc"
 )
 
 func main() {
@@ -64,7 +63,7 @@ func main() {
 }
 
 func run(ctx context.Context, socName, file string, parts int, seed int64, out, patFile string, stats bool) (partial bool, reason string, err error) {
-	s, err := loadSOC(file, socName)
+	s, err := cli.LoadSOC(file, socName)
 	if err != nil {
 		return false, "", err
 	}
@@ -136,16 +135,4 @@ func run(ctx context.Context, socName, file string, parts int, seed int64, out, 
 		log.Printf("wrote %d compacted patterns to %s", len(all), out)
 	}
 	return gr.Partial, gr.Reason, nil
-}
-
-func loadSOC(file, name string) (*soc.SOC, error) {
-	if file == "" {
-		return soc.LoadBenchmark(name)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return soc.Parse(f)
 }

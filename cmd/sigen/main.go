@@ -30,7 +30,6 @@ import (
 	"sitam/cmd/internal/cli"
 	"sitam/internal/obs"
 	"sitam/internal/sifault"
-	"sitam/internal/soc"
 	"sitam/internal/topology"
 )
 
@@ -89,7 +88,7 @@ type genOptions struct {
 }
 
 func run(ctx context.Context, o genOptions) (partial bool, err error) {
-	s, err := loadSOC(o.file, o.socName)
+	s, err := cli.LoadSOC(o.file, o.socName)
 	if err != nil {
 		return false, err
 	}
@@ -155,16 +154,4 @@ func orNeg(v float64) float64 {
 		return -1
 	}
 	return v
-}
-
-func loadSOC(file, name string) (*soc.SOC, error) {
-	if file == "" {
-		return soc.LoadBenchmark(name)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return soc.Parse(f)
 }

@@ -75,20 +75,8 @@ func main() {
 		defer printStats()
 	}
 
-	var persist *core.CacheFile
-	if *cacheFil != "" {
-		cf, cferr := core.OpenCacheFile(*cacheFil)
-		if cferr != nil {
-			log.Printf("cache file %s unavailable (%v); continuing without persistence", *cacheFil, cferr)
-		} else {
-			defer func() {
-				if cerr := cf.Close(); cerr != nil {
-					log.Printf("cache file %s: close: %v (appends since the last sync may be lost)", *cacheFil, cerr)
-				}
-			}()
-			persist = cf
-		}
-	}
+	persist, closeCache := cli.OpenCacheFile(*cacheFil)
+	defer closeCache()
 
 	ctx, stop := cli.Context(*timeout)
 	defer stop()

@@ -22,7 +22,6 @@ import (
 	"sitam/cmd/internal/cli"
 	"sitam/internal/core"
 	"sitam/internal/obs"
-	"sitam/internal/soc"
 	"sitam/internal/trarchitect"
 	"sitam/internal/wrapper"
 )
@@ -42,7 +41,7 @@ func main() {
 	ctx, stop := cli.Context(*timeout)
 	defer stop()
 
-	s, err := loadSOC(*file, *socName)
+	s, err := cli.LoadSOC(*file, *socName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -141,16 +140,4 @@ func parseWidths(list string) ([]int, error) {
 		ws = append(ws, w)
 	}
 	return ws, nil
-}
-
-func loadSOC(file, name string) (*soc.SOC, error) {
-	if file == "" {
-		return soc.LoadBenchmark(name)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return soc.Parse(f)
 }

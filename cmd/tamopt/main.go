@@ -35,9 +35,6 @@ import (
 	"sitam/internal/core"
 	"sitam/internal/obs"
 	"sitam/internal/report"
-	"sitam/internal/sifault"
-	"sitam/internal/sischedule"
-	"sitam/internal/soc"
 )
 
 func main() {
@@ -77,19 +74,10 @@ func main() {
 	defer stop()
 
 	cfg := core.ParallelConfig{Workers: *workers, CacheSize: *cache, MaxEvals: *budget}
-	if *cacheFil != "" && *cache >= 0 {
-		cf, cferr := core.OpenCacheFile(*cacheFil)
-		if cferr != nil {
-			// Persistence is an accelerator, never a gate: run memory-only.
-			log.Printf("cache file %s unavailable (%v); continuing without persistence", *cacheFil, cferr)
-		} else {
-			defer func() {
-				if cerr := cf.Close(); cerr != nil {
-					log.Printf("cache file %s: close: %v (appends since the last sync may be lost)", *cacheFil, cerr)
-				}
-			}()
-			cfg.Persist = cf
-		}
+	if *cache >= 0 {
+		var closeCache func()
+		cfg.Persist, closeCache = cli.OpenCacheFile(*cacheFil)
+		defer closeCache()
 	}
 	method := core.MethodSI
 	switch {
@@ -98,21 +86,17 @@ func main() {
 	case *ils > 0:
 		method = core.MethodILS
 	}
-	o := options{
-		socName: *socName, file: *file, wmax: *wmax, nr: *nr, parts: *parts,
-		seed: *seed, gantt: *gantt, jsonOut: *jsonOut,
-		stats: *stats, traceFile: *traceOut,
-	}
-	if *traceOut != "" {
-		o.tracer = obs.NewTracer()
-		cfg.Trace = o.tracer
-	}
 	if *stats {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	o.solve = core.Options{Method: method, Kicks: *ils, Restarts: *restarts, Seed: *seed, ParallelConfig: cfg}
+	o := options{
+		socName: *socName, file: *file, jsonOut: *jsonOut, traceFile: *traceOut,
+		gantt: *gantt, stats: *stats,
+		cell:  core.Cell{Wmax: *wmax, Nr: *nr, Parts: *parts, Seed: *seed},
+		solve: core.Options{Method: method, Kicks: *ils, Restarts: *restarts, Seed: *seed, ParallelConfig: cfg},
+	}
 
-	partial, reason, cause, err := run(ctx, o)
+	res, err := run(ctx, o)
 	stop()
 	if perr := profStop(); perr != nil {
 		log.Fatal(perr)
@@ -126,81 +110,46 @@ func main() {
 		}
 		log.Fatal(err)
 	}
-	if partial {
-		fmt.Printf("RESULT PARTIAL (%s): %s\n", cause, reason)
+	if res.Partial {
+		fmt.Printf("RESULT PARTIAL (%s): %s\n", res.Cause.Label(), res.Reason)
 		os.Exit(cli.ExitPartial)
 	}
 }
 
 type options struct {
-	socName, file, jsonOut string
-	wmax, nr, parts        int
-	seed                   int64
-	gantt, stats           bool
-	traceFile              string
-	tracer                 *obs.Tracer
-	solve                  core.Options
+	socName, file, jsonOut, traceFile string
+	gantt, stats                      bool
+	cell                              core.Cell // run loads the SOC
+	solve                             core.Options
 }
 
-// sink adapts the optional tracer to the Sink interface without ever
-// wrapping a nil pointer in a non-nil interface.
-func (o options) sink() obs.Sink {
-	if o.tracer == nil {
-		return nil
-	}
-	return o.tracer
-}
-
-// run executes the pipeline and reports whether any stage returned a
-// degraded (partial) result, along with the cause label for the marker.
-// It is a separate function so its deferred file closes run before main
-// decides the exit code.
-func run(ctx context.Context, o options) (partial bool, reason, cause string, err error) {
-	s, err := loadSOC(o.file, o.socName)
+// run loads the SOC, runs its cell through core.Run and prints the
+// result. It is a separate function so its deferred file closes run
+// before main decides the exit code.
+func run(ctx context.Context, o options) (*core.Result, error) {
+	s, err := cli.LoadSOC(o.file, o.socName)
 	if err != nil {
-		return false, "", "", err
+		return nil, err
 	}
 	fmt.Println(s.Summary())
-
-	span := obs.Span(o.sink(), "pattern generation")
-	patterns, cut, err := sifault.GenerateCtx(ctx, s, sifault.GenConfig{N: o.nr, Seed: o.seed})
-	if err != nil {
-		return false, "", "", err
+	o.cell.SOC = s
+	var tracer *obs.Tracer
+	if o.traceFile != "" {
+		tracer = obs.NewTracer()
+		o.solve.Trace = tracer
 	}
-	if cut {
-		partial, reason, cause = true, fmt.Sprintf("pattern generation stopped at %d of %d patterns", len(patterns), o.nr), cli.Cause(ctx)
-		if sink := o.sink(); sink != nil {
-			sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: "pattern generation", Cause: obs.CtxCause(ctx.Err())})
+
+	res, grouping, err := core.Run(ctx, o.cell, o.solve)
+	if grouping != nil {
+		fmt.Printf("SI compaction: %d patterns -> %d compacted in %d groups (ratio %.1fx, %d residual)\n",
+			grouping.Stats.Original, grouping.TotalCompacted(), len(grouping.Groups),
+			grouping.Stats.Ratio(), grouping.CutPatterns)
+		for _, g := range grouping.Groups {
+			fmt.Printf("  %-4s: %5d patterns over %d cores\n", g.Name, g.Patterns, len(g.Cores))
 		}
 	}
-	span.End(0, int64(len(patterns)))
-
-	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{
-		Parts: o.parts, Seed: o.seed, Trace: o.sink(),
-		CompactWorkers: o.solve.Workers, Metrics: o.solve.Metrics,
-	})
 	if err != nil {
-		return false, "", "", err
-	}
-	if grouping.Partial && !partial {
-		partial, reason, cause = true, grouping.Reason, cli.Cause(ctx)
-	}
-	fmt.Printf("SI compaction: %d patterns -> %d compacted in %d groups (ratio %.1fx, %d residual)\n",
-		grouping.Stats.Original, grouping.TotalCompacted(), len(grouping.Groups),
-		grouping.Stats.Ratio(), grouping.CutPatterns)
-	for _, g := range grouping.Groups {
-		fmt.Printf("  %-4s: %5d patterns over %d cores\n", g.Name, g.Patterns, len(g.Cores))
-	}
-
-	res, err := core.Solve(ctx, core.Problem{SOC: s, Wmax: o.wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()}, o.solve)
-	if err != nil {
-		return false, "", "", err
-	}
-	if res.Partial && !partial {
-		partial, reason = true, res.Reason
-		if cause = res.Cause.Label(); cause == "" {
-			cause = cli.Cause(ctx)
-		}
+		return nil, err
 	}
 
 	fmt.Println()
@@ -218,19 +167,19 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 		fmt.Println("run metrics:")
 		fmt.Print(res.Metrics.Format())
 	}
-	if o.traceFile != "" {
+	if tracer != nil {
 		f, err := os.Create(o.traceFile)
 		if err != nil {
-			return false, "", "", err
+			return nil, err
 		}
-		werr := o.tracer.WriteJSONL(f)
+		werr := tracer.WriteJSONL(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			return false, "", "", werr
+			return nil, werr
 		}
-		log.Printf("wrote %d trace events to %s", o.tracer.Len(), o.traceFile)
+		log.Printf("wrote %d trace events to %s", tracer.Len(), o.traceFile)
 	}
 
 	if o.jsonOut != "" {
@@ -238,26 +187,14 @@ func run(ctx context.Context, o options) (partial bool, reason, cause string, er
 		if o.jsonOut != "-" {
 			f, err := os.Create(o.jsonOut)
 			if err != nil {
-				return false, "", "", err
+				return nil, err
 			}
 			defer f.Close()
 			w = f
 		}
 		if err := report.FromResult(res).Write(w); err != nil {
-			return false, "", "", err
+			return nil, err
 		}
 	}
-	return partial, reason, cause, nil
-}
-
-func loadSOC(file, name string) (*soc.SOC, error) {
-	if file == "" {
-		return soc.LoadBenchmark(name)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return soc.Parse(f)
+	return res, nil
 }

@@ -16,8 +16,8 @@ import (
 // TestFrontEndsAgree is the cross-front-end differential: each Method
 // solves one fixture through the facade, tamopt -json and a daemon
 // job, and all three report the same T_in, T_si, T_soc and rail count.
-// The facade and the job also report the same evaluation count
-// (tamopt's JSON does not carry it).
+// The facade and the job also report the same evaluation count, pattern
+// count and group count (tamopt's JSON carries none of them).
 func TestFrontEndsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs tamopt")
@@ -107,6 +107,10 @@ func TestFrontEndsAgree(t *testing.T) {
 		}
 		if evals := res.Metrics.Counter("evals"); st.Result.Evals != evals {
 			t.Errorf("%s: daemon job spent %d evaluations, facade %d", m, st.Result.Evals, evals)
+		}
+		if st.Result.Patterns != nr || st.Result.Groups != len(gr.Groups) {
+			t.Errorf("%s: daemon job reports %d patterns in %d groups, facade %d in %d",
+				m, st.Result.Patterns, st.Result.Groups, nr, len(gr.Groups))
 		}
 	}
 }

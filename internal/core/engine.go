@@ -67,6 +67,7 @@ const (
 	phaseReshuffle = "core reshuffle"
 	phaseILS       = "ILS"
 	phaseILSLocal  = "ILS local search"
+	phaseGenerate  = "pattern generation" // Run's first stage
 )
 
 // Status reports how an anytime optimization run ended: a complete run

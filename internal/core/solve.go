@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"runtime"
 
+	"sitam/internal/obs"
+	"sitam/internal/sifault"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
 	"sitam/internal/tam"
@@ -99,6 +101,68 @@ func Solve(ctx context.Context, p Problem, o Options) (*Result, error) {
 		return nil, err
 	}
 	return eng.Finish(arch, st, p.Groups, p.Model, cons)
+}
+
+// Cell is one cell of the paper's evaluation (Section 5): an SOC at
+// total TAM width Wmax, Nr random SI patterns drawn from Seed, and
+// Parts, the g groups the partitioner (seeded with Seed too) splits
+// the cores into.
+type Cell struct {
+	SOC   *soc.SOC
+	Wmax  int
+	Nr    int
+	Parts int
+	Seed  int64
+}
+
+// Run is the pipeline of one cell: it generates c.Nr SI patterns,
+// groups them into c.Parts groups and solves the cell with o under
+// the default cost model. o.Workers also bounds the compaction
+// goroutines, o.Trace also receives the "pattern generation" span and
+// the grouping's events, and o.Metrics the grouping's counters.
+//
+// Run is anytime like its stages: when a done context cut one short,
+// the Result's Partial, Reason and Cause describe the first such
+// stage — generation, grouping, then the search. The error is non-nil
+// only when a stage produced nothing usable; the grouping comes back
+// whenever it was built, even when Solve then fails.
+func Run(ctx context.Context, c Cell, o Options) (*Result, *GroupingResult, error) {
+	var sink obs.Sink
+	if o.Trace != nil {
+		sink = o.Trace // never a nil *Tracer in a non-nil Sink
+	}
+	span := obs.Span(sink, phaseGenerate)
+	patterns, cut, err := sifault.GenerateCtx(ctx, c.SOC, sifault.GenConfig{N: c.Nr, Seed: c.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	var first Status
+	if cut {
+		first = Status{Partial: true, Cause: CauseOf(ctx.Err()),
+			Reason: fmt.Sprintf("pattern generation stopped at %d of %d patterns", len(patterns), c.Nr)}
+		if sink != nil {
+			sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: phaseGenerate, Cause: first.Cause.Label()})
+		}
+	}
+	span.End(0, int64(len(patterns)))
+
+	gr, err := BuildGroupsCtx(ctx, c.SOC, patterns, GroupingOptions{
+		Parts: c.Parts, Seed: c.Seed, Trace: sink, CompactWorkers: o.Workers, Metrics: o.Metrics,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if gr.Partial && !first.Partial {
+		first = Status{Partial: true, Reason: gr.Reason, Cause: gr.Cause}
+	}
+	res, err := Solve(ctx, Problem{SOC: c.SOC, Wmax: c.Wmax, Groups: gr.Groups, Model: sischedule.DefaultModel()}, o)
+	if err != nil {
+		return nil, gr, err
+	}
+	if first.Partial {
+		res.Partial, res.Reason, res.Cause = true, first.Reason, first.Cause
+	}
+	return res, gr, nil
 }
 
 // TAMOptimizationWith is Solve with MethodSI. It is kept, with its

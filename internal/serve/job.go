@@ -3,12 +3,12 @@
 // load shedding, per-job panic isolation, SSE streaming of the search
 // trace, graceful drain, and a crash-safe append-only job journal.
 //
-// The package deliberately contains no search logic: jobs run the same
-// anytime pipeline the tamopt CLI uses (pattern generation, grouping,
-// SI-aware TAM optimization), so every robustness property of the
-// engine — ctx cancellation, eval budgets, StopCause classification,
-// byte-determinism at any worker count — carries over to the service
-// unchanged.
+// The package deliberately contains no search logic: a job runs
+// core.Run, the anytime pipeline the tamopt CLI calls (pattern
+// generation, grouping, SI-aware TAM optimization), so every
+// robustness property of the engine — ctx cancellation, eval budgets,
+// StopCause classification, byte-determinism at any worker count —
+// carries over to the service unchanged.
 package serve
 
 import (
@@ -20,8 +20,6 @@ import (
 
 	"sitam/internal/core"
 	"sitam/internal/obs"
-	"sitam/internal/sifault"
-	"sitam/internal/sischedule"
 	"sitam/internal/soc"
 )
 
@@ -353,12 +351,12 @@ type Status struct {
 	Events int      `json:"traceEvents"`
 }
 
-// run executes the optimization pipeline for the job. It is the moral
-// equivalent of tamopt's run(): generate patterns, build groups,
-// optimize through core.Solve, assemble the Outcome. The request holds
-// the values Submit validated and clamped (workers, budget). The error return is non-nil only when
-// nothing usable was produced; interruption mid-search yields a partial
-// Outcome and a nil error, exactly like the facade.
+// run executes the job's cell through core.Run, the call tamopt makes,
+// and assembles the Outcome from its result and grouping. The request
+// holds the values Submit validated and clamped (workers, budget). The
+// error return is non-nil only when nothing usable was produced; an
+// interrupted stage yields a partial Outcome and a nil error, exactly
+// like the facade.
 func (j *Job) run(ctx context.Context, req Request, hooks bool, persist *core.CacheFile) (*Outcome, error) {
 	if hooks && req.Chaos != nil {
 		if req.Chaos.SleepMS > 0 {
@@ -377,33 +375,8 @@ func (j *Job) run(ctx context.Context, req Request, hooks bool, persist *core.Ca
 	if err != nil {
 		return nil, err
 	}
-
-	out := &Outcome{}
-	span := obs.Span(j.Trace, "pattern generation")
-	patterns, cut, err := sifault.GenerateCtx(ctx, s, sifault.GenConfig{N: req.Nr, Seed: req.Seed})
-	if err != nil {
-		return nil, err
-	}
-	span.End(0, int64(len(patterns)))
-	out.Patterns = len(patterns)
-	if cut {
-		out.Partial = true
-		out.Reason = fmt.Sprintf("pattern generation stopped at %d of %d patterns", len(patterns), req.Nr)
-		out.Cause = core.CauseOf(ctx.Err()).Label()
-	}
-
-	grouping, err := core.BuildGroupsCtx(ctx, s, patterns, core.GroupingOptions{Parts: req.Parts, Seed: req.Seed, Trace: j.Trace, CompactWorkers: req.Workers})
-	if err != nil {
-		return nil, err
-	}
-	out.Groups = len(grouping.Groups)
-	if grouping.Partial && !out.Partial {
-		out.Partial, out.Reason = true, grouping.Reason
-		out.Cause = core.CauseOf(ctx.Err()).Label()
-	}
-
-	res, err := core.Solve(ctx,
-		core.Problem{SOC: s, Wmax: req.Wmax, Groups: grouping.Groups, Model: sischedule.DefaultModel()},
+	res, gr, err := core.Run(ctx,
+		core.Cell{SOC: s, Wmax: req.Wmax, Nr: req.Nr, Parts: req.Parts, Seed: req.Seed},
 		core.Options{
 			Method: core.Method(req.Algo), Kicks: req.Kicks, Restarts: req.Restarts, Seed: req.Seed,
 			ParallelConfig: core.ParallelConfig{Workers: req.Workers, MaxEvals: req.MaxEvals, Trace: j.Trace, Persist: persist},
@@ -411,19 +384,14 @@ func (j *Job) run(ctx context.Context, req Request, hooks bool, persist *core.Ca
 	if err != nil {
 		return nil, err
 	}
-
-	out.TimeIn = res.Breakdown.TimeIn
-	out.TimeSI = res.Breakdown.TimeSI
-	out.TimeSOC = res.Breakdown.TimeSOC
-	out.Rails = len(res.Architecture.Rails)
-	out.Evals = res.Metrics.Counter("evals")
-	if res.Partial && !out.Partial {
-		out.Partial, out.Reason = true, res.Reason
-		if out.Cause = res.Cause.Label(); out.Cause == "" {
-			out.Cause = core.CauseOf(ctx.Err()).Label()
-		}
-	}
-	return out, nil
+	bd := res.Breakdown
+	return &Outcome{
+		TimeIn: bd.TimeIn, TimeSI: bd.TimeSI, TimeSOC: bd.TimeSOC, Rails: len(res.Architecture.Rails),
+		Partial: res.Partial, Cause: res.Cause.Label(), Reason: res.Reason,
+		// Generated patterns weigh 1, so the grouping's original count
+		// is the number generated.
+		Patterns: int(gr.Stats.Original), Groups: len(gr.Groups), Evals: res.Metrics.Counter("evals"),
+	}, nil
 }
 
 // loadSOC resolves the request's design: the inline source when set,

@@ -68,6 +68,10 @@ func OpenJournal(path string) (*Journal, []JournalEntry, error) {
 // readJournal parses the existing journal. validLen is the byte length
 // of the well-formed prefix; torn reports a final line the crash cut
 // short (an unparsable line anywhere else is corruption and errors).
+// Append writes each entry together with its newline, so a final entry
+// without one is torn too, parsable or not: the next append would glue
+// itself onto it. A terminal entry whose state is not terminal is
+// corruption as well.
 func readJournal(path string) (entries []JournalEntry, validLen int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -80,23 +84,29 @@ func readJournal(path string) (entries []JournalEntry, validLen int64, torn bool
 	r := bufio.NewReaderSize(f, 64*1024)
 	for {
 		line, rerr := r.ReadBytes('\n')
-		if len(bytes.TrimSpace(line)) > 0 {
+		if rerr != nil && rerr != io.EOF {
+			return nil, 0, false, rerr
+		}
+		if body := bytes.TrimSpace(line); len(body) > 0 {
+			if rerr == io.EOF {
+				return entries, validLen, true, nil
+			}
 			var e JournalEntry
-			if jerr := json.Unmarshal(bytes.TrimSpace(line), &e); jerr != nil {
-				if rerr == nil && !atEOF(r) {
+			if jerr := json.Unmarshal(body, &e); jerr != nil {
+				if !atEOF(r) {
 					return nil, 0, false, fmt.Errorf("journal %s: unparsable entry %d: %w", path, len(entries)+1, jerr)
 				}
 				return entries, validLen, true, nil
 			}
+			if e.T == "terminal" && !e.State.Terminal() {
+				return nil, 0, false, fmt.Errorf("journal %s: entry %d: job %s has non-terminal state %q", path, len(entries)+1, e.ID, e.State)
+			}
 			entries = append(entries, e)
 		}
-		if rerr != nil {
-			if rerr == io.EOF {
-				return entries, validLen + int64(len(line)), false, nil
-			}
-			return nil, 0, false, rerr
-		}
 		validLen += int64(len(line))
+		if rerr == io.EOF {
+			return entries, validLen, false, nil
+		}
 	}
 }
 

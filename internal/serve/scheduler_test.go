@@ -477,6 +477,63 @@ func TestJournalRecovery(t *testing.T) {
 	}
 }
 
+// TestJournalRejectsNonTerminalState pins recovery to fail closed on a
+// terminal entry whose state is not terminal: NewScheduler returns an
+// error naming the journal, the job and the state instead of
+// finalizing the job into that state.
+func TestJournalRejectsNonTerminalState(t *testing.T) {
+	for _, state := range []State{StateRunning, "", "bogus"} {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		line := `{"t":"terminal","id":"j000001","state":"` + string(state) + `"}` + "\n"
+		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewScheduler(Config{Workers: 1, JournalPath: path})
+		if err == nil {
+			s.Drain(context.Background())
+			t.Fatalf("state %q: NewScheduler accepted the journal", state)
+		}
+		for _, want := range []string{path, "j000001", `"` + string(state) + `"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("state %q: error %q does not name %s", state, err, want)
+			}
+		}
+	}
+}
+
+// TestJournalUnterminatedEntryIsTorn pins the replay of a journal whose
+// last entry lost its newline to a crash: the entry is torn away like
+// any cut write, so the next append starts a line of its own and the
+// following recovery reads the journal back whole.
+func TestJournalUnterminatedEntryIsTorn(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	entry := `{"t":"submitted","id":"j000001","req":{"soc":"d695","wmax":12,"nr":200,"groups":2,"seed":1,"algo":"si","restarts":1,"workers":1,"timeoutMS":30000}}`
+	if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestScheduler(t, Config{Workers: 1, JournalPath: path})
+	if job, err := s.Job("j000001"); err == nil {
+		t.Fatalf("the unterminated entry was replayed: job %s is %s", job.ID, job.State())
+	}
+	job, err := s.Submit(quickReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, job)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Drain(ctx)
+
+	s2 := newTestScheduler(t, Config{Workers: 1, JournalPath: path})
+	again, err := s2.Job(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := again.State(); st != StateDone {
+		t.Errorf("job %s replayed as %s, want done", job.ID, st)
+	}
+}
+
 // TestSchedulerPersistentCache pins the daemon-side cache-file
 // lifecycle: entries costed by jobs of one scheduler generation are
 // reloaded by the next, the warm generation's outcomes are
