@@ -1,433 +1,99 @@
 // Command sitlint runs the project's custom static-analysis suite —
-// one analyzer per cross-package correctness invariant of the
-// optimization engine (see internal/analysis/...):
+// one analyzer per cross-package invariant that no test pins (see
+// internal/analysis/... and DESIGN.md §10):
 //
-//	railmutate    direct tam.Rail/tam.Architecture field writes outside internal/tam
 //	ctxflow       optimization loops must thread and check context.Context
-//	detrand       no global math/rand or time.Now in the deterministic search path
-//	traceevent    obs.Event literals use typed constants; phase spans balance
-//	errwrapcheck  sentinel errors use errors.Is and %w
-//	lockorder     mutex/flock release discipline and canonical lock ordering
-//	gorojoin      every go statement in the serving/parallel layers provably joins
-//	fsyncack      journal writes fsync before acknowledgement; durable errors checked
 //	detmerge      parallel reductions merge in deterministic index order
+//	fsyncack      journal writes fsync before acknowledgement; durable errors checked
+//	lockorder     mutex/flock release discipline and canonical lock ordering
 //	metricvocab   /metrics series names come from the closed DESIGN §13 vocabulary
 //
-// The last five are fact-based: they export object facts (what locks a
+// The last four are fact-based: they export object facts (what locks a
 // function takes, whether a helper fsyncs, whether its returns stay
 // inside the metric vocabulary) that flow to importing packages, so
-// cross-package violations surface at the caller. Standalone mode runs
-// one session over the whole module in dependency order; vettool mode
-// round-trips the facts through the .vetx files of the go vet protocol.
+// cross-package violations surface at the caller.
 //
-// Modes:
+// sitlint takes no flags and no arguments. Run from anywhere inside
+// the module, it loads every package of the module and analyzes them
+// in one session in dependency order, so every fact exists before a
+// caller needs it. Diagnostics go to stdout as
+// "file:line:col: analyzer: message", with paths relative to the
+// working directory.
 //
-//	sitlint ./...                            # standalone, like a linter
-//	sitlint -sarif ./...                     # standalone, SARIF 2.1.0 on stdout
-//	sitlint -audit ./...                     # suppression audit: stale //sitlint:allow
-//	go vet -vettool=$(pwd)/sitlint ./...     # as a vet tool in CI
-//
-// In vettool mode sitlint implements the protocol `go vet` expects of
-// external tools (the x/tools unitchecker protocol): -V=full prints a
-// version line keyed to the binary's content, -flags advertises the
-// analyzer selection flags, and otherwise the single argument is a
-// JSON .cfg file describing one compilation unit. Analyzer selection:
-// with no flags every analyzer runs; naming analyzers (-railmutate
-// -detrand) runs only those.
-//
-// Exit status: 0 clean, 1 operational error, 2 diagnostics reported
-// (or, under -audit, stale/unknown suppression directives found).
+// Exit status: 0 clean, 1 operational error, 2 diagnostics reported.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 
 	"sitam/internal/analysis"
 	"sitam/internal/analysis/load"
-	"sitam/internal/analysis/sarif"
 	"sitam/internal/analysis/suite"
 )
-
-// modulePath scopes which compilation units get analyzed (and have
-// facts computed) in vettool mode; everything else only relays facts.
-const modulePath = "sitam"
 
 func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
 func run(args []string) int {
-	// Fact types must be gob-registered before any .vetx file or
-	// session is touched.
-	analysis.RegisterFactTypes(suite.Analyzers())
-
-	// The -V=full handshake must come before flag parsing: the go
-	// command invokes it to compute the tool's build ID.
-	if len(args) == 1 && strings.HasPrefix(args[0], "-V") {
-		return printVersion()
-	}
-
-	fs := flag.NewFlagSet("sitlint", flag.ContinueOnError)
-	printFlags := fs.Bool("flags", false, "print analyzer flags in JSON (vettool protocol)")
-	sarifOut := fs.Bool("sarif", false, "standalone mode: emit SARIF 2.1.0 to stdout")
-	audit := fs.Bool("audit", false, "standalone mode: audit //sitlint:allow directives for staleness")
-	enabled := map[string]*bool{}
-	for _, a := range suite.Analyzers() {
-		enabled[a.Name] = fs.Bool(a.Name, false, "run only the named analyzers: "+firstLine(a.Doc))
-	}
-	if err := fs.Parse(args); err != nil {
+	if len(args) > 0 {
+		fmt.Fprintln(os.Stderr, "usage: sitlint (no flags or arguments: it analyzes the whole module)")
 		return 1
-	}
-	if *printFlags {
-		return printFlagDefs()
-	}
-
-	var analyzers []*analysis.Analyzer
-	for _, a := range suite.Analyzers() {
-		if *enabled[a.Name] {
-			analyzers = append(analyzers, a)
-		}
-	}
-	if len(analyzers) == 0 || *audit {
-		// The audit needs the full suite: a directive is only provably
-		// stale after every analyzer it names has run.
-		analyzers = suite.Analyzers()
-	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runUnit(analyzers, rest[0])
-	}
-	return runStandalone(analyzers, rest, *sarifOut, *audit)
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
-// printVersion implements the -V=full handshake: the go command
-// requires "<name> version <vers>" and, for devel versions, a
-// trailing buildID= token it uses to cache vet results. Hashing the
-// executable makes the ID track rebuilds of the tool itself.
-func printVersion() int {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%x\n", name, h.Sum(nil))
-	return 0
-}
-
-// printFlagDefs implements the -flags handshake: the go command asks
-// which flags the tool supports so it can forward matching command
-// line flags.
-func printFlagDefs() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var defs []jsonFlag
-	for _, a := range suite.Analyzers() {
-		defs = append(defs, jsonFlag{Name: a.Name, Bool: true, Usage: firstLine(a.Doc)})
-	}
-	data, err := json.Marshal(defs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sitlint:", err)
-		return 1
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
-	return 0
-}
-
-// vetConfig is the JSON the go command writes for each compilation
-// unit in vettool mode (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one compilation unit described by a vet .cfg file.
-// Facts flow through the protocol: the .vetx files of the unit's
-// dependencies (PackageVetx) seed the session, the unit's own analysis
-// adds to it, and the union is written to VetxOutput for units that
-// import this one. Dependency-only units of the module (VetxOnly) run
-// the analyzers with diagnostics discarded — their facts are needed,
-// their findings are reported when the package is vetted as a target.
-func runUnit(analyzers []*analysis.Analyzer, cfgFile string) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sitlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "sitlint: parsing %s: %v\n", cfgFile, err)
-		return 1
-	}
-
-	session := analysis.NewSession()
-	for _, vetx := range cfg.PackageVetx {
-		f, err := os.Open(vetx)
-		if err != nil {
-			continue // a dep analyzed by an older tool build; facts degrade gracefully
-		}
-		derr := session.DecodeFacts(f)
-		f.Close()
-		if derr != nil {
-			fmt.Fprintf(os.Stderr, "sitlint: reading facts %s: %v\n", vetx, derr)
-			return 1
-		}
-	}
-
-	if inModule(cfg.ImportPath) {
-		if code := analyzeUnit(session, analyzers, &cfg, !cfg.VetxOnly); code != 0 {
-			return code
-		}
-	}
-	if cfg.VetxOutput != "" {
-		f, err := os.Create(cfg.VetxOutput)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sitlint:", err)
-			return 1
-		}
-		eerr := session.EncodeFacts(f)
-		cerr := f.Close()
-		if eerr == nil {
-			eerr = cerr
-		}
-		if eerr != nil {
-			fmt.Fprintln(os.Stderr, "sitlint:", eerr)
-			return 1
-		}
-	}
-	return 0
-}
-
-// inModule reports whether the (possibly test-variant) unit path
-// belongs to this module.
-func inModule(importPath string) bool {
-	p := plainImportPath(importPath)
-	return p == modulePath || strings.HasPrefix(p, modulePath+"/")
-}
-
-// plainImportPath strips the test-variant decorations the go command
-// adds ("pkg [pkg.test]", "pkg.test").
-func plainImportPath(importPath string) string {
-	return strings.TrimSuffix(strings.SplitN(importPath, " ", 2)[0], ".test")
-}
-
-func analyzeUnit(session *analysis.Session, analyzers []*analysis.Analyzer, cfg *vetConfig, report bool) int {
-	fset := token.NewFileSet()
-	files := make([]*ast.File, 0, len(cfg.GoFiles))
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "sitlint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	tconf := types.Config{Importer: imp, Sizes: types.SizesFor(compiler, "amd64")}
-	tpkg, err := tconf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "sitlint:", err)
-		return 1
-	}
-	// Test variants list the package under paths like "pkg [pkg.test]";
-	// analyzers (and fact keys) match on the plain import path.
-	pkg := &analysis.Package{
-		Path:      plainImportPath(cfg.ImportPath),
-		Fset:      fset,
-		Files:     files,
-		Types:     tpkg,
-		TypesInfo: info,
-	}
-	diags, err := analysis.RunAllSession(session, analyzers, []*analysis.Package{pkg})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sitlint:", err)
-		return 1
-	}
-	if !report {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// runStandalone loads packages by pattern and analyzes them in one
-// session in dependency order (so facts propagate), printing
-// diagnostics to stdout with paths relative to the working directory —
-// or as SARIF with -sarif, or as a suppression audit with -audit.
-func runStandalone(analyzers []*analysis.Analyzer, patterns []string, sarifOut, audit bool) int {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
 	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sitlint:", err)
 		return 1
 	}
-	pkgs, err := load.Load(cwd, patterns...)
+	root, err := moduleRoot()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "sitlint:", err)
+		return 1
+	}
+	pkgs, err := load.Load(root, "./...")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sitlint:", err)
 		return 1
 	}
 	session := analysis.NewSession()
-	diags, err := analysis.RunAllSession(session, analyzers, pkgs)
+	found := 0
+	for _, pkg := range pkgs {
+		for _, a := range suite.Analyzers() {
+			diags, err := analysis.RunSession(session, a, pkg)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "sitlint:", err)
+				return 1
+			}
+			for _, d := range diags {
+				pos := pkg.Fset.Position(d.Pos)
+				name := pos.Filename
+				if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
+					name = rel
+				}
+				fmt.Printf("%s:%d:%d: %s: %s\n", name, pos.Line, pos.Column, d.Analyzer, d.Message)
+			}
+			found += len(diags)
+		}
+	}
+	if found > 0 {
+		return 2
+	}
+	return 0
+}
+
+// moduleRoot returns the directory of the main module's go.mod.
+func moduleRoot() (string, error) {
+	out, err := exec.Command("go", "env", "GOMOD").Output()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sitlint:", err)
-		return 1
+		return "", fmt.Errorf("go env GOMOD: %w", err)
 	}
-
-	relative := func(name string) string {
-		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-			return rel
-		}
-		return name
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return "", fmt.Errorf("not inside a Go module")
 	}
-
-	if audit {
-		return runAudit(session, relative)
-	}
-
-	if sarifOut {
-		rules := make([]sarif.Rule, 0, len(analyzers))
-		for _, a := range analyzers {
-			rules = append(rules, sarif.Rule{ID: a.Name, ShortDescription: sarif.Message{Text: firstLine(a.Doc)}})
-		}
-		log := sarif.NewLog("sitlint", "https://sitam.invalid/sitlint", "file://"+filepath.ToSlash(cwd)+"/", rules)
-		for _, d := range diags {
-			pos := fsetFor(pkgs, d).Position(d.Pos)
-			log.AddResult(d.Analyzer, d.Message, filepath.ToSlash(relative(pos.Filename)), pos.Line, pos.Column)
-		}
-		if err := log.Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sitlint:", err)
-			return 1
-		}
-		if len(diags) > 0 {
-			return 2
-		}
-		return 0
-	}
-
-	for _, d := range diags {
-		pos := fsetFor(pkgs, d).Position(d.Pos)
-		fmt.Printf("%s:%d:%d: %s: %s\n", relative(pos.Filename), pos.Line, pos.Column, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// fsetFor returns the FileSet positions resolve against. All packages
-// of one load share a FileSet; the indirection keeps that assumption
-// in one place.
-func fsetFor(pkgs []*analysis.Package, _ analysis.Diagnostic) *token.FileSet {
-	return pkgs[0].Fset
-}
-
-// runAudit reports every //sitlint:allow directive that names an
-// unknown analyzer or suppressed nothing during the full-suite run.
-// Exit 2 when any directive is stale — a suppression that suppresses
-// nothing is a future false negative waiting for code to drift under
-// it.
-func runAudit(session *analysis.Session, relative func(string) string) int {
-	known := map[string]bool{"all": true}
-	for _, a := range suite.Analyzers() {
-		known[a.Name] = true
-	}
-	directives := session.Directives()
-	bad := 0
-	for _, d := range directives {
-		var unknown, stale []string
-		for _, n := range d.Names {
-			if !known[n] {
-				unknown = append(unknown, n)
-			}
-		}
-		for _, n := range d.Stale() {
-			if known[n] {
-				stale = append(stale, n)
-			}
-		}
-		if len(unknown) > 0 {
-			fmt.Printf("%s:%d: unknown analyzer in //sitlint:allow: %s\n", relative(d.File), d.Line, strings.Join(unknown, ", "))
-			bad++
-		}
-		if len(stale) > 0 {
-			fmt.Printf("%s:%d: stale //sitlint:allow %s: suppresses nothing; remove it or fix the justification\n", relative(d.File), d.Line, strings.Join(stale, ", "))
-			bad++
-		}
-	}
-	fmt.Printf("sitlint audit: %d directive(s), %d problem(s)\n", len(directives), bad)
-	if bad > 0 {
-		return 2
-	}
-	return 0
+	return filepath.Dir(gomod), nil
 }

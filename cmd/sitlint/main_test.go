@@ -1,7 +1,7 @@
 package main
 
 import (
-	"encoding/json"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -27,7 +27,7 @@ func repoRoot(t *testing.T) string {
 	}
 }
 
-// buildTool builds the sitlint binary once per test binary run.
+// buildTool builds the sitlint binary into the test's temp dir.
 func buildTool(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "sitlint")
@@ -39,157 +39,76 @@ func buildTool(t *testing.T) string {
 	return bin
 }
 
-// TestVersionHandshake checks the -V=full output the go command parses
-// to compute the vet tool's build ID.
-func TestVersionHandshake(t *testing.T) {
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-V=full").Output()
-	if err != nil {
-		t.Fatalf("-V=full: %v", err)
-	}
-	fields := strings.Fields(strings.TrimSpace(string(out)))
-	if len(fields) < 3 || fields[0] != "sitlint" || fields[1] != "version" {
-		t.Fatalf("-V=full output %q; want \"sitlint version ...\"", out)
-	}
-	last := fields[len(fields)-1]
-	if !strings.HasPrefix(last, "buildID=") || len(last) == len("buildID=") {
-		t.Fatalf("-V=full output %q lacks a buildID= token", out)
-	}
-}
-
-// TestFlagsHandshake checks the -flags JSON the go command uses to
-// validate user-provided analyzer flags.
-func TestFlagsHandshake(t *testing.T) {
-	bin := buildTool(t)
-	out, err := exec.Command(bin, "-flags").Output()
-	if err != nil {
-		t.Fatalf("-flags: %v", err)
-	}
-	var defs []struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	if err := json.Unmarshal(out, &defs); err != nil {
-		t.Fatalf("-flags output is not JSON: %v\n%s", err, out)
-	}
-	got := map[string]bool{}
-	for _, d := range defs {
-		if !d.Bool {
-			t.Errorf("flag %s not boolean", d.Name)
+// copyModule copies the module's non-test sources (and the files they
+// embed) into a fresh directory, leaving out testdata, hidden
+// directories and nested modules, and returns the copy's root.
+func copyModule(t *testing.T, root string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
 		}
-		got[d.Name] = true
-	}
-	for _, want := range []string{
-		"ctxflow", "detmerge", "detrand", "errwrapcheck", "fsyncack",
-		"gorojoin", "lockorder", "metricvocab", "railmutate", "traceevent",
-	} {
-		if !got[want] {
-			t.Errorf("-flags output missing analyzer %s: %s", want, out)
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
 		}
-	}
-}
-
-// violations is a source file that commits one violation per analyzer.
-// It is injected into internal/sischedule via -overlay (the package is
-// in ctxflow's target set and already imports tam and obs), so the
-// on-disk tree is never modified.
-const violations = `package sischedule
-
-import (
-	"context"
-	"errors"
-	"fmt"
-	"math/rand"
-	"time"
-
-	"sitam/internal/obs"
-	"sitam/internal/tam"
-)
-
-var ErrZZViolation = errors.New("zz violation")
-
-func ZZViolate(a *tam.Architecture, sink obs.Sink, items []int, err error) (int64, error) {
-	a.Rails[0].TimeSI = 9
-	total := int64(rand.Intn(3)) + time.Now().UnixNano()
-	for _, x := range items {
-		total += int64(zzEval(context.Background(), x))
-	}
-	sink.Emit(obs.Event{Type: obs.PhaseStart, Phase: "zz"})
-	if err == ErrZZViolation {
-		return 0, fmt.Errorf("zz: %v", ErrZZViolation)
-	}
-	return total, nil
-}
-
-func zzEval(ctx context.Context, x int) int { return x }
-`
-
-// TestVettoolFlagsReintroducedViolations reintroduces one violation of
-// each kind through a build overlay and asserts that
-// `go vet -vettool=sitlint` fails with every analyzer represented.
-func TestVettoolFlagsReintroducedViolations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go vet; skipped in -short mode")
-	}
-	bin := buildTool(t)
-	root := repoRoot(t)
-	tmp := t.TempDir()
-
-	vioFile := filepath.Join(tmp, "zz_violation.go")
-	if err := os.WriteFile(vioFile, []byte(violations), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	overlay := filepath.Join(tmp, "overlay.json")
-	ov, err := json.Marshal(map[string]map[string]string{
-		"Replace": {filepath.Join(root, "internal/sischedule/zz_violation.go"): vioFile},
+		if d.IsDir() {
+			if rel == "." {
+				return nil
+			}
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		if !d.Type().IsRegular() || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(overlay, ov, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "-overlay="+overlay, "sitam/internal/sischedule")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet succeeded on a tree with reintroduced violations:\n%s", out)
-	}
-
-	// One diagnostic per analyzer, except detrand (two sites: rand.Intn
-	// and time.Now) and errwrapcheck (identity comparison plus %v wrap).
-	wantCounts := map[string]int{
-		"railmutate":   1,
-		"detrand":      2,
-		"ctxflow":      1,
-		"traceevent":   1,
-		"errwrapcheck": 2,
-	}
-	for name, want := range wantCounts {
-		n := 0
-		for _, line := range strings.Split(string(out), "\n") {
-			if strings.Contains(line, "zz_violation.go:") && strings.Contains(line, ": "+name+": ") {
-				n++
-			}
-		}
-		if n != want {
-			t.Errorf("analyzer %s: got %d diagnostics, want %d\noutput:\n%s", name, n, want, out)
-		}
-	}
+	return dst
 }
 
-// serveViolations reintroduces one violation per concurrency/durability
-// analyzer inside internal/serve, where the real invariants live:
-// lockorder (a return while holding the scheduler lock, and a
-// Job-before-Scheduler inversion), gorojoin (a detached goroutine),
-// fsyncack (a raw journal-fd write outside the owner, a discarded
-// same-package Journal.Append error, and a discarded cross-package
-// core.CacheFile.Sync error — the last one only fails if Durable facts
-// really flow through the vet .vetx protocol), and metricvocab (a
-// concatenated series name).
-const serveViolations = `package serve
+// violations holds one source file per package, each reintroducing
+// violations of the suite's invariants where the real invariants live.
+//
+//   - internal/sischedule (in ctxflow's target set): an exported loop
+//     that feeds context.Background to context-aware work.
+//   - internal/serve: lockorder (a return while holding the scheduler
+//     lock, and a Job-before-Scheduler inversion), fsyncack (a raw
+//     journal-fd write outside the owner, a discarded same-package
+//     Journal.Append error, and a discarded cross-package
+//     core.CacheFile.Sync error — the last one is only found if core's
+//     Durable fact exists before serve is analyzed) and metricvocab (a
+//     concatenated series name).
+//   - internal/compaction: a map range on a declared detmerge root.
+var violations = map[string]string{
+	"internal/sischedule/zz_violation.go": `package sischedule
+
+import "context"
+
+func ZZViolate(items []int) int64 {
+	var total int64
+	for _, x := range items {
+		total += int64(zzEval(context.Background(), x))
+	}
+	return total
+}
+
+func zzEval(ctx context.Context, x int) int { return x }
+`,
+	"internal/serve/zz_violation.go": `package serve
 
 func zzLockLeak(s *Scheduler, x bool) {
 	s.mu.Lock()
@@ -204,10 +123,6 @@ func zzInvert(s *Scheduler, j *Job) {
 	defer j.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-}
-
-func zzDetached() {
-	go func() {}()
 }
 
 func zzRawWrite(j *Journal, b []byte) {
@@ -225,11 +140,8 @@ func zzCrossDiscard(s *Scheduler) {
 func zzBadMetric(s *Scheduler, name string) {
 	s.cfg.Metrics.Counter("zz_" + name).Inc()
 }
-`
-
-// compactionViolations reintroduces a detmerge violation on a declared
-// merge root.
-const compactionViolations = `package compaction
+`,
+	"internal/compaction/zz_violation.go": `package compaction
 
 //sitlint:detmerge-root
 func zzMerge(m map[int]int) int {
@@ -239,186 +151,76 @@ func zzMerge(m map[int]int) int {
 	}
 	return total
 }
-`
+`,
+}
 
-// TestVettoolReintroducedFactViolations overlays concurrency,
-// durability and determinism violations into internal/serve and
-// internal/compaction and asserts `go vet -vettool=sitlint` fails with
-// every fact-based analyzer represented at the expected multiplicity.
-func TestVettoolReintroducedFactViolations(t *testing.T) {
+// TestReintroducedViolations runs sitlint over a copy of the module
+// with the violations above added, and requires exit 2 and exactly
+// the expected diagnostics, every one of them in a violation file.
+// The source tree itself is never written.
+func TestReintroducedViolations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs go vet; skipped in -short mode")
+		t.Skip("type-checks a copy of the whole module; skipped in -short mode")
 	}
 	bin := buildTool(t)
-	root := repoRoot(t)
-	tmp := t.TempDir()
-
-	serveFile := filepath.Join(tmp, "zz_serve_violation.go")
-	if err := os.WriteFile(serveFile, []byte(serveViolations), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	compactFile := filepath.Join(tmp, "zz_compaction_violation.go")
-	if err := os.WriteFile(compactFile, []byte(compactionViolations), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	overlay := filepath.Join(tmp, "overlay.json")
-	ov, err := json.Marshal(map[string]map[string]string{
-		"Replace": {
-			filepath.Join(root, "internal/serve/zz_serve_violation.go"):           serveFile,
-			filepath.Join(root, "internal/compaction/zz_compaction_violation.go"): compactFile,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(overlay, ov, 0o644); err != nil {
-		t.Fatal(err)
+	mod := copyModule(t, repoRoot(t))
+	for name, src := range violations {
+		if err := os.WriteFile(filepath.Join(mod, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "-overlay="+overlay,
-		"sitam/internal/serve", "sitam/internal/compaction")
-	cmd.Dir = root
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet succeeded on a tree with reintroduced violations:\n%s", out)
+	cmd := exec.Command(bin)
+	cmd.Dir = mod
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 {
+		t.Fatalf("sitlint on reintroduced violations: err=%v, want exit 2\nstdout:\n%s\nstderr:\n%s", err, out, stderr.String())
 	}
 
-	wantCounts := map[string]int{
+	want := map[string]int{
+		"ctxflow":     1,
+		"detmerge":    1,
 		"lockorder":   2, // return-while-held + inversion
-		"gorojoin":    1,
 		"fsyncack":    3, // raw fd write + discarded Append + discarded cross-package Sync
 		"metricvocab": 1,
-		"detmerge":    1,
 	}
-	for name, want := range wantCounts {
-		n := 0
-		for _, line := range strings.Split(string(out), "\n") {
-			if strings.Contains(line, "_violation.go:") && strings.Contains(line, ": "+name+": ") {
-				n++
-			}
+	got := map[string]int{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.SplitN(line, ": ", 3)
+		if len(fields) != 3 || !strings.Contains(fields[0], "zz_violation.go:") {
+			t.Errorf("diagnostic outside the violation files: %q", line)
+			continue
 		}
-		if n != want {
-			t.Errorf("analyzer %s: got %d diagnostics, want %d\noutput:\n%s", name, n, want, out)
+		got[fields[1]]++
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			want[name] = 0
 		}
 	}
-}
-
-// TestSarifCleanTree validates the -sarif exposition on the clean
-// module: well-formed JSON, the right version/schema pair, the full
-// rule set, and an empty (but present) results array.
-func TestSarifCleanTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module; skipped in -short mode")
+	for name, n := range want {
+		if got[name] != n {
+			t.Errorf("analyzer %s: got %d diagnostics, want %d", name, got[name], n)
+		}
 	}
-	bin := buildTool(t)
-	cmd := exec.Command(bin, "-sarif", "./...")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("sitlint -sarif ./... failed: %v\n%s", err, out)
-	}
-	var log struct {
-		Version string `json:"version"`
-		Schema  string `json:"$schema"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []json.RawMessage `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(out, &log); err != nil {
-		t.Fatalf("-sarif output is not JSON: %v\n%s", err, out)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif") {
-		t.Fatalf("version/schema = %q/%q", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 || log.Runs[0].Tool.Driver.Name != "sitlint" {
-		t.Fatalf("runs malformed: %s", out)
-	}
-	if got := len(log.Runs[0].Tool.Driver.Rules); got != 10 {
-		t.Fatalf("rules = %d, want 10", got)
-	}
-	if log.Runs[0].Results == nil {
-		t.Fatal("results array absent; SARIF requires it even when empty")
-	}
-	if len(log.Runs[0].Results) != 0 {
-		t.Fatalf("clean tree produced findings:\n%s", out)
+	if t.Failed() {
+		t.Logf("output:\n%s", out)
 	}
 }
 
-// TestAuditCleanTree requires zero stale //sitlint:allow directives on
-// the real tree.
-func TestAuditCleanTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module; skipped in -short mode")
-	}
-	bin := buildTool(t)
-	cmd := exec.Command(bin, "-audit", "./...")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("sitlint -audit ./... failed: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "0 problem(s)") {
-		t.Fatalf("audit output does not report zero problems:\n%s", out)
-	}
-}
-
-// TestAuditFlagsStaleDirective runs the audit over a scratch module
-// holding one //sitlint:allow that suppresses nothing and asserts exit
-// 2 with the stale report.
-func TestAuditFlagsStaleDirective(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shells out to go list; skipped in -short mode")
-	}
-	bin := buildTool(t)
-	tmp := t.TempDir()
-	if err := os.WriteFile(filepath.Join(tmp, "go.mod"), []byte("module zzaudit\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src := `package zzaudit
-
-//sitlint:allow detrand — stale: nothing below uses randomness
-func F() int { return 1 }
-
-//sitlint:allow nosuchanalyzer — typo'd name
-func G() int { return 2 }
-`
-	if err := os.WriteFile(filepath.Join(tmp, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(bin, "-audit", "./...")
-	cmd.Dir = tmp
-	out, err := cmd.CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 2 {
-		t.Fatalf("audit on stale directive: err=%v, want exit 2\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "stale //sitlint:allow detrand") {
-		t.Errorf("missing stale report:\n%s", out)
-	}
-	if !strings.Contains(string(out), "unknown analyzer") {
-		t.Errorf("missing unknown-analyzer report:\n%s", out)
-	}
-}
-
-// TestStandaloneCleanTree runs the standalone driver over the whole
-// module and requires a clean exit: the repository must stay free of
-// the invariant violations the suite enforces.
+// TestStandaloneCleanTree runs sitlint over the whole module and
+// requires a clean exit: the repository must stay free of the
+// invariant violations the suite enforces.
 func TestStandaloneCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module; skipped in -short mode")
 	}
 	bin := buildTool(t)
-	cmd := exec.Command(bin, "./...")
+	cmd := exec.Command(bin)
 	cmd.Dir = repoRoot(t)
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("sitlint ./... failed: %v\n%s", err, out)
+		t.Fatalf("sitlint failed: %v\n%s", err, out)
 	}
 }

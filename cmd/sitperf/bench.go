@@ -62,14 +62,14 @@ func measure(s suite, iters int, verbose bool, root string) (map[string][]float6
 }
 
 // lintBudget is the hard wall-clock ceiling for one full-module sitlint
-// run. A standalone run type-checks every package and propagates facts
-// in dependency order; if that ever crosses a minute, the vettool has
-// become too expensive for the edit-lint loop and the suite fails
-// outright, baseline or not.
+// run. A run type-checks every package and propagates facts in
+// dependency order; if that ever crosses a minute, sitlint has become
+// too expensive for the edit-lint loop and the suite fails outright,
+// baseline or not.
 const lintBudget = 60 * time.Second
 
-// measureLint builds the sitlint vettool into a scratch dir and times
-// iters full-module standalone analyses, reported as Lint_FullModule
+// measureLint builds sitlint into a scratch dir and times iters
+// full-module analyses, reported as Lint_FullModule
 // wall nanoseconds. Build time is excluded: the smoke target is the
 // analysis cost developers and CI pay per run, not the one-off compile.
 func measureLint(iters int, verbose bool, root string) (map[string][]float64, error) {
@@ -86,13 +86,13 @@ func measureLint(iters int, verbose bool, root string) (map[string][]float64, er
 	}
 	out := make(map[string][]float64)
 	for i := 0; i < iters; i++ {
-		cmd := exec.Command(bin, "./...")
+		cmd := exec.Command(bin)
 		cmd.Dir = root
 		start := time.Now()
 		raw, err := cmd.CombinedOutput()
 		elapsed := time.Since(start)
 		if err != nil {
-			return nil, fmt.Errorf("lint run %d: sitlint ./... : %v\n%s", i, err, raw)
+			return nil, fmt.Errorf("lint run %d: sitlint: %v\n%s", i, err, raw)
 		}
 		if verbose {
 			fmt.Fprintf(os.Stderr, "sitperf: lint run %d: %s\n", i, elapsed)

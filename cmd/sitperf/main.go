@@ -19,7 +19,7 @@
 // are noisier still; its threshold is scaled (see suite definitions).
 // The lint suite times a full-module sitlint run and additionally
 // enforces a hard 60s wall-clock smoke budget independent of the
-// baseline, so analyzer work can never silently make `go vet` painful.
+// baseline, so analyzer work can never silently make linting painful.
 package main
 
 import (
@@ -51,8 +51,8 @@ type suite struct {
 	// serveLatency marks the chaos-harness suite, which measures via a
 	// test run writing CHAOS_BENCH_OUT instead of -bench output.
 	serveLatency bool
-	// lintSmoke marks the static-analysis suite: it builds the sitlint
-	// vettool and times a full-module standalone run, hard-failing past
+	// lintSmoke marks the static-analysis suite: it builds sitlint and
+	// times a full-module run, hard-failing past
 	// the wall-clock budget regardless of the baseline comparison.
 	lintSmoke bool
 }

@@ -6,39 +6,22 @@
 // The subset mirrors the x/tools names (Analyzer, Pass, Diagnostic,
 // Reportf, Fact, ExportObjectFact/ImportObjectFact) so that, should the
 // real module ever become available to this repo, the analyzers port by
-// changing one import path. Since the v2 suite the subset includes
-// object facts: an analyzer can attach a serializable fact to a
-// package-level object while analyzing its defining package and read it
-// back when a later package references that object. Facts flow through
-// a Session — one per standalone run, or reconstructed from .vetx files
-// in vettool mode — and are keyed by (analyzer, package path, object
-// key) strings rather than object identity, so a fact exported while
-// type-checking a package from source is found again when the same
-// object is reached through compiled export data.
-//
-// # Suppression directives
-//
-// A diagnostic is suppressed by a directive comment on the flagged
-// line or on the line directly above it:
-//
-//	//sitlint:allow detrand — wall-clock feeds the trace's DurNS field
-//
-// The directive names one or more comma-separated analyzers (or "all")
-// and should carry a short justification. Suppressions are part of the
-// reviewed source, which is the allow-list policy of the suite: every
-// exemption is visible in the diff that introduces it. The Session
-// records which directives actually suppressed something, so the
-// driver's -audit mode can flag stale directives that no longer match
-// any diagnostic.
+// changing one import path. The subset includes object facts: an
+// analyzer can attach a fact to a package-level object while analyzing
+// its defining package and read it back when a later package
+// references that object. Facts flow through a Session — one per lint
+// run, which analyzes the packages in dependency order — and are keyed
+// by (analyzer, package path, object key) strings rather than object
+// identity, so a fact exported while type-checking a package from
+// source is found again when the same object is reached through
+// compiled export data.
 package analysis
 
 import (
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -46,13 +29,12 @@ import (
 
 // Analyzer describes one lint pass.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //sitlint:allow directives. By convention a lowercase single
-	// word.
+	// Name identifies the analyzer in diagnostics. By convention a
+	// lowercase single word.
 	Name string
 
 	// Doc is the analyzer's documentation: first line summary, then
-	// the invariant it enforces and its allow-list policy.
+	// the invariant it enforces.
 	Doc string
 
 	// Run applies the analyzer to one package, reporting diagnostics
@@ -62,15 +44,14 @@ type Analyzer struct {
 
 	// FactTypes lists prototype values (pointers to struct types
 	// implementing Fact) of every fact kind the analyzer exports or
-	// imports. Required for gob round-tripping in vettool mode; an
-	// ExportObjectFact of an unlisted type panics.
+	// imports; an ExportObjectFact of an unlisted type panics.
 	FactTypes []Fact
 }
 
-// Fact is a serializable observation an analyzer attaches to an object
-// in one package and consumes in downstream packages. Implementations
-// are pointers to gob-encodable structs; the AFact marker method keeps
-// arbitrary types out of the fact store.
+// Fact is an observation an analyzer attaches to an object in one
+// package and consumes in downstream packages. Implementations are
+// pointers to structs; the AFact marker method keeps arbitrary types
+// out of the fact store.
 type Fact interface{ AFact() }
 
 // Pass is the interface between one Analyzer and one type-checked
@@ -87,7 +68,6 @@ type Pass struct {
 	Report func(Diagnostic)
 
 	session *Session
-	pkgPath string // scoping path (may differ from Pkg.Path() for test variants)
 }
 
 // Diagnostic is one finding.
@@ -104,10 +84,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // InTestFile reports whether pos lies in a _test.go file. The sitlint
 // analyzers skip test files: tests deliberately violate invariants to
-// prove the production code defends them (e.g. the differential suite
-// corrupts a rail directly to check MarkDirty), and the run-time
-// checks they exercise are the dynamic counterpart of these static
-// ones.
+// prove the production code defends them, and the run-time checks
+// they exercise are the dynamic counterpart of these static ones.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.File(pos).Name(), "_test.go")
 }
@@ -185,22 +163,15 @@ type factKey struct {
 }
 
 // Session carries the cross-package state of one lint run: the fact
-// store and the suppression-directive usage record. A Session is not
-// safe for concurrent use; drivers analyze packages sequentially in
-// dependency order.
+// store. A Session is not safe for concurrent use; drivers analyze
+// packages sequentially in dependency order.
 type Session struct {
-	facts      map[factKey]Fact
-	directives map[string]*Directive // "file:line" -> record
-	supCache   map[*ast.File]bool    // files already scanned for directives
+	facts map[factKey]Fact
 }
 
 // NewSession returns an empty session.
 func NewSession() *Session {
-	return &Session{
-		facts:      map[factKey]Fact{},
-		directives: map[string]*Directive{},
-		supCache:   map[*ast.File]bool{},
-	}
+	return &Session{facts: map[factKey]Fact{}}
 }
 
 func (s *Session) setFact(analyzer, pkg, object string, fact Fact) {
@@ -216,140 +187,11 @@ func (s *Session) getFact(analyzer, pkg, object string, fact Fact) bool {
 	return true
 }
 
-// FactRecord is the serialized form of one stored fact (the .vetx
-// payload in vettool mode).
-type FactRecord struct {
-	Analyzer string
-	Pkg      string
-	Object   string
-	Fact     Fact
-}
-
-// Facts returns every stored fact in a deterministic order.
-func (s *Session) Facts() []FactRecord {
-	out := make([]FactRecord, 0, len(s.facts))
-	for k, f := range s.facts {
-		out = append(out, FactRecord{Analyzer: k.analyzer, Pkg: k.pkg, Object: k.object, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return fmt.Sprintf("%T", a.Fact) < fmt.Sprintf("%T", b.Fact)
-	})
-	return out
-}
-
-// AddFacts merges previously serialized facts into the session.
-func (s *Session) AddFacts(records []FactRecord) {
-	for _, r := range records {
-		if r.Fact == nil {
-			continue
-		}
-		s.setFact(r.Analyzer, r.Pkg, r.Object, r.Fact)
-	}
-}
-
-// EncodeFacts writes the session's facts as a gob stream. Fact types
-// must have been registered with RegisterFactTypes.
-func (s *Session) EncodeFacts(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(s.Facts())
-}
-
-// DecodeFacts merges a gob stream produced by EncodeFacts. An empty
-// stream (the facts file of a fact-free unit) is not an error.
-func (s *Session) DecodeFacts(r io.Reader) error {
-	var records []FactRecord
-	if err := gob.NewDecoder(r).Decode(&records); err != nil {
-		if err == io.EOF {
-			return nil
-		}
-		return err
-	}
-	s.AddFacts(records)
-	return nil
-}
-
-// RegisterFactTypes registers every fact type of the given analyzers
-// with encoding/gob so FactRecord's Fact interface field round-trips.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			gob.Register(f)
-		}
-	}
-}
-
-// Directive is one //sitlint:allow comment found during the run, with
-// the record of which analyzers it actually suppressed.
-type Directive struct {
-	File  string
-	Line  int
-	Names []string // analyzer names listed on the directive
-
-	hits map[string]int // analyzer name -> diagnostics suppressed
-}
-
-// Used reports whether the directive suppressed at least one
-// diagnostic of the named analyzer during the session ("all"
-// directives count hits under the concrete analyzer names).
-func (d *Directive) Used(name string) bool {
-	if name == "all" {
-		return len(d.hits) > 0
-	}
-	return d.hits[name] > 0
-}
-
-// Stale returns the directive's listed names that suppressed nothing.
-// Only meaningful after the full suite ran over the directive's
-// package; a partial run under-reports usage.
-func (d *Directive) Stale() []string {
-	var out []string
-	for _, n := range d.Names {
-		if !d.Used(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// Directives returns every directive seen by the session, ordered by
-// (file, line).
-func (s *Session) Directives() []*Directive {
-	out := make([]*Directive, 0, len(s.directives))
-	for _, d := range s.directives {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Line < out[j].Line
-	})
-	return out
-}
-
-// Run applies one analyzer to one package with a throwaway session and
-// returns its diagnostics with suppression directives already applied,
-// sorted by position. Fact-free analyzers behave exactly as before;
-// fact-carrying analyzers see only the facts of this single package.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunSession(NewSession(), a, pkg)
-}
-
 // RunSession applies one analyzer to one package inside an ongoing
-// session: facts exported by earlier packages are visible, facts
-// exported here stay for later packages, and suppression hits
-// accumulate for the audit.
+// session and returns its diagnostics sorted by position: facts
+// exported by earlier packages are visible, and facts exported here
+// stay for later packages.
 func RunSession(s *Session, a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	sup := s.suppressionsFor(pkg)
 	var out []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
@@ -358,14 +200,10 @@ func RunSession(s *Session, a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.TypesInfo,
 		session:   s,
-		pkgPath:   pkg.Path,
 	}
 	pass.Report = func(d Diagnostic) {
 		if d.Analyzer == "" {
 			d.Analyzer = a.Name
-		}
-		if sup.allows(pkg.Fset, d.Pos, a.Name) {
-			return
 		}
 		out = append(out, d)
 	}
@@ -374,96 +212,6 @@ func RunSession(s *Session, a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
-}
-
-// RunAll applies every analyzer to every package under one shared
-// session, concatenating the diagnostics in (package, analyzer) order.
-// Packages must be in dependency order for facts to propagate; the
-// loader returns them that way.
-func RunAll(analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	return RunAllSession(NewSession(), analyzers, pkgs)
-}
-
-// RunAllSession is RunAll against a caller-owned session (so the
-// driver can pre-seed facts from .vetx files and harvest the
-// directive-usage record afterwards).
-func RunAllSession(s *Session, analyzers []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
-	var out []Diagnostic
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			ds, err := RunSession(s, a, pkg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ds...)
-		}
-	}
-	return out, nil
-}
-
-// suppressions maps file name -> line -> directives in force there.
-type suppressions map[string]map[int][]*Directive
-
-const directivePrefix = "//sitlint:allow"
-
-// suppressionsFor scans the package's comments for //sitlint:allow
-// directives, reusing the session-wide directive records so usage
-// accumulates across the analyzers that visit the same package. A
-// directive suppresses the named analyzers on its own line and on the
-// following line (so it can sit above the flagged statement or trail
-// it).
-func (s *Session) suppressionsFor(pkg *Package) suppressions {
-	sup := suppressions{}
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := c.Text
-				if !strings.HasPrefix(text, directivePrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(text, directivePrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue // e.g. //sitlint:allowother
-				}
-				// The analyzer list ends at the first token that is
-				// not a comma-separated name; everything after is the
-				// justification.
-				names := strings.FieldsFunc(strings.Fields(rest)[0], func(r rune) bool { return r == ',' })
-				position := pkg.Fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", position.Filename, position.Line)
-				d := s.directives[key]
-				if d == nil {
-					d = &Directive{File: position.Filename, Line: position.Line, Names: names, hits: map[string]int{}}
-					s.directives[key] = d
-				}
-				byLine := sup[position.Filename]
-				if byLine == nil {
-					byLine = map[int][]*Directive{}
-					sup[position.Filename] = byLine
-				}
-				for _, line := range []int{position.Line, position.Line + 1} {
-					byLine[line] = append(byLine[line], d)
-				}
-			}
-		}
-	}
-	return sup
-}
-
-func (s suppressions) allows(fset *token.FileSet, pos token.Pos, analyzer string) bool {
-	if len(s) == 0 || !pos.IsValid() {
-		return false
-	}
-	position := fset.Position(pos)
-	for _, d := range s[position.Filename][position.Line] {
-		for _, n := range d.Names {
-			if n == analyzer || n == "all" {
-				d.hits[analyzer]++
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // IsContextType reports whether t is context.Context.

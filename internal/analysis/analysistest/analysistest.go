@@ -40,7 +40,7 @@ var (
 
 // extraStd lists stdlib packages fixtures may import beyond the
 // module's own dependency closure.
-var extraStd = []string{"context", "errors", "fmt", "math/rand", "time", "os"}
+var extraStd = []string{"context", "os", "sort", "sync"}
 
 func sharedResolver() (*load.Resolver, error) {
 	resolverOnce.Do(func() {

@@ -32,8 +32,7 @@
 // Allow-list policy: only the packages in Targets are checked (the
 // schedulers' inner loops below one objective evaluation are atomic by
 // design — the contract checks between evaluations, not inside one),
-// _test.go files are skipped, and individual sites can carry a
-// //sitlint:allow ctxflow directive with a justification.
+// and _test.go files are skipped.
 package ctxflow
 
 import (

@@ -91,13 +91,3 @@ func noCtx(items []int) int {
 	}
 	return total
 }
-
-// Suppressed demonstrates an audited exception.
-func Suppressed(items []int) int {
-	total := 0
-	//sitlint:allow ctxflow — batch is bounded and sub-millisecond
-	for _, x := range items {
-		total += evalCtx(context.Background(), x)
-	}
-	return total
-}

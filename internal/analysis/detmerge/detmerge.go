@@ -23,7 +23,7 @@
 // package, so the check crosses package boundaries without whole-
 // program analysis. Additional roots can be declared in source with a
 // //sitlint:detmerge-root comment on the line above the function
-// declaration. Per-site exemptions use //sitlint:allow detmerge.
+// declaration.
 package detmerge
 
 import (

@@ -25,8 +25,6 @@
 //     sitam/internal/serve against facts exported from the same pass,
 //     and external callers of core.(*CacheFile).Sync are checked
 //     wherever they live.
-//
-// Per-site exemptions use //sitlint:allow fsyncack with justification.
 package fsyncack
 
 import (

@@ -17,7 +17,3 @@ func badBlank(w *fsyncack_a.WAL, b []byte) {
 func badDefer(w *fsyncack_a.WAL) {
 	defer w.Flush() // want `discards the error`
 }
-
-func allowed(w *fsyncack_a.WAL, b []byte) {
-	w.AppendGood(b) //sitlint:allow fsyncack — fixture: best-effort append
-}

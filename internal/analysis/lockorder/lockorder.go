@@ -30,7 +30,6 @@
 // Lock classes are named "pkgpath.Type.field" for struct-field mutexes
 // and "pkgpath.name" for package-level ones; locals use the bare
 // variable name. Only classes listed in Order participate in rule 2.
-// Per-site exemptions use //sitlint:allow lockorder with justification.
 package lockorder
 
 import (

@@ -75,8 +75,3 @@ func badIndirect(o *Outer) {
 	defer o.In.Mu.Unlock()
 	lockOuter(o) // want `lock-order inversion`
 }
-
-func allowedLeak(o *Outer) {
-	o.Mu.Lock() //sitlint:allow lockorder — fixture: released by caller
-	use(o)
-}

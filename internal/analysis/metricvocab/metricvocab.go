@@ -19,8 +19,7 @@
 //     switch helper idiom). The fact crosses package boundaries.
 //
 // Snapshot reads (res.Metrics.Counter(...)) are not registrations and
-// are out of scope. Per-site exemptions use //sitlint:allow
-// metricvocab with justification.
+// are out of scope.
 package metricvocab
 
 import (

@@ -28,7 +28,3 @@ func bad(r *obs.Registry, s string) {
 	r.Counter(Leak(s)).Inc()                                    // want `not a compile-time member`
 	r.Counter(obs.Labels("zz_dyn", "state", "x")).Inc()         // want `"zz_dyn" is not in the DESIGN §13 vocabulary`
 }
-
-func allowed(r *obs.Registry, s string) {
-	r.Counter(s).Inc() //sitlint:allow metricvocab — fixture: experiment gated elsewhere
-}

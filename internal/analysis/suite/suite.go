@@ -1,46 +1,27 @@
 // Package suite assembles the sitlint analyzer suite: one analyzer
-// per cross-package correctness invariant of the optimization engine.
+// per cross-package invariant of the engine and the daemon that no
+// test pins (DESIGN.md §10).
 package suite
 
 import (
 	"sitam/internal/analysis"
 	"sitam/internal/analysis/ctxflow"
 	"sitam/internal/analysis/detmerge"
-	"sitam/internal/analysis/detrand"
-	"sitam/internal/analysis/errwrapcheck"
 	"sitam/internal/analysis/fsyncack"
-	"sitam/internal/analysis/gorojoin"
 	"sitam/internal/analysis/lockorder"
 	"sitam/internal/analysis/metricvocab"
-	"sitam/internal/analysis/railmutate"
-	"sitam/internal/analysis/traceevent"
 )
 
 // Analyzers returns the full suite in stable order. The fact-based
-// analyzers (detmerge, fsyncack, gorojoin, lockorder, metricvocab)
-// propagate object facts across packages, so a session must analyze
-// packages in dependency order (load.Load returns them that way).
+// analyzers (detmerge, fsyncack, lockorder, metricvocab) propagate
+// object facts across packages, so a session must analyze packages in
+// dependency order (load.Load returns them that way).
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		ctxflow.Analyzer,
 		detmerge.Analyzer,
-		detrand.Analyzer,
-		errwrapcheck.Analyzer,
 		fsyncack.Analyzer,
-		gorojoin.Analyzer,
 		lockorder.Analyzer,
 		metricvocab.Analyzer,
-		railmutate.Analyzer,
-		traceevent.Analyzer,
 	}
-}
-
-// ByName returns the analyzer with the given name, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
 }

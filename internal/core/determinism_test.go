@@ -11,8 +11,7 @@ import (
 // identical architectures (same Architecture.Hash), not merely equal
 // objectives. A single global rand.* call anywhere in the restart
 // fan-out — which runs restarts in parallel and reduces
-// deterministically — would break this; the detrand analyzer enforces
-// the same invariant statically.
+// deterministically — would break this.
 func TestOptimizeILSRestartsSameSeedIdenticalHash(t *testing.T) {
 	groups := smallGroups()
 	run := func() (uint64, int64) {

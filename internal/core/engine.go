@@ -135,7 +135,7 @@ func (e *Engine) phase(name string) func(best int64) {
 	if e.Trace == nil && e.Metrics == nil {
 		return func(int64) {}
 	}
-	start := time.Now() //sitlint:allow detrand — feeds only PhaseEnd.DurNS and the duration histogram, never the objective
+	start := time.Now() // feeds only PhaseEnd.DurNS and the duration histogram, never the objective
 	n0 := e.evalCount()
 	if e.Trace != nil {
 		e.Trace.Emit(obs.Event{Type: obs.PhaseStart, Phase: name})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -129,7 +130,9 @@ func TestRunMatchesChainedStages(t *testing.T) {
 // TestRunCutStage cuts each stage of Run in turn and checks that the
 // result carries that stage's partial status and that the cut stage's
 // output is what the stage alone returns under the same cut. A cut
-// generation outranks a later cut grouping or search.
+// generation ends the run with the context's error, whatever the later
+// stages would have done, and its deadline_hit lies inside the
+// generation span.
 func TestRunCutStage(t *testing.T) {
 	c := runCell()
 	// The stages trace as Run's do: a traced cut polls once more for
@@ -183,34 +186,43 @@ func TestRunCutStage(t *testing.T) {
 		return gr, ctx.n
 	}
 	wantGR, cutGroupPolls := cutGroup(patterns, groupPolls)
-	wantPrefixGR, cutPrefixGroupPolls := cutGroup(patterns[:kept], prefixGroupPolls)
+	_, cutPrefixGroupPolls := cutGroup(patterns[:kept], prefixGroupPolls)
 	ks := solvePolls / 2
 	wantSolve := solve(firing(ks, math.MaxInt), full)
 	kp := prefixSolvePolls / 2
-	wantPrefixSolve := solve(firing(kp, math.MaxInt), prefix)
 
-	genReason := fmt.Sprintf("pattern generation stopped at %d of %d patterns", kept, c.Nr)
 	prefixGroupCut := func(n int) bool {
 		return n >= genCutPolls+prefixGroupPolls/2 && n < genCutPolls+cutPrefixGroupPolls
 	}
 	cases := []struct {
 		name       string
 		fire       func(n int) bool
-		reason     string
+		reason     string          // "" when the generation was cut: Run returns the context's error
 		wantGR     *GroupingResult // the grouping's own result, when it was cut
 		wantResult *Result         // the search's own result, when it was cut
 	}{
-		{"generation", genCut, genReason, nil, nil},
+		{"generation", genCut, "", nil, nil},
 		{"grouping", func(n int) bool { return n >= genPolls+groupPolls/2 && n < genPolls+cutGroupPolls }, wantGR.Reason, wantGR, nil},
 		{"search", func(n int) bool { return n >= genPolls+groupPolls+ks }, wantSolve.Reason, nil, wantSolve},
-		{"generation and grouping", func(n int) bool { return genCut(n) || prefixGroupCut(n) }, genReason, wantPrefixGR, nil},
-		{"generation and search", func(n int) bool { return genCut(n) || n >= genCutPolls+prefixGroupPolls+kp }, genReason, nil, wantPrefixSolve},
+		{"generation and grouping", func(n int) bool { return genCut(n) || prefixGroupCut(n) }, "", nil, nil},
+		{"generation and search", func(n int) bool { return genCut(n) || n >= genCutPolls+prefixGroupPolls+kp }, "", nil, nil},
 	}
 	for _, tc := range cases {
 		tr := obs.NewTracer()
 		oc := o
 		oc.Trace = tr
 		res, gr, err := Run(&scriptCtx{Context: context.Background(), fire: tc.fire}, c, oc)
+		events := tr.Events()
+		if err := obs.ValidateSpans(events); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.reason == "" {
+			if !errors.Is(err, context.DeadlineExceeded) || res != nil || gr != nil {
+				t.Errorf("%s: Run returned result %v, grouping %v, error %v; want only the context's error", tc.name, res != nil, gr != nil, err)
+			}
+			checkGenerationCut(t, tc.name, events)
+			continue
+		}
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -226,16 +238,6 @@ func TestRunCutStage(t *testing.T) {
 		}
 		if w := tc.wantResult; w != nil && (res.Breakdown != w.Breakdown || res.Architecture.String() != w.Architecture.String()) {
 			t.Errorf("%s: search result %+v, the search cut alone %+v", tc.name, res.Breakdown, w.Breakdown)
-		}
-		events := tr.Events()
-		if err := obs.ValidateSpans(events); err != nil {
-			t.Errorf("%s: %v", tc.name, err)
-		}
-		if tc.reason == genReason {
-			if gr.Stats.Original != kept {
-				t.Errorf("%s: grouped %d patterns, want the %d generated", tc.name, gr.Stats.Original, kept)
-			}
-			checkGenerationCut(t, tc.name, events)
 		}
 	}
 }

@@ -121,11 +121,14 @@ type Cell struct {
 // goroutines, o.Trace also receives the "pattern generation" span and
 // the grouping's events, and o.Metrics the grouping's counters.
 //
-// Run is anytime like its stages: when a done context cut one short,
-// the Result's Partial, Reason and Cause describe the first such
-// stage — generation, grouping, then the search. The error is non-nil
-// only when a stage produced nothing usable; the grouping comes back
-// whenever it was built, even when Solve then fails.
+// A cut generation ends the run: Run emits its deadline_hit inside the
+// "pattern generation" span and returns the context's error, because
+// grouping would refuse the done context anyway. Past generation Run
+// is anytime like its stages: when a done context cut grouping or the
+// search short, the Result's Partial, Reason and Cause describe the
+// first such stage. The error is non-nil only when a stage produced
+// nothing usable; the grouping comes back whenever it was built, even
+// when Solve then fails.
 func Run(ctx context.Context, c Cell, o Options) (*Result, *GroupingResult, error) {
 	var sink obs.Sink
 	if o.Trace != nil {
@@ -136,13 +139,13 @@ func Run(ctx context.Context, c Cell, o Options) (*Result, *GroupingResult, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	var first Status
 	if cut {
-		first = Status{Partial: true, Cause: CauseOf(ctx.Err()),
-			Reason: fmt.Sprintf("pattern generation stopped at %d of %d patterns", len(patterns), c.Nr)}
+		err = ctx.Err()
 		if sink != nil {
-			sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: phaseGenerate, Cause: first.Cause.Label()})
+			sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: phaseGenerate, Cause: CauseOf(err).Label()})
 		}
+		span.End(0, int64(len(patterns)))
+		return nil, nil, err
 	}
 	span.End(0, int64(len(patterns)))
 
@@ -152,15 +155,12 @@ func Run(ctx context.Context, c Cell, o Options) (*Result, *GroupingResult, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	if gr.Partial && !first.Partial {
-		first = Status{Partial: true, Reason: gr.Reason, Cause: gr.Cause}
-	}
 	res, err := Solve(ctx, Problem{SOC: c.SOC, Wmax: c.Wmax, Groups: gr.Groups, Model: sischedule.DefaultModel()}, o)
 	if err != nil {
 		return nil, gr, err
 	}
-	if first.Partial {
-		res.Partial, res.Reason, res.Cause = true, first.Reason, first.Cause
+	if gr.Partial {
+		res.Partial, res.Reason, res.Cause = true, gr.Reason, gr.Cause
 	}
 	return res, gr, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"strings"
 	"testing"
@@ -250,6 +251,8 @@ func TestCauseOf(t *testing.T) {
 		{context.DeadlineExceeded, CauseDeadline, "deadline", "deadline exceeded"},
 		{context.Canceled, CauseCancel, "interrupted", "cancelled"},
 		{ErrBudgetExhausted, CauseBudget, "budget", "evaluation budget exhausted"},
+		{fmt.Errorf("eval: %w", ErrBudgetExhausted), CauseBudget, "budget", "evaluation budget exhausted"},
+		{fmt.Errorf("eval: %w", context.DeadlineExceeded), CauseDeadline, "deadline", "deadline exceeded"},
 	}
 	for _, c := range cases {
 		got := CauseOf(c.err)

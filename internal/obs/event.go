@@ -299,8 +299,7 @@ func ValidateRecording(events []Event) (elided int, err error) {
 // than strictly nested, because Drain replays per-worker buffers
 // sequentially and same-name spans from sibling workers may
 // interleave. A trace that fails this check was truncated (the process
-// died mid-phase) or comes from an emitter with a missing End — the
-// statically checked counterpart is the traceevent analyzer.
+// died mid-phase) or comes from an emitter with a missing End.
 func ValidateSpans(events []Event) error {
 	open := map[string]int{}
 	for i := range events {

@@ -6,8 +6,7 @@ import "errors"
 // job because the bounded queue is full or the scheduler is draining.
 // The HTTP layer maps it to 503 Service Unavailable with a Retry-After
 // header; embedders test for it with errors.Is(err, ErrOverloaded).
-// Wrapping sites must preserve it with %w (enforced by sitlint's
-// errwrapcheck analyzer).
+// Wrapping sites must preserve it with %w.
 var ErrOverloaded = errors.New("sitam: overloaded")
 
 // ErrNotFound reports an unknown job ID.

@@ -402,8 +402,8 @@ func TestHTTPHealthzAndList(t *testing.T) {
 	}
 }
 
-// TestErrOverloadedWrapping pins the sentinel contract errwrapcheck
-// enforces: wrapped ErrOverloaded still matches errors.Is.
+// TestErrOverloadedWrapping pins the sentinel contract: wrapped
+// ErrOverloaded still matches errors.Is.
 func TestErrOverloadedWrapping(t *testing.T) {
 	err := fmt.Errorf("admission: %w", ErrOverloaded)
 	if !errors.Is(err, ErrOverloaded) {

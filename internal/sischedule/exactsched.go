@@ -25,7 +25,8 @@ const MaxExactGroups = 10
 // a compiled constraint set, the number of branch-and-bound nodes
 // explored, and whether the search was cut short.
 //
-// A nil cons searches the unconstrained problem. Under constraints the
+// A nil cons searches the unconstrained problem: every permutation,
+// each job at its earliest rail-feasible start. Under constraints the
 // search is branch-and-bound over precedence-feasible permutations,
 // each job placed at its earliest start satisfying rail availability,
 // power headroom over its whole duration, finished predecessors and
@@ -44,141 +45,6 @@ const MaxExactGroups = 10
 // fires before any complete schedule was found, the context's error is
 // returned.
 func ExactSchedule(ctx context.Context, a *tam.Architecture, groups []*Group, m Model, cons *Constraints) (int64, int, bool, error) {
-	if cons == nil {
-		return exactSchedule(ctx, a, groups, m)
-	}
-	return exactScheduleCons(ctx, a, groups, m, cons)
-}
-
-func exactSchedule(ctx context.Context, a *tam.Architecture, groups []*Group, m Model) (int64, int, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, 0, false, err
-	}
-	times, err := CalculateSITestTime(a, groups, m)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	if len(a.Rails) > 64 {
-		return 0, 0, false, fmt.Errorf("sischedule: exact scheduling supports at most 64 rails, got %d", len(a.Rails))
-	}
-	type job struct {
-		dur  int64
-		mask uint64
-	}
-	var jobs []job
-	for i := range groups {
-		if times[i].Time <= 0 || len(times[i].Rails) == 0 {
-			continue
-		}
-		var mask uint64
-		for _, ri := range times[i].Rails {
-			mask |= 1 << uint(ri)
-		}
-		jobs = append(jobs, job{times[i].Time, mask})
-	}
-	if len(jobs) > MaxExactGroups {
-		return 0, 0, false, fmt.Errorf("sischedule: exact scheduling limited to %d groups, got %d", MaxExactGroups, len(jobs))
-	}
-	if len(jobs) == 0 {
-		return 0, 0, false, nil
-	}
-
-	// Per-rail total load: a lower bound on the makespan.
-	railLoad := make([]int64, len(a.Rails))
-	for _, j := range jobs {
-		for r := 0; r < len(a.Rails); r++ {
-			if j.mask&(1<<uint(r)) != 0 {
-				railLoad[r] += j.dur
-			}
-		}
-	}
-	var best int64 = -1
-	railFree := make([]int64, len(a.Rails))
-	remaining := make([]int64, len(a.Rails))
-	copy(remaining, railLoad)
-	used := make([]bool, len(jobs))
-	nodes := 0
-	stopped := false
-
-	var dfs func(done int, makespan int64)
-	dfs = func(done int, makespan int64) {
-		nodes++
-		if nodes&255 == 0 && ctx.Err() != nil {
-			stopped = true
-		}
-		if stopped {
-			return
-		}
-		if best >= 0 {
-			// Bound: any completion is at least the current makespan
-			// and at least each rail's free time plus its remaining
-			// load.
-			lb := makespan
-			for r := range railFree {
-				if v := railFree[r] + remaining[r]; v > lb {
-					lb = v
-				}
-			}
-			if lb >= best {
-				return
-			}
-		}
-		if done == len(jobs) {
-			if best < 0 || makespan < best {
-				best = makespan
-			}
-			return
-		}
-		for i, j := range jobs {
-			if used[i] {
-				continue
-			}
-			if stopped {
-				return
-			}
-			// Earliest feasible start: all involved rails free.
-			var start int64
-			for r := range railFree {
-				if j.mask&(1<<uint(r)) != 0 && railFree[r] > start {
-					start = railFree[r]
-				}
-			}
-			end := start + j.dur
-			// Apply.
-			saved := make([]int64, 0, 4)
-			for r := range railFree {
-				if j.mask&(1<<uint(r)) != 0 {
-					saved = append(saved, railFree[r])
-					railFree[r] = end
-					remaining[r] -= j.dur
-				}
-			}
-			used[i] = true
-			ms := makespan
-			if end > ms {
-				ms = end
-			}
-			dfs(done+1, ms)
-			// Undo.
-			used[i] = false
-			k := 0
-			for r := range railFree {
-				if j.mask&(1<<uint(r)) != 0 {
-					railFree[r] = saved[k]
-					remaining[r] += j.dur
-					k++
-				}
-			}
-		}
-	}
-	dfs(0, 0)
-	if stopped && best < 0 {
-		return 0, nodes, false, ctx.Err()
-	}
-	return best, nodes, stopped, nil
-}
-
-func exactScheduleCons(ctx context.Context, a *tam.Architecture, groups []*Group, m Model, cons *Constraints) (int64, int, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, false, err
 	}
@@ -214,7 +80,11 @@ func exactScheduleCons(ctx context.Context, a *tam.Architecture, groups []*Group
 			mask |= 1 << uint(ri)
 		}
 		jobOf[i] = int32(len(jobs))
-		jobs = append(jobs, job{dur: times[i].Time, mask: mask, gi: int32(i), power: cons.GroupPower[i]})
+		j := job{dur: times[i].Time, mask: mask, gi: int32(i)}
+		if cons != nil {
+			j.power = cons.GroupPower[i]
+		}
+		jobs = append(jobs, j)
 	}
 	if len(jobs) > MaxExactGroups {
 		return 0, 0, false, fmt.Errorf("sischedule: exact scheduling limited to %d groups, got %d", MaxExactGroups, len(jobs))
@@ -224,16 +94,18 @@ func exactScheduleCons(ctx context.Context, a *tam.Architecture, groups []*Group
 	}
 	// Lift the group-level relations to job indices; relations touching
 	// zero-duration groups are satisfied at t=0 and drop out.
-	for ji := range jobs {
-		gi := jobs[ji].gi
-		for _, p := range cons.preds[gi] {
-			if j := jobOf[p]; j >= 0 {
-				jobs[ji].preds = append(jobs[ji].preds, j)
+	if cons != nil {
+		for ji := range jobs {
+			gi := jobs[ji].gi
+			for _, p := range cons.preds[gi] {
+				if j := jobOf[p]; j >= 0 {
+					jobs[ji].preds = append(jobs[ji].preds, j)
+				}
 			}
-		}
-		for _, e := range cons.excl[gi] {
-			if j := jobOf[e]; j >= 0 {
-				jobs[ji].excl = append(jobs[ji].excl, j)
+			for _, e := range cons.excl[gi] {
+				if j := jobOf[e]; j >= 0 {
+					jobs[ji].excl = append(jobs[ji].excl, j)
+				}
 			}
 		}
 	}
@@ -277,7 +149,7 @@ func exactScheduleCons(ctx context.Context, a *tam.Architecture, groups []*Group
 				}
 			}
 		}
-		if cons.PowerBudget > 0 {
+		if cons != nil && cons.PowerBudget > 0 {
 			probe := func(q int64) bool {
 				inUse := j.power
 				for pi := range placedJobs {
