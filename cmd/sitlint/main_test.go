@@ -80,20 +80,10 @@ func copyModule(t *testing.T, root string) string {
 	return dst
 }
 
-// violations holds one source file per package, each reintroducing
-// violations of the suite's invariants where the real invariants live.
-//
-//   - internal/sischedule (in ctxflow's target set): an exported loop
-//     that feeds context.Background to context-aware work.
-//   - internal/serve: lockorder (a return while holding the scheduler
-//     lock, and a Job-before-Scheduler inversion), fsyncack (a raw
-//     journal-fd write outside the owner, a discarded same-package
-//     Journal.Append error, and a discarded cross-package
-//     core.CacheFile.Sync error — the last one is only found if core's
-//     Durable fact exists before serve is analyzed) and metricvocab (a
-//     concatenated series name).
-//   - internal/compaction: a map range on a declared detmerge root.
-var violations = map[string]string{
+// ctxViolations reintroduces a ctxflow violation in
+// internal/sischedule, one of ctxflow's target packages: an exported
+// loop that feeds context.Background to context-aware work.
+var ctxViolations = map[string]string{
 	"internal/sischedule/zz_violation.go": `package sischedule
 
 import "context"
@@ -108,6 +98,21 @@ func ZZViolate(items []int) int64 {
 
 func zzEval(ctx context.Context, x int) int { return x }
 `,
+}
+
+// factViolations holds one source file per package, each reintroducing
+// violations of the fact-based analyzers where the real invariants
+// live.
+//
+//   - internal/serve: lockorder (a return while holding the scheduler
+//     lock, and a Job-before-Scheduler inversion), fsyncack (a raw
+//     journal-fd write outside the owner, a discarded same-package
+//     Journal.Append error, and a discarded cross-package
+//     core.CacheFile.Sync error — the last one is only found if core's
+//     Durable fact exists before serve is analyzed) and metricvocab (a
+//     concatenated series name).
+//   - internal/compaction: a map range on a declared detmerge root.
+var factViolations = map[string]string{
 	"internal/serve/zz_violation.go": `package serve
 
 func zzLockLeak(s *Scheduler, x bool) {
@@ -154,17 +159,18 @@ func zzMerge(m map[int]int) int {
 `,
 }
 
-// TestReintroducedViolations runs sitlint over a copy of the module
-// with the violations above added, and requires exit 2 and exactly
-// the expected diagnostics, every one of them in a violation file.
+// checkViolations runs sitlint over a copy of the module with the
+// given violation files added, and requires exit 2 and exactly want
+// diagnostics per analyzer, every one of them in a violation file.
 // The source tree itself is never written.
-func TestReintroducedViolations(t *testing.T) {
+func checkViolations(t *testing.T, files map[string]string, want map[string]int) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks a copy of the whole module; skipped in -short mode")
 	}
 	bin := buildTool(t)
 	mod := copyModule(t, repoRoot(t))
-	for name, src := range violations {
+	for name, src := range files {
 		if err := os.WriteFile(filepath.Join(mod, name), []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -179,13 +185,6 @@ func TestReintroducedViolations(t *testing.T) {
 		t.Fatalf("sitlint on reintroduced violations: err=%v, want exit 2\nstdout:\n%s\nstderr:\n%s", err, out, stderr.String())
 	}
 
-	want := map[string]int{
-		"ctxflow":     1,
-		"detmerge":    1,
-		"lockorder":   2, // return-while-held + inversion
-		"fsyncack":    3, // raw fd write + discarded Append + discarded cross-package Sync
-		"metricvocab": 1,
-	}
 	got := map[string]int{}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		fields := strings.SplitN(line, ": ", 3)
@@ -208,6 +207,25 @@ func TestReintroducedViolations(t *testing.T) {
 	if t.Failed() {
 		t.Logf("output:\n%s", out)
 	}
+}
+
+// TestVettoolFlagsReintroducedViolations requires sitlint to flag the
+// ctxflow violation and nothing else. (The name dates from the go vet
+// -vettool mode; sitlint now has one mode.)
+func TestVettoolFlagsReintroducedViolations(t *testing.T) {
+	checkViolations(t, ctxViolations, map[string]int{"ctxflow": 1})
+}
+
+// TestVettoolReintroducedFactViolations requires sitlint to flag the
+// fact-based violations, the cross-package Sync discard among them,
+// and nothing else.
+func TestVettoolReintroducedFactViolations(t *testing.T) {
+	checkViolations(t, factViolations, map[string]int{
+		"detmerge":    1,
+		"lockorder":   2, // return-while-held + inversion
+		"fsyncack":    3, // raw fd write + discarded Append + discarded cross-package Sync
+		"metricvocab": 1,
+	})
 }
 
 // TestStandaloneCleanTree runs sitlint over the whole module and
