@@ -44,11 +44,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "usage: sitlint (no flags or arguments: it analyzes the whole module)")
 		return 1
 	}
-	cwd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sitlint:", err)
-		return 1
-	}
 	root, err := moduleRoot()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sitlint:", err)
@@ -69,12 +64,7 @@ func run(args []string) int {
 				return 1
 			}
 			for _, d := range diags {
-				pos := pkg.Fset.Position(d.Pos)
-				name := pos.Filename
-				if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-					name = rel
-				}
-				fmt.Printf("%s:%d:%d: %s: %s\n", name, pos.Line, pos.Column, d.Analyzer, d.Message)
+				fmt.Printf("%s: %s: %s\n", analysis.RelPosition(pkg.Fset.Position(d.Pos)), d.Analyzer, d.Message)
 			}
 			found += len(diags)
 		}

@@ -22,6 +22,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -80,6 +82,20 @@ type Diagnostic struct {
 // Reportf reports a formatted diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
+}
+
+// RelPosition formats pos as file:line:col, with the file relative to
+// the working directory when it lies below it. sitlint prints each
+// diagnostic's own position this way, and a message that names another
+// position uses it too, so a finding reads the same in every checkout.
+func RelPosition(pos token.Position) string {
+	name := pos.Filename
+	if cwd, err := os.Getwd(); err == nil {
+		if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
+			name = rel
+		}
+	}
+	return fmt.Sprintf("%s:%d:%d", name, pos.Line, pos.Column)
 }
 
 // InTestFile reports whether pos lies in a _test.go file. The sitlint

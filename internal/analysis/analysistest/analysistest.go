@@ -13,7 +13,10 @@
 // The payload is a Go string literal (backquoted or double-quoted)
 // holding a regular expression; several literals on one line expect
 // several diagnostics. Every diagnostic must be wanted and every want
-// must be matched, both at exact (file, line) positions.
+// must be matched, both at exact (file, line) positions. Fixture files
+// are parsed by absolute path, as the module loader's are, and no
+// message may name that path: a finding must read the same in every
+// checkout.
 package analysistest
 
 import (
@@ -84,8 +87,12 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 		t.Fatal(err)
 	}
 	session := analysis.NewSession()
+	testdata, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range fixtures {
-		dir := filepath.Join("testdata", "src", name)
+		dir := filepath.Join(testdata, "src", name)
 		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -108,6 +115,11 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		check(t, pkg, diags)
+		for _, d := range diags {
+			if strings.Contains(d.Message, testdata) {
+				t.Errorf("%s: message names an absolute path: %s", analysis.RelPosition(pkg.Fset.Position(d.Pos)), d.Message)
+			}
+		}
 	}
 }
 

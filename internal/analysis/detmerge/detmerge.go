@@ -8,14 +8,15 @@
 // The analyzer walks the in-package call graph from the Roots entry
 // points and flags, inside every reachable function:
 //
-//   - ranging over a map, unless the function also sorts (a
-//     collect-then-sort.Ints walk is the sanctioned idiom);
+//   - ranging over a map, unless the loop appends its key or value to
+//     a slice the same function sorts (the collect-then-sort idiom); a
+//     sort of anything else does not order the walk;
 //
 //   - a select with two or more receive cases — arrival-order
 //     reduction;
 //
 //   - a call to an imported function carrying the MapOrder fact (its
-//     body ranges over a map without sorting), which is how
+//     body has a map range the first rule would flag), which is how
 //     nondeterminism hiding in a helper package reaches the merge
 //     path.
 //
@@ -48,8 +49,8 @@ var Roots = map[string]bool{
 const rootMarker = "//sitlint:detmerge-root"
 
 // MapOrder is the object fact exported for functions whose body ranges
-// over a map without sorting: callers on a deterministic merge path
-// must not depend on their iteration order.
+// over a map without collecting into a slice it sorts: callers on a
+// deterministic merge path must not depend on their iteration order.
 type MapOrder struct{}
 
 func (*MapOrder) AFact() {}
@@ -89,7 +90,7 @@ func run(pass *analysis.Pass) error {
 			n := &funcNode{decl: fd, key: analysis.ObjectKey(obj)}
 			nodes = append(nodes, n)
 			byKey[n.key] = n
-			if hasUnsortedMapRange(pass, fd.Body) {
+			if hasUnorderedMapRange(pass, fd.Body) {
 				pass.ExportObjectFact(obj, &MapOrder{})
 			}
 			pos := pass.Fset.Position(fd.Pos())
@@ -102,11 +103,12 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 
-	// BFS over the in-package call graph.
-	reachable := map[string]bool{}
+	// BFS over the in-package call graph, recording the root that
+	// first reaches each function.
+	rootOf := map[string]string{}
 	queue := roots
 	for _, r := range roots {
-		reachable[r.key] = true
+		rootOf[r.key] = r.key
 	}
 	for len(queue) > 0 {
 		n := queue[0]
@@ -117,8 +119,8 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			if pkgPath, key, _, ok := analysis.FuncKey(pass.TypesInfo, call); ok && pkgPath == pass.Pkg.Path() {
-				if m := byKey[key]; m != nil && !reachable[key] {
-					reachable[key] = true
+				if m := byKey[key]; m != nil && rootOf[key] == "" {
+					rootOf[key] = rootOf[n.key]
 					queue = append(queue, m)
 				}
 			}
@@ -127,22 +129,22 @@ func run(pass *analysis.Pass) error {
 	}
 
 	for _, n := range nodes {
-		if reachable[n.key] {
-			checkReachable(pass, n)
+		if root := rootOf[n.key]; root != "" {
+			checkReachable(pass, n, root)
 		}
 	}
 	return nil
 }
 
 // checkReachable flags the nondeterministic constructs inside one
-// merge-path function.
-func checkReachable(pass *analysis.Pass, n *funcNode) {
-	sorted := containsSortCall(pass, n.decl.Body)
+// merge-path function, which root reaches.
+func checkReachable(pass *analysis.Pass, n *funcNode, root string) {
+	sorted := sortedSlices(pass, n.decl.Body)
 	ast.Inspect(n.decl.Body, func(nd ast.Node) bool {
 		switch v := nd.(type) {
 		case *ast.RangeStmt:
-			if isMapType(pass.TypesInfo.TypeOf(v.X)) && !sorted {
-				pass.Reportf(v.Pos(), "map iteration on the deterministic merge path: collect keys and sort, or index by position (reachable from %s)", rootsLabel())
+			if isMapType(pass.TypesInfo.TypeOf(v.X)) && !collectsInto(pass, v, sorted) {
+				pass.Reportf(v.Pos(), "map iteration on the deterministic merge path: collect keys and sort, or index by position (reachable from merge root %s)", root)
 			}
 		case *ast.SelectStmt:
 			if receiveCases(v) >= 2 {
@@ -162,15 +164,13 @@ func checkReachable(pass *analysis.Pass, n *funcNode) {
 	})
 }
 
-// hasUnsortedMapRange reports a map range in a body with no sort call
-// — the exported MapOrder property.
-func hasUnsortedMapRange(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	if containsSortCall(pass, body) {
-		return false
-	}
+// hasUnorderedMapRange reports a map range in body that does not
+// collect into a slice the body sorts — the exported MapOrder property.
+func hasUnorderedMapRange(pass *analysis.Pass, body *ast.BlockStmt) bool {
+	sorted := sortedSlices(pass, body)
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if r, ok := n.(*ast.RangeStmt); ok && isMapType(pass.TypesInfo.TypeOf(r.X)) {
+		if r, ok := n.(*ast.RangeStmt); ok && isMapType(pass.TypesInfo.TypeOf(r.X)) && !collectsInto(pass, r, sorted) {
 			found = true
 		}
 		return !found
@@ -178,26 +178,89 @@ func hasUnsortedMapRange(pass *analysis.Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// containsSortCall reports any call into sort or slices.Sort* — the
-// sanctioned collect-then-sort idiom.
-func containsSortCall(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	found := false
+// sortedSlices returns the variables and fields body sorts: the first
+// argument of every call into sort or slices.Sort*, seen through
+// conversions and wrappers (sort.Sort(byID(ids)) sorts ids).
+func sortedSlices(pass *analysis.Pass, body *ast.BlockStmt) map[types.Object]bool {
+	sorted := map[types.Object]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
-		if !ok {
+		if !ok || len(call.Args) == 0 {
 			return true
 		}
 		fn := analysis.CalleeFunc(pass.TypesInfo, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
-		switch fn.Pkg().Path() {
-		case "sort":
-			found = true
-		case "slices":
-			if strings.HasPrefix(fn.Name(), "Sort") {
-				found = true
+		if path := fn.Pkg().Path(); path == "sort" || path == "slices" && strings.HasPrefix(fn.Name(), "Sort") {
+			if obj := sliceObject(pass, call.Args[0]); obj != nil {
+				sorted[obj] = true
 			}
+		}
+		return true
+	})
+	return sorted
+}
+
+// sliceObject returns the variable or field an expression names,
+// looking through parentheses and through the first argument of a
+// call; nil for anything else.
+func sliceObject(pass *analysis.Pass, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return pass.TypesInfo.ObjectOf(e)
+	case *ast.SelectorExpr:
+		return pass.TypesInfo.ObjectOf(e.Sel)
+	case *ast.CallExpr:
+		if len(e.Args) > 0 {
+			return sliceObject(pass, e.Args[0])
+		}
+	}
+	return nil
+}
+
+// collectsInto reports whether the map range's body appends its key or
+// value to one of the sorted slices — the collect-then-sort idiom, the
+// only map range whose order a later sort erases.
+func collectsInto(pass *analysis.Pass, r *ast.RangeStmt, sorted map[types.Object]bool) bool {
+	vars := map[types.Object]bool{}
+	for _, e := range []ast.Expr{r.Key, r.Value} {
+		if id, ok := e.(*ast.Ident); ok {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil {
+				vars[obj] = true
+			}
+		}
+	}
+	if len(vars) == 0 || len(sorted) == 0 {
+		return false
+	}
+	found := false
+	ast.Inspect(r.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) < 2 || !isAppend(pass, call) || !sorted[sliceObject(pass, call.Args[0])] {
+			return !found
+		}
+		for _, arg := range call.Args[1:] {
+			found = found || mentions(pass, arg, vars)
+		}
+		return !found
+	})
+	return found
+}
+
+// isAppend reports a call of the append builtin.
+func isAppend(pass *analysis.Pass, call *ast.CallExpr) bool {
+	id, _ := ast.Unparen(call.Fun).(*ast.Ident)
+	b, ok := pass.TypesInfo.Uses[id].(*types.Builtin)
+	return ok && b.Name() == "append"
+}
+
+// mentions reports whether e refers to one of vars.
+func mentions(pass *analysis.Pass, e ast.Expr, vars map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && vars[pass.TypesInfo.ObjectOf(id)] {
+			found = true
 		}
 		return !found
 	})
@@ -248,5 +311,3 @@ func markerLines(pass *analysis.Pass) map[string]bool {
 func posKey(file string, line int) string {
 	return fmt.Sprintf("%s:%d", file, line)
 }
-
-func rootsLabel() string { return "GreedyWith/scoreCandidates/OptimizeILSCtx merge roots" }

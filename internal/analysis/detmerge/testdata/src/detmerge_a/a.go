@@ -24,3 +24,14 @@ func SortedWalk(m map[int]int) []int {
 	sort.Ints(out)
 	return out
 }
+
+// SortsOther ranges a map and sorts, but not what the range collects:
+// the sort does not order the walk, so it carries the MapOrder fact.
+func SortsOther(m map[int]int, other []int) []int {
+	var out []int
+	for _, v := range m {
+		out = append(out, v)
+	}
+	sort.Ints(other)
+	return out
+}

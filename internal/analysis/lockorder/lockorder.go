@@ -262,7 +262,7 @@ func (c *checker) walkStmt(stmt ast.Stmt, held *[]heldLock, funcs map[string]*fu
 	case *ast.ReturnStmt:
 		for _, h := range *held {
 			if !h.deferred && !NoReleaseCheck[h.class] {
-				c.pass.Reportf(s.Pos(), "return while %s (locked at %s) is still held", h.class, c.pass.Fset.Position(h.pos))
+				c.pass.Reportf(s.Pos(), "return while %s (locked at %s) is still held", h.class, analysis.RelPosition(c.pass.Fset.Position(h.pos)))
 			}
 		}
 		for _, res := range s.Results {
@@ -395,11 +395,11 @@ func (c *checker) checkOrdering(pos token.Pos, class string, held *[]heldLock) {
 			continue
 		}
 		if h.class == class {
-			c.pass.Reportf(pos, "acquiring %s while already holding it (locked at %s): self-deadlock on a non-reentrant mutex", class, c.pass.Fset.Position(h.pos))
+			c.pass.Reportf(pos, "acquiring %s while already holding it (locked at %s): self-deadlock on a non-reentrant mutex", class, analysis.RelPosition(c.pass.Fset.Position(h.pos)))
 			continue
 		}
 		if r <= hr {
-			c.pass.Reportf(pos, "lock-order inversion: acquiring %s while holding %s (locked at %s); the canonical order takes %s first", class, h.class, c.pass.Fset.Position(h.pos), class)
+			c.pass.Reportf(pos, "lock-order inversion: acquiring %s while holding %s (locked at %s); the canonical order takes %s first", class, h.class, analysis.RelPosition(c.pass.Fset.Position(h.pos)), class)
 		}
 	}
 }

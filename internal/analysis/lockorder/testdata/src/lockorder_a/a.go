@@ -47,7 +47,7 @@ func goodNested(o *Outer) {
 func badReturn(o *Outer, x bool) {
 	o.Mu.Lock()
 	if x {
-		return // want `return while lockorder_a\.Outer\.Mu .*still held`
+		return // want `return while lockorder_a\.Outer\.Mu \(locked at testdata/src/lockorder_a/a\.go:\d+:\d+\) is still held`
 	}
 	o.Mu.Unlock()
 }
@@ -67,7 +67,7 @@ func badInversion(o *Outer) {
 func badSelf(o *Outer) {
 	o.Mu.Lock()
 	defer o.Mu.Unlock()
-	o.Mu.Lock() // want `self-deadlock` `not released on every path`
+	o.Mu.Lock() // want `\(locked at testdata/src/lockorder_a/a\.go:\d+:\d+\): self-deadlock` `not released on every path`
 }
 
 func badIndirect(o *Outer) {

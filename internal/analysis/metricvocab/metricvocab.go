@@ -47,6 +47,7 @@ var Vocab = map[string]bool{
 	"serve_cache_entries": true,
 	"serve_replayed":      true,
 	"serve_orphaned":      true,
+	"serve_reused":        true,
 	"serve_done":          true,
 	"serve_partial":       true,
 	"serve_failed":        true,

@@ -402,8 +402,9 @@ func (e *Engine) startSolution(ctx context.Context) (*tam.Architecture, int64, e
 // the composition a copy would have, so objectives, tie-breaks and
 // evaluation counts do not depend on it; the per-rail bookkeeping a
 // trial leaves on a is overwritten by the closing evaluation. The
-// context is checked before every wire and every trial. Only the
-// start solution's call passes a sink: the per-candidate calls in
+// context is checked once per wire, before its trials (at most one per
+// rail), so a cut still leaves exactly the wires already placed. Only
+// the start solution's call passes a sink: the per-candidate calls in
 // mergeTAMs trace nothing, because their batch reports one
 // candidate_evaluated event per merge candidate.
 func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, free int, sink obs.Sink) (int64, error) {
@@ -418,9 +419,6 @@ func (e *Engine) distributeFreeWires(ctx context.Context, a *tam.Architecture, f
 		for i, r := range a.Rails {
 			if r.Width >= e.Wmax {
 				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return 0, err
 			}
 			a.SetWidth(i, r.Width+1)
 			o, err := e.eval(a)

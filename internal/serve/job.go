@@ -13,6 +13,7 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -194,6 +195,39 @@ type Outcome struct {
 	Evals    int64 `json:"evals"`
 }
 
+// reuseKey is a request's identity for answering a repeat from the job
+// that computed it (DESIGN.md §11, "Repeated requests"): every request
+// field a done outcome depends on, with inline source text reduced to
+// its SHA-256. The deadline and the worker count are left out: a done
+// outcome is the same under any deadline it met and at every worker
+// count.
+type reuseKey struct {
+	soc             string
+	source          [sha256.Size]byte
+	wmax, nr, parts int
+	seed            int64
+	algo            string
+	kicks, restarts int
+	budget          int64
+}
+
+// reuseKey returns the key of a validated, clamped request, or nil when
+// the request carries chaos hooks: such a job is never indexed and never
+// answered from the index.
+func (r *Request) reuseKey() *reuseKey {
+	if r.Chaos != nil {
+		return nil
+	}
+	k := &reuseKey{
+		soc: r.SOC, wmax: r.Wmax, nr: r.Nr, parts: r.Parts, seed: r.Seed,
+		algo: r.Algo, kicks: r.Kicks, restarts: r.Restarts, budget: r.MaxEvals,
+	}
+	if r.Source != "" {
+		k.source = sha256.Sum256([]byte(r.Source))
+	}
+	return k
+}
+
 // Job is one admitted optimization run and its lifecycle record.
 type Job struct {
 	ID  string
@@ -213,10 +247,18 @@ type Job struct {
 	// published; nil on journal-replayed jobs.
 	runBase context.Context
 
+	// key is the request's reuse key, built at admission before the job
+	// is published and never written afterwards; nil for chaos requests
+	// and journal-replayed jobs.
+	key *reuseKey
+
 	mu      sync.Mutex
 	state   State
 	outcome *Outcome
 	errMsg  string
+	// reusedFrom names the done job whose outcome this job carries
+	// instead of a run of its own; empty for a computed job.
+	reusedFrom string
 	// claimed marks a job whose terminal transition one finalizer has
 	// reserved (see claim); it can no longer start running.
 	claimed bool
@@ -251,11 +293,12 @@ func (j *Job) Snapshot() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return Status{
-		ID:     j.ID,
-		State:  j.state,
-		Result: j.outcome,
-		Error:  j.errMsg,
-		Events: j.Trace.Len(),
+		ID:         j.ID,
+		State:      j.state,
+		Result:     j.outcome,
+		Error:      j.errMsg,
+		ReusedFrom: j.reusedFrom,
+		Events:     j.Trace.Len(),
 	}
 }
 
@@ -329,26 +372,30 @@ func (j *Job) claim() bool {
 // finalize moves the job to a terminal state exactly once; extra calls
 // are ignored (e.g. a duplicate terminal record in the journal). It
 // drops the request's inline SOC source, which the journal keeps: a
-// finished job holds only its status.
-func (j *Job) finalize(state State, outcome *Outcome, errMsg string) bool {
+// finished job holds only its status. reusedFrom names the job whose
+// outcome a reused job carries, empty for a computed one.
+func (j *Job) finalize(state State, outcome *Outcome, errMsg, reusedFrom string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
 		return false
 	}
-	j.state, j.outcome, j.errMsg = state, outcome, errMsg
+	j.state, j.outcome, j.errMsg, j.reusedFrom = state, outcome, errMsg, reusedFrom
 	j.Req.Source = ""
 	close(j.done)
 	return true
 }
 
 // Status is the JSON view of a job served by GET /v1/jobs/{id}.
+// ReusedFrom names the job that computed a reused job's result; that
+// job's trace explains it, and the reused job's own trace is empty.
 type Status struct {
-	ID     string   `json:"id"`
-	State  State    `json:"state"`
-	Result *Outcome `json:"result,omitempty"`
-	Error  string   `json:"error,omitempty"`
-	Events int      `json:"traceEvents"`
+	ID         string   `json:"id"`
+	State      State    `json:"state"`
+	Result     *Outcome `json:"result,omitempty"`
+	Error      string   `json:"error,omitempty"`
+	ReusedFrom string   `json:"reusedFrom,omitempty"`
+	Events     int      `json:"traceEvents"`
 }
 
 // run executes the job's cell through core.Run, the call tamopt makes,

@@ -39,9 +39,10 @@ type JournalEntry struct {
 	Req *Request `json:"req,omitempty"`
 
 	// terminal entries:
-	State  State    `json:"state,omitempty"`
-	Result *Outcome `json:"result,omitempty"`
-	Error  string   `json:"error,omitempty"`
+	State      State    `json:"state,omitempty"`
+	Result     *Outcome `json:"result,omitempty"`
+	Error      string   `json:"error,omitempty"`
+	ReusedFrom string   `json:"reusedFrom,omitempty"`
 }
 
 // OpenJournal opens (creating if needed) the journal at path and

@@ -128,8 +128,9 @@ func (c *Config) fill() {
 
 // Scheduler is the bounded job scheduler: admission control in Submit,
 // a fixed worker pool draining the queue, per-job panic isolation in
-// execute, and a graceful two-phase Drain. See DESIGN.md §11 for the
-// admission and drain state machines.
+// execute, answers to repeated requests from the jobs that computed
+// them, and a graceful two-phase Drain. See DESIGN.md §11 for the
+// admission and drain state machines and for repeated requests.
 type Scheduler struct {
 	cfg      Config
 	journal  *Journal
@@ -141,6 +142,11 @@ type Scheduler struct {
 	order    []string // submission order, for listing
 	nextID   int
 	draining bool
+	// reuse maps a request key to the first job of this process that
+	// computed a done outcome for it, so a repeat is answered with a
+	// copy instead of a run. Journal replay does not fill it: no entry
+	// records which build computed an outcome.
+	reuse map[reuseKey]reusable
 
 	queue   chan *Job
 	wg      sync.WaitGroup
@@ -164,6 +170,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:      cfg,
 		jobs:     make(map[string]*Job),
+		reuse:    make(map[reuseKey]reusable),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		recorder: NewFlightRecorder(cfg.RecorderJobs),
 	}
@@ -221,6 +228,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 		return nil, fmt.Errorf("%w: %s", ErrInvalid, err)
 	}
 	s.clamp(&req)
+	key := req.reuseKey()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -234,6 +242,7 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	}
 
 	job := newJob(fmt.Sprintf("j%06d", s.nextID+1), req, s.cfg.RecorderEvents)
+	job.key = key
 	jobCtx, cancel := context.WithCancel(s.runCtx)
 	job.setCancel(cancel)
 	job.runBase = jobCtx
@@ -323,7 +332,7 @@ func (s *Scheduler) Cancel(id string) (*Job, error) {
 	if queued {
 		// If a worker picked the job up in between, finalize is a
 		// no-op for it and the cancelled context aborts the run.
-		s.finalizeJob(job, StateCanceled, nil, "canceled before start")
+		s.finalizeJob(job, StateCanceled, nil, "canceled before start", "")
 	}
 	return job, nil
 }
@@ -340,40 +349,58 @@ func (s *Scheduler) execute(job *Job) {
 	deadline := time.Duration(req.TimeoutMS) * time.Millisecond
 	ctx, cancel := context.WithTimeout(job.runBase, deadline)
 	start := time.Now()
-	state, outcome, errMsg := s.runJob(ctx, job, req)
+	state, outcome, errMsg, from := s.runJob(ctx, job, req)
 	cancel()
 	s.cfg.Metrics.Gauge("serve_running").Set(s.running.Add(-1))
 	s.cfg.Metrics.HistogramBuckets("serve_job_ms", phaseBucketsMs).Observe(time.Since(start).Milliseconds())
-	s.finalizeJob(job, state, outcome, errMsg)
+	s.finalizeJob(job, state, outcome, errMsg, from)
 }
 
 // runJob runs one job and classifies how it ended, with panic
 // isolation: a crash inside the job — engine bug or injected chaos —
-// becomes a structured job-failure record, not a daemon crash.
-func (s *Scheduler) runJob(ctx context.Context, job *Job, req Request) (state State, outcome *Outcome, errMsg string) {
+// becomes a structured job-failure record, not a daemon crash. A job
+// whose request a done job of this process already computed is not
+// run: it ends done with a copy of that outcome, and from names the
+// job that computed it.
+func (s *Scheduler) runJob(ctx context.Context, job *Job, req Request) (state State, outcome *Outcome, errMsg, from string) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.cfg.Metrics.Counter("serve_panics").Inc()
-			state, outcome, errMsg = StateFailed, nil, fmt.Sprintf("panic: %v", r)
+			state, outcome, errMsg, from = StateFailed, nil, fmt.Sprintf("panic: %v", r), ""
 		}
 	}()
 
+	if job.key != nil {
+		s.mu.Lock()
+		e, ok := s.reuse[*job.key]
+		s.mu.Unlock()
+		if ok {
+			return StateDone, &e.outcome, "", e.id
+		}
+	}
 	outcome, err := job.run(ctx, req, s.cfg.TestHooks, s.cache)
 	if s.cache != nil {
 		s.cfg.Metrics.Gauge("serve_cache_entries").Set(int64(s.cache.Len()))
 	}
 	switch {
 	case err == nil && outcome.Partial:
-		return StatePartial, outcome, ""
+		return StatePartial, outcome, "", ""
 	case err == nil:
-		return StateDone, outcome, ""
+		return StateDone, outcome, "", ""
 	case job.canceledByClient() && errors.Is(err, context.Canceled):
-		return StateCanceled, nil, "canceled"
+		return StateCanceled, nil, "canceled", ""
 	case errors.Is(err, context.Canceled) && s.Draining():
-		return StateFailed, nil, "daemon draining before any usable result"
+		return StateFailed, nil, "daemon draining before any usable result", ""
 	default:
-		return StateFailed, nil, err.Error()
+		return StateFailed, nil, err.Error(), ""
 	}
+}
+
+// reusable is a reuse-index entry: the job that computed a done
+// outcome, and that outcome, which each reusing job gets a copy of.
+type reusable struct {
+	id      string
+	outcome Outcome
 }
 
 // phaseBucketsMs are the fixed bucket bounds (milliseconds) of the
@@ -401,11 +428,12 @@ func stateCounterKey(state State) string {
 
 // finalizeJob applies a terminal transition once: it moves the job's
 // retained trace into the flight recorder, leaving the tracer empty,
-// and accounts for the job, then makes the job terminal, so a reader
-// woken by Done or a terminal status already sees it counted and
-// recorded, and journals the transition durably afterwards, keeping
-// the fsync out of the job's latency.
-func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg string) {
+// accounts for the job and indexes a computed done outcome for reuse,
+// then makes the job terminal, so a reader woken by Done or a terminal
+// status already sees it counted, recorded and reusable, and journals
+// the transition durably afterwards, keeping the fsync out of the
+// job's latency. from names the job a reused outcome came from.
+func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg, from string) {
 	if !job.claim() {
 		return
 	}
@@ -421,11 +449,20 @@ func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg 
 			).Observe(ev.DurNS / 1e6)
 		}
 	}
+	if from != "" {
+		s.cfg.Metrics.Counter("serve_reused").Inc()
+	} else if state == StateDone && job.key != nil {
+		s.mu.Lock()
+		if _, ok := s.reuse[*job.key]; !ok {
+			s.reuse[*job.key] = reusable{id: job.ID, outcome: *outcome}
+		}
+		s.mu.Unlock()
+	}
 	if s.terminalHook != nil {
 		s.terminalHook(job, state)
 	}
-	job.finalize(state, outcome, errMsg)
-	if err := s.journal.Append(JournalEntry{T: "terminal", ID: job.ID, State: state, Result: outcome, Error: errMsg}); err != nil {
+	job.finalize(state, outcome, errMsg, from)
+	if err := s.journal.Append(JournalEntry{T: "terminal", ID: job.ID, State: state, Result: outcome, Error: errMsg, ReusedFrom: from}); err != nil {
 		s.cfg.Logf("journal: %v", err)
 	}
 	s.cfg.Logf("job %s -> %s", job.ID, state)
@@ -477,6 +514,8 @@ func (s *Scheduler) Drain(ctx context.Context) {
 // restarts; submitted entries without a terminal record belonged to
 // jobs in flight when the previous process died and are closed out as
 // failed — durably, so the next recovery already sees them terminal.
+// Replayed outcomes are not indexed for reuse: a journal outlives the
+// binary that wrote it, so a repeat after a restart is computed again.
 func (s *Scheduler) recoverJournal(path string) error {
 	journal, entries, err := OpenJournal(path)
 	if err != nil {
@@ -496,7 +535,7 @@ func (s *Scheduler) recoverJournal(path string) error {
 				job = newJob(e.ID, Request{}, s.cfg.RecorderEvents)
 				s.addReplayed(job)
 			}
-			if job.finalize(e.State, e.Result, e.Error) {
+			if job.finalize(e.State, e.Result, e.Error, e.ReusedFrom) {
 				s.cfg.Metrics.Counter("serve_replayed").Inc()
 			}
 		}
@@ -509,7 +548,7 @@ func (s *Scheduler) recoverJournal(path string) error {
 		}
 		orphans++
 		const msg = "daemon crashed before the job completed; resubmit"
-		job.finalize(StateFailed, nil, msg)
+		job.finalize(StateFailed, nil, msg, "")
 		s.cfg.Metrics.Counter("serve_orphaned").Inc()
 		if err := s.journal.Append(JournalEntry{T: "terminal", ID: id, State: StateFailed, Error: msg}); err != nil {
 			return err

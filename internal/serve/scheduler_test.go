@@ -106,19 +106,26 @@ func TestSchedulerInlineSourceFewExternals(t *testing.T) {
 	}
 }
 
+// TestSchedulerDeterministicOutcomes computes one request on two
+// schedulers, so the copies are two runs however the jobs are timed
+// (within one scheduler a copy that starts after the first finished is
+// answered from it), and requires identical outcomes: the rule that
+// makes reuse correct.
 func TestSchedulerDeterministicOutcomes(t *testing.T) {
-	s := newTestScheduler(t, Config{Workers: 2})
-	a, err := s.Submit(quickReq())
+	a, err := newTestScheduler(t, Config{Workers: 2}).Submit(quickReq())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Submit(quickReq())
+	b, err := newTestScheduler(t, Config{Workers: 2}).Submit(quickReq())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sa, sb := waitTerminal(t, a), waitTerminal(t, b)
 	if sa.State != StateDone || sb.State != StateDone {
 		t.Fatalf("states %s/%s, want done/done", sa.State, sb.State)
+	}
+	if sa.ReusedFrom != "" || sb.ReusedFrom != "" {
+		t.Fatalf("a copy was reused (%q, %q), want two computed runs", sa.ReusedFrom, sb.ReusedFrom)
 	}
 	if !reflect.DeepEqual(sa.Result, sb.Result) {
 		t.Errorf("identical requests diverged:\n%+v\n%+v", sa.Result, sb.Result)

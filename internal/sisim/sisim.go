@@ -303,12 +303,6 @@ func (s *Simulator) CoverageCurve(patterns []*sifault.Pattern, checkpoints []int
 	return out
 }
 
-// WorstCaseNoise exposes the per-net maximal-aggressor noise level
-// (useful for calibrating thresholds in tests).
-func (s *Simulator) WorstCaseNoise(net int) float64 {
-	return s.worst[net]
-}
-
 // RequiredPatternsEstimate returns the analytic MA pattern count for
 // the topology (6N), for comparison against how many random patterns
 // Grade needs for the same coverage.
