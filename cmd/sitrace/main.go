@@ -1,7 +1,8 @@
 // Command sitrace summarizes a structured search trace written by
 // tamopt -trace: per-phase wall-clock and counts, merge acceptance
-// rates, cache hit rate, ILS kicks, interruptions, and the convergence
-// curve of the best objective versus candidate evaluations.
+// rates, ILS kicks, interruptions, and the convergence curve of the
+// best objective versus candidate evaluations. Cache and evaluation
+// counts are not in the trace; tamopt -stats prints them.
 //
 //	tamopt -soc d695 -w 16 -trace run.jsonl
 //	sitrace run.jsonl              # summary
@@ -140,7 +141,6 @@ func summarize(w io.Writer, events []obs.Event, size string) {
 	}
 
 	var accepted, rejected, candidates int
-	var hits, misses int64
 	var kicks int
 	var kickBest int64
 	for i := range events {
@@ -151,10 +151,6 @@ func summarize(w io.Writer, events []obs.Event, size string) {
 			rejected++
 		case obs.CandidateEvaluated:
 			candidates++
-		case obs.CacheHit:
-			hits++
-		case obs.CacheMiss:
-			misses++
 		case obs.ILSKick:
 			kicks++
 			kickBest = ev.Best
@@ -164,10 +160,6 @@ func summarize(w io.Writer, events []obs.Event, size string) {
 	if accepted+rejected > 0 {
 		fmt.Fprintf(w, "merge batches: %d accepted, %d rejected (%.1f%% accepted)\n",
 			accepted, rejected, 100*float64(accepted)/float64(accepted+rejected))
-	}
-	if hits+misses > 0 {
-		fmt.Fprintf(w, "cache: %d hits, %d misses (%.1f%% hit rate)\n",
-			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 	if kicks > 0 {
 		fmt.Fprintf(w, "ILS: %d kicks, best %d\n", kicks, kickBest)

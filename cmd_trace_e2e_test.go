@@ -50,7 +50,7 @@ func TestE2ETraceWalkthrough(t *testing.T) {
 	if !strings.Contains(out, want) {
 		t.Errorf("sitrace summary missing %q:\n%s", want, out)
 	}
-	for _, section := range []string{"phases:", "si schedule", "candidates evaluated:", "cache:"} {
+	for _, section := range []string{"phases:", "si schedule", "candidates evaluated:"} {
 		if !strings.Contains(out, section) {
 			t.Errorf("sitrace summary missing %q:\n%s", section, out)
 		}

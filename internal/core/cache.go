@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"sitam/internal/obs"
 	"sitam/internal/tam"
 )
 
@@ -122,12 +121,6 @@ type CachedEvaluator struct {
 	// failed append detaches the file: persistence is best-effort, the
 	// in-memory cache stays authoritative.
 	persist atomic.Pointer[CacheFile]
-
-	// sink receives per-lookup cache_hit/cache_miss events. Set only
-	// for single-worker runs (Engine.configure): under concurrency
-	// the hit/miss split is timing-dependent, which would break trace
-	// determinism — the totals are always on the metrics snapshot.
-	sink obs.Sink
 }
 
 // NewCachedEvaluator wraps inner with a memoization cache holding at
@@ -167,11 +160,8 @@ func spread(h uint64) uint64 { return h * 0x9E3779B97F4A7C15 }
 
 // AttachPersistent seeds the cache from cf's on-disk entries and wires
 // every future miss-store through to the file. Seeded entries count as
-// Loads, never as Hits (see CacheStats.Loads); a single cache_load
-// event with the seeded count goes to the trace sink when one is
-// attached — one deterministic event, so single-worker trace
-// determinism is unaffected. A shard stops taking seeds at its
-// capacity. Call before the first Evaluate.
+// Loads, never as Hits (see CacheStats.Loads). A shard stops taking
+// seeds at its capacity. Call before the first Evaluate.
 func (c *CachedEvaluator) AttachPersistent(cf *CacheFile) {
 	if cf == nil {
 		return
@@ -199,9 +189,6 @@ func (c *CachedEvaluator) AttachPersistent(cf *CacheFile) {
 	cf.mu.Unlock()
 	c.persist.Store(cf)
 	c.loads.Add(int64(n))
-	if c.sink != nil {
-		c.sink.Emit(obs.Event{Type: obs.CacheLoad, N: int64(n)})
-	}
 }
 
 // restore replays the cached per-rail TimeSI bookkeeping onto a. It
@@ -281,13 +268,7 @@ func (c *CachedEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	}
 	sh.mu.Unlock()
 	if hit {
-		if c.sink != nil {
-			c.sink.Emit(obs.Event{Type: obs.CacheHit})
-		}
 		return ent.obj, nil
-	}
-	if c.sink != nil {
-		c.sink.Emit(obs.Event{Type: obs.CacheMiss})
 	}
 	var obj int64
 	var err error

@@ -3,7 +3,6 @@ package core
 import (
 	"sync/atomic"
 
-	"sitam/internal/obs"
 	"sitam/internal/sischedule"
 	"sitam/internal/tam"
 )
@@ -19,12 +18,9 @@ import (
 // final architecture with the same planner.
 //
 // The evaluator is safe for concurrent use (the planner memo is
-// shared). The optional sink receives one eval_incremental event per
-// evaluation; the engine wires it only for single-worker runs, where
-// the event order is deterministic.
+// shared).
 type IncrementalSIEvaluator struct {
 	planner *sischedule.Planner
-	sink    obs.Sink
 	stripes [incStripes]incCounters
 }
 
@@ -75,14 +71,6 @@ func (e *IncrementalSIEvaluator) evaluate(a *tam.Architecture, stale int) (int64
 	c.railsMemoized.Add(int64(st.RailsMemoized))
 	c.groupsRecomputed.Add(int64(st.GroupsRecomputed))
 	c.groupsMemoized.Add(int64(st.GroupsMemoized))
-	if e.sink != nil {
-		e.sink.Emit(obs.Event{
-			Type:       obs.EvalIncremental,
-			N:          int64(stale),
-			Recomputed: st.GroupsRecomputed,
-			Memoized:   st.GroupsMemoized,
-		})
-	}
 	return a.InTestTime() + si, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"sitam/internal/obs"
 	"sitam/internal/sischedule"
 	"sitam/internal/soc"
 	"sitam/internal/tam"
@@ -330,26 +329,21 @@ func FuzzIncrementalMutations(f *testing.F) {
 // TestDirtyRailsCountedThroughCache: the cache refreshes an
 // architecture's stale rails to key it, so the incremental evaluator
 // behind it must count the rails that were stale when the evaluation
-// began. On a single-worker Solve, cached or not, eval_dirty_rails is
-// positive and equals the sum of the eval_incremental events' N.
+// began. A cache miss sees the same stale rails as the same evaluation
+// of the uncached run, and hits are not counted, so a single-worker
+// Solve counts 0 < eval_dirty_rails(cached) <= eval_dirty_rails(uncached).
 func TestDirtyRailsCountedThroughCache(t *testing.T) {
 	s := soc.MustLoadBenchmark("d695")
 	p := Problem{SOC: s, Wmax: 32, Groups: diffGroups(t, s), Model: sischedule.DefaultModel()}
+	dirty := map[int]int64{}
 	for _, cache := range []int{0, -1} {
-		tr := obs.NewTracer()
-		res, err := Solve(context.Background(), p, Options{ParallelConfig: ParallelConfig{Workers: 1, CacheSize: cache, Trace: tr}})
+		res, err := Solve(context.Background(), p, Options{ParallelConfig: ParallelConfig{Workers: 1, CacheSize: cache}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sum int64
-		for _, ev := range tr.Events() {
-			if ev.Type == obs.EvalIncremental {
-				sum += ev.N
-			}
-		}
-		got := res.Metrics.Counter("eval_dirty_rails")
-		if got <= 0 || got != sum {
-			t.Errorf("cache=%d: eval_dirty_rails = %d, events' N sum to %d; want them equal and positive", cache, got, sum)
-		}
+		dirty[cache] = res.Metrics.Counter("eval_dirty_rails")
+	}
+	if on, off := dirty[0], dirty[-1]; on <= 0 || on > off {
+		t.Errorf("eval_dirty_rails = %d cached, %d uncached; want 0 < cached <= uncached", on, off)
 	}
 }

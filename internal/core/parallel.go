@@ -76,11 +76,10 @@ type ParallelConfig struct {
 	// context: partial result, CauseBudget.
 	MaxEvals int64
 
-	// Trace collects the structured search-trace of the run. nil (the
-	// default) disables tracing. At Workers==1 the trace additionally
-	// carries per-lookup cache hit/miss events; concurrent restarts
-	// make the hit/miss split timing-dependent, so above one worker it
-	// is metrics-only.
+	// Trace collects the structured search-trace of the run: its
+	// decisions, the same at every worker count. nil (the default)
+	// disables tracing. The cache and evaluation counts are on
+	// Result.Metrics and Result.Cache, not in the trace.
 	Trace *obs.Tracer
 
 	// Metrics collects the run's counters, gauges and phase-duration

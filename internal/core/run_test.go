@@ -118,7 +118,7 @@ func TestRunMatchesChainedStages(t *testing.T) {
 				t.Errorf("%s: grouping differs from the chained one", name)
 			}
 			if workers == 1 {
-				got, w := canon(o.Trace.Events(), false), canon(wo.Trace.Events(), false)
+				got, w := canon(o.Trace.Events()), canon(wo.Trace.Events())
 				if !slices.Equal(got, w) {
 					t.Errorf("%s: trace differs from the chained one (%d vs %d events)", name, len(got), len(w))
 				}

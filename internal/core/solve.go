@@ -210,22 +210,9 @@ func (e *Engine) configure(cfg ParallelConfig, fp uint64) {
 	}
 	e.MaxEvals = cfg.MaxEvals
 	if cfg.Trace != nil {
-		e.Trace = cfg.Trace
-		if e.workers == 1 {
-			// Per-lookup cache and eval_incremental events are
-			// deterministic only when one goroutine evaluates; see the
-			// obs package comment.
-			if e.cache != nil {
-				e.cache.sink = cfg.Trace
-			}
-			if inc, ok := innerEvaluator(e.Eval).(*IncrementalSIEvaluator); ok {
-				inc.sink = cfg.Trace
-			}
-		}
+		e.Trace = cfg.Trace // never a nil *Tracer in a non-nil Sink
 	}
 	if e.cache != nil && cfg.Persist != nil {
-		// After the sink decision above, so a single-worker traced run
-		// records its one deterministic cache_load event.
 		e.cache.AttachPersistent(cfg.Persist)
 	}
 	e.Metrics = cfg.Metrics

@@ -14,59 +14,63 @@ import (
 )
 
 // Differential harness for the observability layer: traces of the same
-// run must be deterministic for a fixed seed and worker count —
-// identical ordered traces when repeated, identical event multisets
-// across worker counts once the single-worker-only cache events are
-// filtered out — and the replayed convergence curve must end at exactly
-// the returned Breakdown.TimeSOC.
+// run must be deterministic for a fixed seed — identical event for
+// event, sequence numbers included, when repeated and at any worker
+// count once the wall-clock durations are zeroed — every event must lie
+// inside a phase span, and the replayed convergence curve must end at
+// exactly the returned Breakdown.TimeSOC.
 
 const traceW = 16
 
-// traceRun executes one traced optimization and returns the result and
-// the collected events.
+// traceRun executes one traced SI optimization and returns the result
+// and the collected events.
 func traceRun(t *testing.T, s *soc.SOC, groups []*sischedule.Group, m sischedule.Model, workers int) (*Result, []obs.Event) {
 	t.Helper()
+	return traceSolve(t, Problem{SOC: s, Wmax: traceW, Groups: groups, Model: m},
+		Options{ParallelConfig: ParallelConfig{Workers: workers}})
+}
+
+// traceSolve runs Solve with a fresh tracer and returns the result and
+// the validated trace.
+func traceSolve(t *testing.T, p Problem, o Options) (*Result, []obs.Event) {
+	t.Helper()
 	tr := obs.NewTracer()
-	res, err := TAMOptimizationWith(context.Background(), s, traceW, groups, m,
-		ParallelConfig{Workers: workers, Trace: tr})
+	o.Trace = tr
+	res, err := Solve(context.Background(), p, o)
 	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
+		t.Fatalf("%s workers=%d: %v", o.Method, o.Workers, err)
 	}
 	events := tr.Events()
 	if err := obs.ValidateTrace(events); err != nil {
-		t.Fatalf("workers=%d: invalid trace: %v", workers, err)
+		t.Fatalf("%s workers=%d: invalid trace: %v", o.Method, o.Workers, err)
 	}
 	return res, events
 }
 
-// singleWorkerOnly reports whether ev is emitted only by single-worker
-// runs (cache lookups and incremental evaluation accounting, whose
-// split is timing-dependent under concurrency).
-func singleWorkerOnly(ev *obs.Event) bool {
-	return ev.Type == obs.CacheHit || ev.Type == obs.CacheMiss || ev.Type == obs.EvalIncremental
-}
-
-// canon strips the nondeterministic fields (sequence number, wall-clock
-// duration) and optionally the single-worker-only events, so traces can
-// be compared across runs and worker counts.
-func canon(events []obs.Event, dropSingle bool) []obs.Event {
-	out := make([]obs.Event, 0, len(events))
-	for _, ev := range events {
-		if dropSingle && singleWorkerOnly(&ev) {
-			continue
-		}
-		ev.Seq = 0
-		out = append(out, ev.Canonical())
+// canon zeroes the wall-clock durations, the one nondeterministic
+// field, so traces can be compared across runs and worker counts.
+func canon(events []obs.Event) []obs.Event {
+	out := make([]obs.Event, len(events))
+	for i, ev := range events {
+		out[i] = ev.Canonical()
 	}
 	return out
 }
 
-func multiset(events []obs.Event) map[obs.Event]int {
-	m := make(map[obs.Event]int, len(events))
-	for _, ev := range events {
-		m[ev]++
+// sameTrace fails the test unless the canonical traces got and want
+// are equal event for event.
+func sameTrace(t *testing.T, label string, got, want []obs.Event) {
+	t.Helper()
+	got, want = canon(got), canon(want)
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("%s: traces diverge at event %d: %+v, want %+v", label, i, got[i], want[i])
+			return
+		}
 	}
-	return m
+	if len(got) != len(want) {
+		t.Errorf("%s: %d events, want %d", label, len(got), len(want))
+	}
 }
 
 func TestTraceDeterministicAcrossWorkers(t *testing.T) {
@@ -76,55 +80,51 @@ func TestTraceDeterministicAcrossWorkers(t *testing.T) {
 				t.Skip("skipping the largest fixture in -short mode")
 			}
 			s := soc.MustLoadBenchmark(name)
-			groups := diffGroups(t, s)
-			m := sischedule.DefaultModel()
-
-			_, base := traceRun(t, s, groups, m, 1)
-			_, again := traceRun(t, s, groups, m, 1)
-			b, a := canon(base, false), canon(again, false)
-			if len(b) != len(a) {
-				t.Fatalf("repeated workers=1 traces differ in length: %d != %d", len(b), len(a))
-			}
-			for i := range b {
-				if b[i] != a[i] {
-					t.Fatalf("repeated workers=1 traces diverge at event %d: %+v != %+v", i, b[i], a[i])
-				}
-			}
-			var cacheEvents, incEvents int
-			for _, ev := range base {
-				switch ev.Type {
-				case obs.CacheHit, obs.CacheMiss:
-					cacheEvents++
-				case obs.EvalIncremental:
-					incEvents++
-				}
-			}
-			if cacheEvents == 0 {
-				t.Error("workers=1 trace carries no cache events")
-			}
-			if incEvents == 0 {
-				t.Error("workers=1 trace carries no eval_incremental events")
-			}
-
-			want := multiset(canon(base, true))
-			for _, workers := range []int{2, 8} {
-				_, events := traceRun(t, s, groups, m, workers)
-				for _, ev := range events {
-					if singleWorkerOnly(&ev) {
-						t.Fatalf("workers=%d trace carries single-worker-only event %+v", workers, ev)
+			p := Problem{SOC: s, Wmax: traceW, Groups: diffGroups(t, s), Model: sischedule.DefaultModel()}
+			for _, o := range []Options{
+				{Method: MethodSI},
+				{Method: MethodILS, Kicks: ilsKicks, Restarts: 3, Seed: ilsSeed},
+			} {
+				var want []obs.Event
+				for _, workers := range []int{1, 1, 2, 8} {
+					o.Workers = workers
+					_, events := traceSolve(t, p, o)
+					if want == nil {
+						want = events
+						continue
 					}
-				}
-				got := multiset(canon(events, true))
-				if len(got) != len(want) {
-					t.Errorf("workers=%d: %d distinct events, workers=1 has %d", workers, len(got), len(want))
-				}
-				for ev, n := range want {
-					if got[ev] != n {
-						t.Errorf("workers=%d: event %+v seen %d times, want %d", workers, ev, got[ev], n)
-					}
+					sameTrace(t, fmt.Sprintf("%s workers=%d", o.Method, workers), events, want)
 				}
 			}
 		})
+	}
+}
+
+// TestTraceEventsInsideSpans: every event of a solve's trace other
+// than a span's own start and end lies inside an open phase span, at
+// one worker and at several, for concurrent ILS restarts too.
+func TestTraceEventsInsideSpans(t *testing.T) {
+	s := soc.MustLoadBenchmark("d695")
+	p := Problem{SOC: s, Wmax: traceW, Groups: diffGroups(t, s), Model: sischedule.DefaultModel()}
+	for _, o := range []Options{
+		{Method: MethodILS, Kicks: ilsKicks, Restarts: 2, Seed: ilsSeed, ParallelConfig: ParallelConfig{Workers: 1}},
+		{Method: MethodILS, Kicks: ilsKicks, Restarts: 2, Seed: ilsSeed, ParallelConfig: ParallelConfig{Workers: 2}},
+		{Method: MethodSI, ParallelConfig: ParallelConfig{Workers: 1}},
+	} {
+		_, events := traceSolve(t, p, o)
+		open := 0
+		for _, ev := range events {
+			switch ev.Type {
+			case obs.PhaseStart:
+				open++
+			case obs.PhaseEnd:
+				open--
+			default:
+				if open <= 0 {
+					t.Fatalf("%s workers=%d: event %+v lies outside every span", o.Method, o.Workers, ev)
+				}
+			}
+		}
 	}
 }
 
@@ -185,16 +185,7 @@ func TestTraceILSRestartsDeterministic(t *testing.T) {
 		}
 		return events
 	}
-	want := multiset(canon(run(1), true))
-	got := multiset(canon(run(8), true))
-	if len(got) != len(want) {
-		t.Errorf("workers=8: %d distinct events, workers=1 has %d", len(got), len(want))
-	}
-	for ev, n := range want {
-		if got[ev] != n {
-			t.Errorf("workers=8: event %+v seen %d times, want %d", ev, got[ev], n)
-		}
-	}
+	sameTrace(t, "workers=8", run(8), run(1))
 }
 
 func TestBudgetStopsWithCause(t *testing.T) {

@@ -11,13 +11,13 @@
 //
 // # Determinism
 //
-// A trace is deterministic for a fixed seed and worker count, with two
-// documented exceptions: the dur_ns field of phase-end events carries
-// wall-clock time (diff traces with it zeroed — see Event.Canonical),
-// and cache_hit/cache_miss events are emitted only by single-worker
-// runs, because under concurrent evaluation the hit/miss split of the
-// memoization cache is timing-dependent (racing double-misses). Cache
-// totals are always available through the metrics registry.
+// The trace records the search's decisions: phase spans, scored
+// candidates, merges, kicks, the SI schedule and interruptions. The
+// per-evaluation counts (cache lookups, recomputed rails and groups)
+// live only in the registry. A trace is deterministic for a fixed seed
+// and configuration at any worker count, except for the dur_ns field
+// of phase-end events, which carries wall-clock time (diff traces with
+// it zeroed — see Event.Canonical).
 package obs
 
 import (
@@ -68,25 +68,6 @@ const (
 	// count, the bottleneck rail and the pattern count.
 	SIGroupScheduled Type = "si_group_scheduled"
 
-	// CacheHit and CacheMiss report one evaluation-cache lookup.
-	// Emitted only by single-worker runs (see the package comment).
-	CacheHit  Type = "cache_hit"
-	CacheMiss Type = "cache_miss"
-
-	// CacheLoad reports the one-time seeding of the evaluation cache
-	// from a persistent cache file: N carries the entry count loaded.
-	// Loads are not hits — they are inventory carried over from a
-	// previous process, kept distinct so warm-start runs cannot claim a
-	// hit rate they did not earn this run.
-	CacheLoad Type = "cache_load"
-
-	// EvalIncremental reports one incremental objective evaluation: N
-	// carries the dirty-rail count, Recomputed/Memoized the SI groups
-	// whose time was recomputed versus served from the composition
-	// memo. Emitted only by single-worker runs, like the cache events
-	// (the memo hit/miss split is timing-dependent under concurrency).
-	EvalIncremental Type = "eval_incremental"
-
 	// DeadlineHit reports an anytime interruption: the phase that was
 	// cut short and the cause ("deadline", "interrupted" or "budget").
 	DeadlineHit Type = "deadline_hit"
@@ -99,10 +80,7 @@ var knownTypes = map[Type]bool{
 	MergeAccepted:      true, MergeRejected: true,
 	ILSKick:          true,
 	SIGroupScheduled: true,
-	CacheHit:         true, CacheMiss: true,
-	CacheLoad:       true,
-	EvalIncremental: true,
-	DeadlineHit:     true,
+	DeadlineHit:      true,
 }
 
 // Event is one search-trace record. The struct is flat — every event
@@ -159,11 +137,6 @@ type Event struct {
 	// Begin and End are schedule times in cycles (SIGroupScheduled).
 	Begin int64 `json:"begin,omitempty"`
 	End   int64 `json:"end,omitempty"`
-
-	// Recomputed and Memoized split an incremental evaluation's SI
-	// groups into recomputed versus memo-served (EvalIncremental).
-	Recomputed int `json:"recomputed,omitempty"`
-	Memoized   int `json:"memoized,omitempty"`
 
 	// Power is the scheduled group's test power and Budget the power
 	// ceiling it was scheduled under (SIGroupScheduled; both 0 on
@@ -224,14 +197,6 @@ func (e *Event) Validate() error {
 		}
 		if e.Budget > 0 && e.Power > e.Budget {
 			return fmt.Errorf("obs: si_group_scheduled %q power %d exceeds its own budget %d", e.Group, e.Power, e.Budget)
-		}
-	case CacheLoad:
-		if e.N < 0 {
-			return fmt.Errorf("obs: cache_load event with negative count %d", e.N)
-		}
-	case EvalIncremental:
-		if e.N < 0 || e.Recomputed < 0 || e.Memoized < 0 {
-			return fmt.Errorf("obs: eval_incremental event with negative counts (n=%d recomputed=%d memoized=%d)", e.N, e.Recomputed, e.Memoized)
 		}
 	case DeadlineHit:
 		switch e.Cause {
@@ -414,6 +379,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		var ev Event
 		if err := dec.Decode(&ev); err != nil {
 			return nil, fmt.Errorf("obs: line %d: %w", line, err)
+		}
+		if !knownTypes[ev.Type] {
+			return nil, fmt.Errorf("obs: line %d: unknown event type %q", line, ev.Type)
 		}
 		out = append(out, ev)
 	}

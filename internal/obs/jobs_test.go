@@ -146,7 +146,7 @@ func testJobTracerBound(t *testing.T, limit, n int) {
 			t.Errorf("trace within the bound: %v", err)
 		}
 	}
-	tr.Emit(Event{Type: CacheHit})
+	tr.Emit(Event{Type: CandidateEvaluated})
 	if tr.Len() != n || len(tr.Events()) != 0 || len(tr.Since(0)) != 0 {
 		t.Errorf("after release: Len %d, %d events, %d since 0; want %d, 0, 0", tr.Len(), len(tr.Events()), len(tr.Since(0)), n)
 	}
@@ -155,18 +155,18 @@ func testJobTracerBound(t *testing.T, limit, n int) {
 func TestValidateRecording(t *testing.T) {
 	// Two jobs interleaved, each with a gap: 3 + 5 elided.
 	ok := []Event{
-		{Seq: 0, Type: CacheHit, Job: "a"},
-		{Seq: 0, Type: CacheHit, Job: "b"},
-		{Seq: 4, Type: CacheHit, Job: "a"},
-		{Seq: 6, Type: CacheHit, Job: "b"},
+		{Seq: 0, Type: ILSKick, Kick: 1, Job: "a"},
+		{Seq: 0, Type: ILSKick, Kick: 1, Job: "b"},
+		{Seq: 4, Type: ILSKick, Kick: 1, Job: "a"},
+		{Seq: 6, Type: ILSKick, Kick: 1, Job: "b"},
 	}
 	if elided, err := ValidateRecording(ok); err != nil || elided != 8 {
 		t.Errorf("ValidateRecording = %d, %v; want 8 elided", elided, err)
 	}
 	for name, bad := range map[string][]Event{
-		"repeated seq": {{Seq: 3, Type: CacheHit, Job: "a"}, {Seq: 3, Type: CacheHit, Job: "a"}},
-		"falling seq":  {{Seq: 3, Type: CacheHit, Job: "a"}, {Seq: 2, Type: CacheHit, Job: "a"}},
-		"no job ID":    {{Seq: 0, Type: CacheHit}},
+		"repeated seq": {{Seq: 3, Type: ILSKick, Kick: 1, Job: "a"}, {Seq: 3, Type: ILSKick, Kick: 1, Job: "a"}},
+		"falling seq":  {{Seq: 3, Type: ILSKick, Kick: 1, Job: "a"}, {Seq: 2, Type: ILSKick, Kick: 1, Job: "a"}},
+		"no job ID":    {{Seq: 0, Type: ILSKick, Kick: 1}},
 		"bad event":    {{Seq: 0, Type: ILSKick, Job: "a"}},
 	} {
 		if _, err := ValidateRecording(bad); err == nil {
@@ -198,7 +198,7 @@ func TestJobTracerConcurrentRelease(t *testing.T) {
 		l := NewLocal()
 		for i := 0; i < perEmitter; i++ {
 			sp := Span(l, "drained")
-			l.Emit(Event{Type: CacheMiss})
+			l.Emit(Event{Type: CandidateEvaluated, Phase: "drained", Cand: i})
 			sp.End(0, 1)
 			if i%10 == 9 {
 				Drain(tr, l)

@@ -17,8 +17,6 @@ func TestEventValidate(t *testing.T) {
 		{Type: MergeRejected, Phase: "core reshuffle", Obj: 5, N: 2},
 		{Type: ILSKick, Kick: 1, Seed: 7, Obj: 50, Best: 40},
 		{Type: SIGroupScheduled, Group: "G1", Begin: 0, End: 10, Rails: 2, Rail: 1, N: 30},
-		{Type: CacheHit},
-		{Type: CacheMiss},
 		{Type: DeadlineHit, Phase: "ILS", Cause: "deadline"},
 		{Type: DeadlineHit, Cause: "interrupted"},
 		{Type: DeadlineHit, Cause: "budget"},
@@ -88,13 +86,20 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLStrict(t *testing.T) {
-	if _, err := ReadJSONL(strings.NewReader(`{"seq":0,"type":"cache_hit","bogus":1}`)); err == nil {
+	if _, err := ReadJSONL(strings.NewReader(`{"seq":0,"type":"ils_kick","kick":1,"bogus":1}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
 	if _, err := ReadJSONL(strings.NewReader("not json")); err == nil {
 		t.Error("malformed line accepted")
 	}
-	evs, err := ReadJSONL(strings.NewReader("\n{\"seq\":0,\"type\":\"cache_hit\"}\n\n"))
+	for _, typ := range []string{"bogus", "cache_hit", "eval_incremental"} {
+		in := "{\"seq\":0,\"type\":\"ils_kick\",\"kick\":1}\n\n{\"seq\":1,\"type\":\"" + typ + "\"}\n"
+		evs, err := ReadJSONL(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "unknown event type") {
+			t.Errorf("type %q: %d events, err %v; want an unknown-type error naming line 3", typ, len(evs), err)
+		}
+	}
+	evs, err := ReadJSONL(strings.NewReader("\n{\"seq\":0,\"type\":\"ils_kick\",\"kick\":1}\n\n"))
 	if err != nil || len(evs) != 1 {
 		t.Errorf("blank lines not skipped: %v, %d events", err, len(evs))
 	}
@@ -103,12 +108,12 @@ func TestReadJSONLStrict(t *testing.T) {
 func TestLocalDrainOrder(t *testing.T) {
 	tr := NewTracer()
 	a, b := NewLocal(), NewLocal()
-	b.Emit(Event{Type: CacheMiss})
-	a.Emit(Event{Type: CacheHit})
-	a.Emit(Event{Type: CacheHit})
+	b.Emit(Event{Type: MergeRejected})
+	a.Emit(Event{Type: CandidateEvaluated})
+	a.Emit(Event{Type: CandidateEvaluated})
 	Drain(tr, a, nil, b)
 	evs := tr.Events()
-	wantTypes := []Type{CacheHit, CacheHit, CacheMiss}
+	wantTypes := []Type{CandidateEvaluated, CandidateEvaluated, MergeRejected}
 	if len(evs) != len(wantTypes) {
 		t.Fatalf("drained %d events, want %d", len(evs), len(wantTypes))
 	}
