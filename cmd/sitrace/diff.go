@@ -65,7 +65,7 @@ func diffTraces(w io.Writer, nameA string, a []obs.Event, nameB string, b []obs.
 	}
 	fa, fb := ca[len(ca)-1], cb[len(cb)-1]
 	fmt.Fprintf(w, "  final best:   A=%d B=%d (%s)\n", fa.Best, fb.Best, deltaPct(fa.Best, fb.Best))
-	fmt.Fprintf(w, "  total evals:  A=%d B=%d\n", fa.Evals, fb.Evals)
+	fmt.Fprintf(w, "  total evals:  A=%d B=%d\n", candidatesEvaluated(a), candidatesEvaluated(b))
 	fmt.Fprintf(w, "  evals to B's final best: A=%d B=%d\n", evalsToReach(ca, fb.Best), fb.Evals)
 	switch {
 	case fa.Best < fb.Best:
@@ -78,8 +78,7 @@ func diffTraces(w io.Writer, nameA string, a []obs.Event, nameB string, b []obs.
 }
 
 // evalsToReach returns the cumulative evaluations at which curve c
-// first meets or beats target, or the curve's total evals + a marker
-// -1 sentinel when it never does.
+// first meets or beats target, or -1 when it never does.
 func evalsToReach(c []obs.CurvePoint, target int64) int64 {
 	for _, p := range c {
 		if p.Best <= target {
@@ -87,6 +86,18 @@ func evalsToReach(c []obs.CurvePoint, target int64) int64 {
 		}
 	}
 	return -1
+}
+
+// candidatesEvaluated counts the trace's candidate evaluations, those
+// after its last improvement included.
+func candidatesEvaluated(events []obs.Event) int {
+	n := 0
+	for i := range events {
+		if events[i].Type == obs.CandidateEvaluated {
+			n++
+		}
+	}
+	return n
 }
 
 // deltaPct renders the B-vs-A relative change of a pair of values.

@@ -176,7 +176,7 @@ func summarize(w io.Writer, events []obs.Event, size string) {
 
 	if curve := obs.Curve(events); len(curve) > 0 {
 		fmt.Fprintf(w, "convergence: %d improvements over %d evaluations\n",
-			len(curve), curve[len(curve)-1].Evals)
+			len(curve), candidates)
 		fmt.Fprintf(w, "final best objective: %d\n", curve[len(curve)-1].Best)
 	}
 }

@@ -157,6 +157,43 @@ func TestDiffTraces(t *testing.T) {
 	}
 }
 
+// TestTotalEvalsCountsEveryCandidate pins the evaluation totals of the
+// summary and of -diff to the trace's candidate_evaluated events,
+// those after the last improvement included: the trace below improves
+// at its first and second candidates and evaluates two more.
+func TestTotalEvalsCountsEveryCandidate(t *testing.T) {
+	bin := buildSitrace(t)
+	a := writeTrace(t, []obs.Event{
+		{Type: obs.PhaseStart, Phase: "greedy"},
+		{Type: obs.CandidateEvaluated, Phase: "greedy", Best: 20},
+		{Type: obs.CandidateEvaluated, Phase: "greedy", Best: 10},
+		{Type: obs.CandidateEvaluated, Phase: "greedy", Best: 10},
+		{Type: obs.CandidateEvaluated, Phase: "greedy", Best: 10},
+		{Type: obs.PhaseEnd, Phase: "greedy", DurNS: 4e6, N: 4, Best: 10},
+	})
+	b := writeTrace(t, []obs.Event{
+		{Type: obs.PhaseStart, Phase: "greedy"},
+		{Type: obs.CandidateEvaluated, Phase: "greedy", Best: 12},
+		{Type: obs.PhaseEnd, Phase: "greedy", DurNS: 8e6, N: 1, Best: 12},
+	})
+	out, err := exec.Command(bin, a).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "convergence: 2 improvements over 4 evaluations") {
+		t.Errorf("summary: %v\n%s", err, out)
+	}
+	out, err = exec.Command(bin, "-diff", a, b).CombinedOutput()
+	if err != nil {
+		t.Fatalf("-diff failed: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"total evals:  A=4 B=1",
+		"evals to B's final best: A=2 B=1",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("diff output missing %q:\n%s", want, out)
+		}
+	}
+}
+
 // TestCheckBalancedTracePasses is the matching positive case.
 func TestCheckBalancedTracePasses(t *testing.T) {
 	bin := buildSitrace(t)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -335,8 +336,13 @@ var listenRE = regexp.MustCompile(`listening on (http://\S+)`)
 // listen line. The caller owns shutdown.
 func startSitamd(t *testing.T, args ...string) (*exec.Cmd, *syncBuffer, string) {
 	t.Helper()
-	cmd := exec.Command(filepath.Join(binaries(t), "sitamd"),
-		append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+	return startDaemon(t, filepath.Join(binaries(t), "sitamd"), args...)
+}
+
+// startDaemon is startSitamd for the sitamd executable at bin.
+func startDaemon(t *testing.T, bin string, args ...string) (*exec.Cmd, *syncBuffer, string) {
+	t.Helper()
+	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
 	out := &syncBuffer{}
 	cmd.Stdout = out
 	cmd.Stderr = out
@@ -477,6 +483,67 @@ func TestE2ESitamdJournalKill9(t *testing.T) {
 	cmd2.Process.Signal(syscall.SIGTERM)
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("recovered daemon drain exit: %v\n%s", err, out2.String())
+	}
+}
+
+// TestE2ESitamdReuseAcrossRestart drives the build identity of real
+// executables: sitamd restarted on its journal answers a repeat from
+// the job its first process computed, and a second build of sitamd
+// (the same executable with bytes appended) restarted on that journal
+// computes the repeat afresh, with an equal result.
+func TestE2ESitamdReuseAcrossRestart(t *testing.T) {
+	sitamd := filepath.Join(binaries(t), "sitamd")
+	exe, err := os.ReadFile(sitamd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebuilt := filepath.Join(t.TempDir(), "sitamd")
+	if err := os.WriteFile(rebuilt, append(exe, "another build"...), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "jobs.jsonl")
+	type status struct {
+		ID          string         `json:"id"`
+		Result      map[string]any `json:"result"`
+		ReusedFrom  string         `json:"reusedFrom"`
+		TraceEvents int            `json:"traceEvents"`
+	}
+	// serve runs one d695 job on a daemon of bin and drains it.
+	serve := func(bin string) status {
+		t.Helper()
+		cmd, out, base := startDaemon(t, bin, "-journal", journal)
+		id := submitJob(t, base, `{"soc":"d695","wmax":16,"nr":2000,"groups":3,"seed":7}`)
+		waitJobState(t, base, id, "done")
+		resp, err := http.Get(base + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st status
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("drain exit: %v\n%s", err, out.String())
+		}
+		return st
+	}
+
+	first := serve(sitamd)
+	if first.ReusedFrom != "" || first.TraceEvents == 0 || first.Result == nil {
+		t.Fatalf("first job %+v, want a computed result", first)
+	}
+	again := serve(sitamd)
+	if again.ReusedFrom != first.ID || !reflect.DeepEqual(again.Result, first.Result) {
+		t.Errorf("repeat after a restart: %+v, want reused from %s with %v", again, first.ID, first.Result)
+	}
+	other := serve(rebuilt)
+	if other.ReusedFrom != "" || other.TraceEvents == 0 || !reflect.DeepEqual(other.Result, first.Result) {
+		t.Errorf("repeat on another build: %+v, want computed with %v", other, first.Result)
 	}
 }
 

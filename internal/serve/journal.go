@@ -3,10 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 )
 
@@ -18,7 +21,9 @@ import (
 // that finished. Recovery (see Scheduler) replays terminal entries so
 // completed and partial results survive a restart, and closes out
 // submitted-but-unterminated jobs as failed — an admitted job reaches a
-// terminal state even across a crash.
+// terminal state even across a crash. A computed done outcome's entry
+// names the build that computed it, so a restart of the same build
+// answers repeats from it.
 //
 // The format is JSONL. A crash can tear the final line; OpenJournal
 // tolerates that by truncating the torn tail (every complete entry
@@ -43,6 +48,41 @@ type JournalEntry struct {
 	Result     *Outcome `json:"result,omitempty"`
 	Error      string   `json:"error,omitempty"`
 	ReusedFrom string   `json:"reusedFrom,omitempty"`
+	// Build is the identity of the build that computed a done outcome
+	// (buildIdentity), set only on a computed done job's entry.
+	Build string `json:"build,omitempty"`
+}
+
+// buildIdentity is the running build's identity: the first 8 bytes of
+// the SHA-256 of its executable, in hex, or "" when the executable
+// cannot be read. It is computed on first use, at most once per
+// process; a scheduler asks for it only when it has a journal.
+var buildIdentity = sync.OnceValue(func() string { return fileIdentity(executable()) })
+
+// executable names the running executable's file. On Linux that is
+// /proc/self/exe, which still opens the running image after the file
+// at its path is replaced.
+func executable() string {
+	if runtime.GOOS == "linux" {
+		return "/proc/self/exe"
+	}
+	path, _ := os.Executable()
+	return path
+}
+
+// fileIdentity returns the first 8 bytes of the SHA-256 of the file at
+// path, in hex, or "" when the file cannot be read.
+func fileIdentity(path string) string {
+	f, err := os.Open(path)
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return ""
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
 }
 
 // OpenJournal opens (creating if needed) the journal at path and

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -177,22 +179,35 @@ func TestSchedulerReuseOnlyComputedDone(t *testing.T) {
 	}
 }
 
-// TestSchedulerReuseNotAcrossRestart: a scheduler restarted on the
-// journal replays the reused job with its reusedFrom, and computes a
-// repeat afresh instead of answering it from a replayed outcome.
+// journalScheduler starts a one-worker scheduler on the journal at
+// path, running as the build named build.
+func journalScheduler(t *testing.T, path, build string) *Scheduler {
+	t.Helper()
+	return newTestScheduler(t, Config{Workers: 1, JournalPath: path, identity: func() string { return build }})
+}
+
+// drain drains s, closing its journal.
+func drain(s *Scheduler) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Drain(ctx)
+}
+
+// TestSchedulerReuseNotAcrossRestart: a scheduler of another build
+// restarted on the journal replays the reused job with its reusedFrom,
+// and computes a repeat afresh instead of answering it from an outcome
+// the earlier build computed.
 func TestSchedulerReuseNotAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	s := newTestScheduler(t, Config{Workers: 1, JournalPath: path})
+	s := journalScheduler(t, path, "build-a")
 	a, sa := submitWait(t, s, quickReq())
 	b, sb := submitWait(t, s, quickReq())
 	if sa.State != StateDone || sb.ReusedFrom != a.ID {
 		t.Fatalf("first generation: %s %s, repeat reused from %q; want done, reused from %s", a.ID, sa.State, sb.ReusedFrom, a.ID)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	s.Drain(ctx)
+	drain(s)
 
-	s2 := newTestScheduler(t, Config{Workers: 1, JournalPath: path})
+	s2 := journalScheduler(t, path, "build-b")
 	replayed, err := s2.Job(b.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +220,176 @@ func TestSchedulerReuseNotAcrossRestart(t *testing.T) {
 		t.Errorf("repeat after restart: state %s, outcome %+v; want done with %+v", sc.State, sc.Result, sa.Result)
 	}
 	wantComputed(t, "repeat after restart", sc)
+}
+
+// TestSchedulerReuseAcrossRestart: a scheduler of the same build
+// restarted on the journal answers a repeat as the first process would
+// have: done, with a copy of the outcome the first process computed,
+// reusedFrom naming that job, serve_reused counted and an empty trace.
+func TestSchedulerReuseAcrossRestart(t *testing.T) {
+	reuseAcrossRestart(t, quickReq())
+}
+
+// TestSchedulerReuseAcrossRestartSource: an inline-source request is
+// answered after a restart the same way, so replay keys it by the
+// source its submitted entry holds.
+func TestSchedulerReuseAcrossRestartSource(t *testing.T) {
+	d695, err := os.ReadFile(filepath.Join("..", "soc", "benchmarks", "d695.soc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := quickReq()
+	req.SOC, req.Source = "", string(d695)
+	reuseAcrossRestart(t, req)
+}
+
+// reuseAcrossRestart computes req on one scheduler, restarts on its
+// journal as the same build and checks the repeat's answer.
+func reuseAcrossRestart(t *testing.T, req Request) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s := journalScheduler(t, path, "build-a")
+	a, sa := submitWait(t, s, req)
+	if sa.State != StateDone {
+		t.Fatalf("first job: state %s (%s), want done", sa.State, sa.Error)
+	}
+	wantComputed(t, "first", sa)
+	drain(s)
+
+	s2 := journalScheduler(t, path, "build-a")
+	b, sb := submitWait(t, s2, req)
+	if sb.State != StateDone || sb.ReusedFrom != a.ID {
+		t.Fatalf("repeat after restart: state %s (%s), reusedFrom %q; want done, reused from %s", sb.State, sb.Error, sb.ReusedFrom, a.ID)
+	}
+	if !reflect.DeepEqual(sb.Result, sa.Result) {
+		t.Errorf("repeat outcome %+v, first %+v", sb.Result, sa.Result)
+	}
+	if sb.Events != 0 || b.Trace.Len() != 0 {
+		t.Errorf("repeat traced %d events, want none", sb.Events)
+	}
+	if got := s2.Metrics().Snapshot().Counter("serve_reused"); got != 1 {
+		t.Errorf("serve_reused = %d, want 1", got)
+	}
+}
+
+// TestSchedulerReuseReplayOnlyThisBuildsDone recovers variants of the
+// journal a done job left and checks which replayed outcome answers a
+// repeat: the entry as written does, and no entry of another build, of
+// an older journal (no build), of a run that was not computed done, of
+// a job whose submitted entry is missing or carries chaos hooks, nor
+// any entry when the executable cannot be read.
+func TestSchedulerReuseReplayOnlyThisBuildsDone(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	s := journalScheduler(t, path, "build-a")
+	a, sa := submitWait(t, s, quickReq())
+	if sa.State != StateDone {
+		t.Fatalf("first job: state %s (%s), want done", sa.State, sa.Error)
+	}
+	drain(s)
+	written, _, _, err := readJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(written) != 2 || written[1].T != "terminal" || written[1].Build != "build-a" {
+		t.Fatalf("journal %+v, want a submitted entry and a terminal one naming build-a", written)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		build    string // the restarted scheduler's identity
+		mutate   func(sub, term *JournalEntry)
+		wantFrom string
+	}{
+		{name: "as written", build: "build-a", wantFrom: a.ID},
+		{name: "another build", build: "build-b"},
+		{name: "unreadable executable", build: ""},
+		{name: "no build", build: "build-a", mutate: func(_, term *JournalEntry) { term.Build = "" }},
+		{name: "no build, unreadable executable", build: "", mutate: func(_, term *JournalEntry) { term.Build = "" }},
+		{name: "partial", build: "build-a", mutate: func(_, term *JournalEntry) {
+			term.State, term.Result.Partial, term.Result.Cause = StatePartial, true, "budget"
+		}},
+		{name: "failed", build: "build-a", mutate: func(_, term *JournalEntry) {
+			term.State, term.Result, term.Error = StateFailed, nil, "failed"
+		}},
+		{name: "canceled", build: "build-a", mutate: func(_, term *JournalEntry) {
+			term.State, term.Result, term.Error = StateCanceled, nil, "canceled"
+		}},
+		{name: "done without a result", build: "build-a", mutate: func(_, term *JournalEntry) { term.Result = nil }},
+		{name: "reused", build: "build-a", mutate: func(_, term *JournalEntry) { term.ReusedFrom = "j000009" }},
+		{name: "terminal only", build: "build-a", mutate: func(sub, _ *JournalEntry) { sub.T = "" }},
+		{name: "chaos", build: "build-a", mutate: func(sub, _ *JournalEntry) { sub.Req.Chaos = &ChaosHook{SleepMS: 1} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sub, term := written[0], written[1]
+			req, result := *sub.Req, *term.Result
+			sub.Req, term.Result = &req, &result
+			if tc.mutate != nil {
+				tc.mutate(&sub, &term)
+			}
+			var b []byte
+			for _, e := range []JournalEntry{sub, term} {
+				if e.T == "" {
+					continue // the entry is left out
+				}
+				line, err := json.Marshal(e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = append(append(b, line...), '\n')
+			}
+			path := filepath.Join(t.TempDir(), "jobs.jsonl")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s := journalScheduler(t, path, tc.build)
+			s.mu.Lock()
+			indexed := len(s.reuse)
+			s.mu.Unlock()
+			want := 0
+			if tc.wantFrom != "" {
+				want = 1
+			}
+			if indexed != want {
+				t.Errorf("replay indexed %d outcomes, want %d", indexed, want)
+			}
+			_, st := submitWait(t, s, quickReq())
+			if st.State != StateDone || !reflect.DeepEqual(st.Result, sa.Result) {
+				t.Errorf("repeat: state %s (%s), outcome %+v; want done with %+v", st.State, st.Error, st.Result, sa.Result)
+			}
+			if tc.wantFrom == "" {
+				wantComputed(t, "repeat", st)
+			} else if st.ReusedFrom != tc.wantFrom {
+				t.Errorf("repeat reused from %q, want %s", st.ReusedFrom, tc.wantFrom)
+			}
+		})
+	}
+}
+
+// TestSchedulerReuseBuildIdentity pins the identity's form: 16 hex
+// digits of a file's SHA-256, equal for equal bytes, different for a
+// copy with a byte appended, and empty for a file that cannot be read.
+func TestSchedulerReuseBuildIdentity(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a, b, c := fileIdentity(write("a", "sitamd")), fileIdentity(write("b", "sitamd")), fileIdentity(write("c", "sitamd\x00"))
+	if len(a) != 16 || strings.Trim(a, "0123456789abcdef") != "" {
+		t.Errorf("identity %q, want 16 hex digits", a)
+	}
+	if a != b || a == c {
+		t.Errorf("identities %q, %q (same bytes) and %q (a byte appended)", a, b, c)
+	}
+	if id := fileIdentity(filepath.Join(dir, "missing")); id != "" {
+		t.Errorf("identity of a missing file = %q, want empty", id)
+	}
+	if id := buildIdentity(); id == "" || id != buildIdentity() {
+		t.Errorf("the test binary's identity %q is empty or unstable", id)
+	}
 }
 
 // TestSchedulerReuseConcurrentDuplicates submits copies of one request

@@ -84,6 +84,10 @@ type Config struct {
 
 	// Logf logs operational events; nil discards.
 	Logf func(format string, args ...any)
+
+	// identity returns the running build's identity (buildIdentity);
+	// tests set another.
+	identity func() string
 }
 
 // Default scheduler parameters.
@@ -124,6 +128,9 @@ func (c *Config) fill() {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
+	if c.identity == nil {
+		c.identity = buildIdentity
+	}
 }
 
 // Scheduler is the bounded job scheduler: admission control in Submit,
@@ -142,11 +149,13 @@ type Scheduler struct {
 	order    []string // submission order, for listing
 	nextID   int
 	draining bool
-	// reuse maps a request key to the first job of this process that
-	// computed a done outcome for it, so a repeat is answered with a
-	// copy instead of a run. Journal replay does not fill it: no entry
-	// records which build computed an outcome.
+	// reuse maps a request key to the first job that computed a done
+	// outcome for it, so a repeat is answered with a copy instead of a
+	// run. Journal replay fills it with the jobs this build computed.
 	reuse map[reuseKey]reusable
+	// build is the running build's identity, which the terminal entry
+	// of a computed done job records; "" without a journal.
+	build string
 
 	queue   chan *Job
 	wg      sync.WaitGroup
@@ -359,9 +368,9 @@ func (s *Scheduler) execute(job *Job) {
 // runJob runs one job and classifies how it ended, with panic
 // isolation: a crash inside the job — engine bug or injected chaos —
 // becomes a structured job-failure record, not a daemon crash. A job
-// whose request a done job of this process already computed is not
-// run: it ends done with a copy of that outcome, and from names the
-// job that computed it.
+// whose request a done job of this build already computed is not run:
+// it ends done with a copy of that outcome, and from names the job
+// that computed it.
 func (s *Scheduler) runJob(ctx context.Context, job *Job, req Request) (state State, outcome *Outcome, errMsg, from string) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -432,7 +441,8 @@ func stateCounterKey(state State) string {
 // then makes the job terminal, so a reader woken by Done or a terminal
 // status already sees it counted, recorded and reusable, and journals
 // the transition durably afterwards, keeping the fsync out of the
-// job's latency. from names the job a reused outcome came from.
+// job's latency. The entry of an indexed outcome names the build. from
+// names the job a reused outcome came from.
 func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg, from string) {
 	if !job.claim() {
 		return
@@ -449,9 +459,11 @@ func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg,
 			).Observe(ev.DurNS / 1e6)
 		}
 	}
+	var build string
 	if from != "" {
 		s.cfg.Metrics.Counter("serve_reused").Inc()
 	} else if state == StateDone && job.key != nil {
+		build = s.build
 		s.mu.Lock()
 		if _, ok := s.reuse[*job.key]; !ok {
 			s.reuse[*job.key] = reusable{id: job.ID, outcome: *outcome}
@@ -462,7 +474,7 @@ func (s *Scheduler) finalizeJob(job *Job, state State, outcome *Outcome, errMsg,
 		s.terminalHook(job, state)
 	}
 	job.finalize(state, outcome, errMsg, from)
-	if err := s.journal.Append(JournalEntry{T: "terminal", ID: job.ID, State: state, Result: outcome, Error: errMsg, ReusedFrom: from}); err != nil {
+	if err := s.journal.Append(JournalEntry{T: "terminal", ID: job.ID, State: state, Result: outcome, Error: errMsg, ReusedFrom: from, Build: build}); err != nil {
 		s.cfg.Logf("journal: %v", err)
 	}
 	s.cfg.Logf("job %s -> %s", job.ID, state)
@@ -514,14 +526,25 @@ func (s *Scheduler) Drain(ctx context.Context) {
 // restarts; submitted entries without a terminal record belonged to
 // jobs in flight when the previous process died and are closed out as
 // failed — durably, so the next recovery already sees them terminal.
-// Replayed outcomes are not indexed for reuse: a journal outlives the
-// binary that wrote it, so a repeat after a restart is computed again.
+// A journal outlives the binary that wrote it, so a replayed outcome
+// answers repeats only when its entry names this build as the one that
+// computed it done (see replayedReusable).
 func (s *Scheduler) recoverJournal(path string) error {
 	journal, entries, err := OpenJournal(path)
 	if err != nil {
 		return err
 	}
 	s.journal = journal
+	s.build = s.cfg.identity()
+	// Sized up front, so that filling the index does not rehash it
+	// while the daemon starts.
+	n := 0
+	for i := range entries {
+		if s.replayedReusable(&entries[i]) {
+			n++
+		}
+	}
+	s.reuse = make(map[reuseKey]reusable, n)
 	for _, e := range entries {
 		switch e.T {
 		case "submitted":
@@ -531,12 +554,22 @@ func (s *Scheduler) recoverJournal(path string) error {
 			s.addReplayed(newJob(e.ID, *e.Req, s.cfg.RecorderEvents))
 		case "terminal":
 			job := s.jobs[e.ID]
+			var key *reuseKey
 			if job == nil {
 				job = newJob(e.ID, Request{}, s.cfg.RecorderEvents)
 				s.addReplayed(job)
+			} else if s.replayedReusable(&e) {
+				// Built before finalize drops the inline source.
+				key = job.Req.reuseKey()
 			}
-			if job.finalize(e.State, e.Result, e.Error, e.ReusedFrom) {
-				s.cfg.Metrics.Counter("serve_replayed").Inc()
+			if !job.finalize(e.State, e.Result, e.Error, e.ReusedFrom) {
+				continue
+			}
+			s.cfg.Metrics.Counter("serve_replayed").Inc()
+			if key != nil {
+				if _, ok := s.reuse[*key]; !ok {
+					s.reuse[*key] = reusable{id: e.ID, outcome: *e.Result}
+				}
 			}
 		}
 	}
@@ -559,6 +592,16 @@ func (s *Scheduler) recoverJournal(path string) error {
 			len(entries), len(s.order), orphans)
 	}
 	return nil
+}
+
+// replayedReusable reports whether a replayed terminal entry may
+// answer repeats: a computed done outcome whose entry names the running
+// build. Entries of older journals name no build, and when the
+// executable cannot be read the running build has no identity, so then
+// no entry does.
+func (s *Scheduler) replayedReusable(e *JournalEntry) bool {
+	return s.build != "" && e.Build == s.build &&
+		e.State == StateDone && e.ReusedFrom == "" && e.Result != nil
 }
 
 // addReplayed registers a journal-recovered job and advances the ID
