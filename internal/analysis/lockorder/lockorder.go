@@ -58,7 +58,6 @@ var Order = []string{
 	"sitam/internal/serve.Journal.mu",
 	"sitam/internal/core.CacheFile.flock",
 	"sitam/internal/core.CacheFile.mu",
-	"sitam/internal/core.cacheShard.mu",
 }
 
 // AcquireFuncs maps fully qualified function names to the lock class

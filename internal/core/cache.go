@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"sitam/internal/tam"
-)
+import "sitam/internal/tam"
 
 // This file implements the memoized cost cache the engine scores its
 // candidates through. The optimization loops of Fig. 6
@@ -24,8 +19,8 @@ import (
 // machinery. Keying therefore costs O(dirty rails) and zero
 // allocations, replacing the sorted-composition string key whose
 // build-and-sort overhead BENCH_parallel.json flagged as roughly
-// offsetting the memoization win on cold runs. A 64-bit collision over
-// a cache of at most 2^16 entries has probability ~1e-10 per run;
+// offsetting the memoization win on cold runs. A 64-bit collision in
+// a cache of 2^15 entries has probability below 1e-10 per run;
 // lookups additionally verify the per-rail sub-hashes and fall back to
 // a fresh evaluation on any mismatch, so a collision can cost
 // performance but never correctness.
@@ -40,14 +35,7 @@ import (
 
 // DefaultCacheSize is the entry capacity used when a CachedEvaluator
 // is built with a non-positive capacity.
-const DefaultCacheSize = 1 << 16
-
-// cacheShards is the most shards a CachedEvaluator splits its entries
-// over. Each shard has its own lock, map and counters, so concurrent
-// evaluations of different compositions almost never take the same
-// lock; a cache of fewer entries gets one shard per entry, so the
-// shards' capacities still sum to the cache's.
-const cacheShards = 64
+const DefaultCacheSize = 1 << 15
 
 // CacheStats is a snapshot of a CachedEvaluator's counters.
 type CacheStats struct {
@@ -62,8 +50,8 @@ type CacheStats struct {
 	// restarted run report a hit rate it never earned.
 	Loads int64
 
-	// Evictions counts epoch flushes: a shard drops all its entries
-	// when it reaches its share of the capacity.
+	// Evictions counts flushes: the cache drops all its entries when
+	// it reaches its capacity.
 	Evictions int64
 
 	// Entries is the current number of cached compositions.
@@ -92,103 +80,56 @@ type cacheEntry struct {
 	rails []cachedRail // in the architecture's rail order at store time
 }
 
-// cacheShard is one independently locked part of a CachedEvaluator:
-// the entries whose keys map to it, flushed whole when they reach the
-// shard's capacity, and the lookups it answered and missed.
-type cacheShard struct {
-	mu                      sync.Mutex
-	entries                 map[uint64]cacheEntry
-	capacity                int
-	hits, misses, evictions int64
-	_                       [64]byte // keeps neighbouring shards' locks off one cache line
-}
-
-// CachedEvaluator memoizes an Evaluator by rail composition. It is
-// safe for concurrent use: concurrent ILS restarts share one cache,
-// split into shards so that they rarely contend. Values are pure, so a racing double-miss stores
-// the same entry twice and determinism is unaffected (only the
-// hit/miss counters are timing-dependent under concurrency).
+// CachedEvaluator memoizes an Evaluator by rail composition. It is not
+// safe for concurrent use: every ILS restart scores through a fork of
+// its own (forkEvaluator).
 type CachedEvaluator struct {
 	// Inner is the wrapped evaluator consulted on a miss.
 	Inner Evaluator
 
-	salt   uint64       // problem fingerprint mixed into every key
-	shards []cacheShard // fixed at construction; see shard
-	loads  atomic.Int64
+	salt     uint64 // problem fingerprint mixed into every key
+	capacity int
+	entries  map[uint64]cacheEntry
+	stats    CacheStats // Entries is filled in by Stats
 
 	// persist, when non-nil, receives every freshly evaluated entry so
 	// the next process can start warm (AttachPersistent). The first
 	// failed append detaches the file: persistence is best-effort, the
 	// in-memory cache stays authoritative.
-	persist atomic.Pointer[CacheFile]
+	persist *CacheFile
 }
 
 // NewCachedEvaluator wraps inner with a memoization cache holding at
 // most capacity compositions (DefaultCacheSize when capacity <= 0).
-// The capacity is split evenly over the shards, and a full shard is
-// flushed whole — epoch eviction keeps the bookkeeping trivially
-// deterministic, and a flush costs only that shard's share of the
-// entries.
+// A full cache is flushed whole: epoch eviction keeps the bookkeeping
+// trivially deterministic.
 func NewCachedEvaluator(inner Evaluator, capacity int) *CachedEvaluator {
 	if capacity <= 0 {
 		capacity = DefaultCacheSize
 	}
-	n := min(capacity, cacheShards)
-	c := &CachedEvaluator{Inner: inner, shards: make([]cacheShard, n)}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.capacity = capacity / n
-		if i < capacity%n {
-			sh.capacity++
-		}
-		sh.entries = make(map[uint64]cacheEntry)
-	}
-	return c
+	return &CachedEvaluator{Inner: inner, capacity: capacity, entries: make(map[uint64]cacheEntry)}
 }
 
-// shard returns the shard holding key.
-func (c *CachedEvaluator) shard(key uint64) *cacheShard {
-	return &c.shards[(spread(key)>>32)%uint64(len(c.shards))]
-}
-
-// spread multiplies a composition hash by 2^64/φ (Fibonacci hashing),
-// so that every bit of the product depends on the hash's low bits. Its
-// high bits pick a cache shard or counter stripe; those of the hash
-// itself barely vary, because an FNV-1a product over small integers
-// carries their differences mostly in its low bits.
-func spread(h uint64) uint64 { return h * 0x9E3779B97F4A7C15 }
-
-// AttachPersistent seeds the cache from cf's on-disk entries and wires
-// every future miss-store through to the file. Seeded entries count as
-// Loads, never as Hits (see CacheStats.Loads). A shard stops taking
-// seeds at its capacity. Call before the first Evaluate.
+// AttachPersistent seeds the cache from cf's on-disk entries, in file
+// order until the cache is full, and wires every future miss-store
+// through to the file. Seeded entries count as Loads, never as Hits
+// (see CacheStats.Loads). Call before the first Evaluate.
 func (c *CachedEvaluator) AttachPersistent(cf *CacheFile) {
 	if cf == nil {
 		return
 	}
-	room := 0
-	for i := range c.shards {
-		room += c.shards[i].capacity
-	}
 	cf.mu.Lock()
-	n := 0
-	for key, ent := range cf.entries {
-		if n == room {
-			break // every shard is full; a file can hold many caches' worth
+	for _, key := range cf.order {
+		if len(c.entries) >= c.capacity {
+			break // a file can hold many caches' worth
 		}
-		sh := c.shard(key)
-		sh.mu.Lock()
-		if _, ok := sh.entries[key]; ok || len(sh.entries) < sh.capacity {
-			if !ok {
-				n++
-			}
-			sh.entries[key] = ent
+		if _, ok := c.entries[key]; !ok {
+			c.stats.Loads++
 		}
-		sh.mu.Unlock()
+		c.entries[key] = cf.entries[key]
 	}
 	cf.mu.Unlock()
-	c.persist.Store(cf)
-	c.loads.Add(int64(n))
+	c.persist = cf
 }
 
 // restore replays the cached per-rail TimeSI bookkeeping onto a. It
@@ -257,19 +198,11 @@ func (c *CachedEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 		stale = a.DirtyCount()
 	}
 	key := a.Hash() ^ c.salt // Hash refreshes dirty rails: TimeIn and sub-hashes are now current
-	sh := c.shard(key)
-	sh.mu.Lock()
-	ent, ok := sh.entries[key]
-	hit := ok && ent.restore(a)
-	if hit {
-		sh.hits++
-	} else {
-		sh.misses++
-	}
-	sh.mu.Unlock()
-	if hit {
+	if ent, ok := c.entries[key]; ok && ent.restore(a) {
+		c.stats.Hits++
 		return ent.obj, nil
 	}
+	c.stats.Misses++
 	var obj int64
 	var err error
 	if inc != nil {
@@ -280,65 +213,37 @@ func (c *CachedEvaluator) Evaluate(a *tam.Architecture) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	ent = cacheEntry{obj: obj, rails: make([]cachedRail, len(a.Rails))}
+	ent := cacheEntry{obj: obj, rails: make([]cachedRail, len(a.Rails))}
 	for i, r := range a.Rails {
 		ent.rails[i] = cachedRail{hash: r.Hash(), timeSI: r.TimeSI}
 	}
-	sh.mu.Lock()
-	if len(sh.entries) >= sh.capacity {
-		clear(sh.entries)
-		sh.evictions++
+	if len(c.entries) >= c.capacity {
+		clear(c.entries)
+		c.stats.Evictions++
 	}
-	sh.entries[key] = ent
-	sh.mu.Unlock()
-	if cf := c.persist.Load(); cf != nil {
-		if perr := cf.Append(key, ent); perr != nil {
-			// Best-effort persistence: a full disk or closed file must
-			// not fail the evaluation or spam retries. Workers failing
-			// on the same file together detach it once, and never a
-			// file attached after it.
-			c.persist.CompareAndSwap(cf, nil)
-		}
+	c.entries[key] = ent
+	if c.persist != nil && c.persist.Append(key, ent) != nil {
+		// Best-effort persistence: a full disk or closed file must not
+		// fail the evaluation or spam retries.
+		c.persist = nil
 	}
 	return obj, nil
 }
 
-// Stats returns a snapshot of the cache counters, summed over the
-// shards.
+// Stats returns a snapshot of the cache counters.
 func (c *CachedEvaluator) Stats() CacheStats {
-	st := CacheStats{Loads: c.loads.Load()}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Entries += len(sh.entries)
-		sh.mu.Unlock()
-	}
+	st := c.stats
+	st.Entries = len(c.entries)
 	return st
 }
 
 // Reset drops all entries and zeroes the counters (used by the
 // cold-vs-warm benchmarks).
 func (c *CachedEvaluator) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
+	clear(c.entries)
 	c.ResetStats()
 }
 
 // ResetStats zeroes the counters while keeping the cached entries, so
 // warm-cache hit rates can be measured without the priming misses.
-func (c *CachedEvaluator) ResetStats() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.hits, sh.misses, sh.evictions = 0, 0, 0
-		sh.mu.Unlock()
-	}
-	c.loads.Store(0)
-}
+func (c *CachedEvaluator) ResetStats() { c.stats = CacheStats{} }

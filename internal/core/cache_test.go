@@ -188,28 +188,30 @@ func TestCacheEviction(t *testing.T) {
 	}
 }
 
-// TestCacheConcurrentEvaluations drives 8 goroutines through one
-// CachedEvaluator over one IncrementalSIEvaluator, the state concurrent
-// ILS restarts share. Goroutine pairs walk the same random sequence, so
-// lookups of one composition race, and every answer is checked against
-// a fresh SIEvaluator: at a capacity small enough that the shards
-// flush all the time, at capacity 2, and with an attached cache file
-// that a goroutine closes mid-run, which the next miss must detach.
+// TestCacheConcurrentEvaluations drives 8 goroutines, each through its
+// own fork of one CachedEvaluator over one IncrementalSIEvaluator, as
+// concurrent ILS restarts do: the forks share only the planner's memo
+// and the cache file. Goroutine pairs walk the same random sequence, so
+// memo lookups and file appends of one composition race, and every
+// answer is checked against a fresh SIEvaluator: at a capacity small
+// enough that the forks flush, at capacity 2, and with an attached
+// cache file that a goroutine closes mid-run, which every fork's next
+// failing append must detach.
 func TestCacheConcurrentEvaluations(t *testing.T) {
 	const goroutines, steps = 8, 150
 	groups := smallGroups()
 	m := sischedule.DefaultModel()
 	for _, tc := range []struct {
 		name     string
-		capacity int
+		capacity int // per fork; 0 forks the default capacity
 		file     bool
 	}{
-		{"flushing shards", cacheShards, false},
+		{"flushing", 16, false},
 		{"capacity 2", 2, false},
 		{"file closed mid-run", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCachedEvaluator(NewIncrementalSIEvaluator(groups, m, nil), tc.capacity)
+			c := NewCachedEvaluator(NewIncrementalSIEvaluator(groups, m, nil), tc.capacity*goroutines)
 			var cf *CacheFile
 			if tc.file {
 				var err error
@@ -217,6 +219,10 @@ func TestCacheConcurrentEvaluations(t *testing.T) {
 					t.Fatal(err)
 				}
 				c.AttachPersistent(cf)
+			}
+			forks := make([]*CachedEvaluator, goroutines)
+			for g := range forks {
+				forks[g] = forkEvaluator(c, goroutines).(*CachedEvaluator)
 			}
 			var evals atomic.Int64
 			var wg sync.WaitGroup
@@ -229,7 +235,7 @@ func TestCacheConcurrentEvaluations(t *testing.T) {
 					fresh := &SIEvaluator{Groups: groups, Model: m}
 					for i := 0; i < steps; i++ {
 						mutateArch(a, rng)
-						if err := cachedMatchesFresh(c, fresh, a); err != nil {
+						if err := cachedMatchesFresh(forks[g], fresh, a); err != nil {
 							t.Errorf("goroutine %d step %d: %v", g, i, err)
 							return
 						}
@@ -242,36 +248,47 @@ func TestCacheConcurrentEvaluations(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			st := c.Stats()
-			if st.Hits+st.Misses != goroutines*steps {
-				t.Errorf("hits+misses = %d, want %d", st.Hits+st.Misses, goroutines*steps)
-			}
-			if st.Hits == 0 {
-				t.Errorf("no lookup hit: %+v", st)
-			}
-			if tc.capacity > 0 {
-				if st.Entries > tc.capacity {
-					t.Errorf("%d entries exceed capacity %d", st.Entries, tc.capacity)
+			for g, f := range forks {
+				st := f.Stats()
+				if st.Hits+st.Misses != steps || st.Hits == 0 {
+					t.Errorf("fork %d: %+v, want %d lookups, some of them hits", g, st, steps)
 				}
-				if st.Evictions == 0 {
-					t.Errorf("no shard flushed at capacity %d: %+v", tc.capacity, st)
+				if other := forks[g^1].Stats(); st != other {
+					t.Errorf("forks %d and %d walked one sequence: %+v and %+v", g, g^1, st, other)
+				}
+				if tc.capacity > 0 && (st.Entries > tc.capacity || st.Evictions == 0) {
+					t.Errorf("fork %d at capacity %d: %+v", g, tc.capacity, st)
 				}
 			}
-			if cf != nil {
-				// The closed file is detached by the first Append that
-				// fails, and only a miss appends. If every miss came
-				// before the Close, none has failed yet, so make one
-				// more: no goroutine reaches a rail of width 13, since
-				// mutateArch widens no rail past 12.
-				if err := cachedMatchesFresh(c, &SIEvaluator{Groups: groups, Model: m}, freshRails(13)); err != nil {
+			for g, f := range forks {
+				if cf == nil {
+					break
+				}
+				// A fork detaches the closed file on its first failing
+				// Append, and only a miss appends. Make one more: no
+				// walk reaches a rail of width 13, since mutateArch
+				// widens no rail past 12.
+				if err := cachedMatchesFresh(f, &SIEvaluator{Groups: groups, Model: m}, freshRails(13)); err != nil {
 					t.Fatal(err)
 				}
-				if c.persist.Load() != nil {
-					t.Error("the closed cache file is still attached")
+				if f.persist != nil {
+					t.Errorf("fork %d: the closed cache file is still attached", g)
 				}
-				if cf.Len() == 0 {
-					t.Error("nothing was persisted before the file closed")
-				}
+			}
+			var lookups, misses int64
+			for _, f := range forks {
+				joinEvaluator(c, f)
+				st := f.Stats()
+				lookups, misses = lookups+st.Hits+st.Misses, misses+st.Misses
+			}
+			if st := c.Stats(); st.Hits+st.Misses != lookups || st.Misses != misses {
+				t.Errorf("joined cache counts %+v, the forks looked up %d times and missed %d", st, lookups, misses)
+			}
+			if got := c.Inner.(*IncrementalSIEvaluator).Stats().Evals; got != misses {
+				t.Errorf("joined evaluator counts %d evaluations, the forks missed %d times", got, misses)
+			}
+			if cf != nil && cf.Len() == 0 {
+				t.Error("nothing was persisted before the file closed")
 			}
 		})
 	}

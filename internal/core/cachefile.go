@@ -106,14 +106,9 @@ func (cf *CacheFile) load() error {
 	if size == 0 {
 		return cf.reinit()
 	}
-	data, unmap, err := mapCacheFile(cf.f, size)
-	if err != nil {
-		// Mapping can fail on exotic filesystems; fall back to a read.
-		data = make([]byte, size)
-		if _, rerr := io.ReadFull(io.NewSectionReader(cf.f, 0, size), data); rerr != nil {
-			return rerr
-		}
-		unmap = func() {}
+	data := make([]byte, size)
+	if _, err := io.ReadFull(io.NewSectionReader(cf.f, 0, size), data); err != nil {
+		return err
 	}
 
 	if size < cacheHeaderSize {
@@ -124,19 +119,15 @@ func (cf *CacheFile) load() error {
 		if n > len(cacheFileMagic) {
 			n = len(cacheFileMagic)
 		}
-		ours := bytes.Equal(data[:n], []byte(cacheFileMagic)[:n])
-		unmap()
-		if !ours {
+		if !bytes.Equal(data[:n], []byte(cacheFileMagic)[:n]) {
 			return fmt.Errorf("cache file %s: not a sitam cache", cf.path)
 		}
 		return cf.reinit()
 	}
 	if string(data[:len(cacheFileMagic)]) != cacheFileMagic {
-		unmap()
 		return fmt.Errorf("cache file %s: not a sitam cache", cf.path)
 	}
 	if v := binary.LittleEndian.Uint32(data[8:12]); v != cacheFileVersion {
-		unmap()
 		return cf.reinit()
 	}
 
@@ -154,7 +145,6 @@ func (cf *CacheFile) load() error {
 		records++
 		off = next
 	}
-	unmap()
 
 	cf.loaded = len(cf.entries)
 	dupes := records - cf.loaded

@@ -4,16 +4,10 @@ package core
 
 import "os"
 
-// Portable backing for the persistent cache on platforms without flock
-// or mmap: no inter-process lock (single-process use is still safe —
-// the CacheFile mutex serializes appends) and a plain read instead of
-// a mapping. OpenCacheFile's read fallback kicks in because
-// mapCacheFile always declines.
+// Portable backing for the persistent cache on platforms without
+// flock: no inter-process lock (single-process use is still safe — the
+// CacheFile mutex serializes appends).
 
 func lockCacheFile(*os.File) error { return nil }
 
 func unlockCacheFile(*os.File) {}
-
-func mapCacheFile(*os.File, int64) ([]byte, func(), error) {
-	return nil, nil, os.ErrInvalid
-}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sitam/internal/tam"
 )
 
 // Corruption-handling coverage for the persistent cache file. The
@@ -372,6 +375,46 @@ func TestCachePersistentWarmRestart(t *testing.T) {
 	}
 }
 
+// TestCacheSeedsInFileOrder: a cache smaller than its file seeds the
+// file's first entries, so two such caches answer one evaluation
+// sequence with the same hits.
+func TestCacheSeedsInFileOrder(t *testing.T) {
+	cf, err := OpenCacheFile(filepath.Join(t.TempDir(), "cache.sit"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	warm := NewCachedEvaluator(InTestEvaluator{}, 0)
+	warm.AttachPersistent(cf)
+	rng := rand.New(rand.NewSource(3))
+	a := freshRails(2)
+	var walk []*tam.Architecture
+	for cf.Len() < 100 {
+		if len(walk) == 10000 {
+			t.Fatalf("%d steps stored only %d entries", len(walk), cf.Len())
+		}
+		mutateArch(a, rng)
+		walk = append(walk, a.Clone())
+		if _, err := warm.Evaluate(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hits := func() int64 {
+		c := NewCachedEvaluator(InTestEvaluator{}, 10)
+		c.AttachPersistent(cf)
+		for _, w := range walk {
+			checkCachedEqualsFresh(t, c, InTestEvaluator{}, w.Clone())
+		}
+		return c.Stats().Hits
+	}
+	want := hits()
+	for i := 0; i < 5; i++ {
+		if got := hits(); got != want {
+			t.Fatalf("two capacity-10 caches seeded from one %d-entry file: %d and %d hits", cf.Len(), want, got)
+		}
+	}
+}
+
 // TestCacheAppendFailureDegrades: once the file is closed under the
 // evaluator, persistence detaches silently and evaluation carries on.
 func TestCacheAppendFailureDegrades(t *testing.T) {
@@ -386,7 +429,7 @@ func TestCacheAppendFailureDegrades(t *testing.T) {
 	for w := 1; w <= 3; w++ {
 		checkCachedEqualsFresh(t, c, InTestEvaluator{}, freshRails(w))
 	}
-	if c.persist.Load() != nil {
+	if c.persist != nil {
 		t.Fatal("append failure did not detach the persistent file")
 	}
 	if st := c.Stats(); st.Misses != 3 {

@@ -9,9 +9,7 @@ import (
 )
 
 // Unix backing for the persistent cache: BSD flock for the exclusive
-// advisory lock and a read-only shared mapping for the open scan, so
-// loading a warm multi-megabyte cache costs page faults instead of a
-// copy.
+// advisory lock.
 
 // cacheLockRetries × cacheLockBackoff bounds how long a second opener
 // waits before degrading to memory-only with ErrCacheLocked. Vars, not
@@ -41,20 +39,4 @@ func lockCacheFile(f *os.File) error {
 
 func unlockCacheFile(f *os.File) {
 	syscall.Flock(int(f.Fd()), syscall.LOCK_UN)
-}
-
-// mapCacheFile maps size bytes of f read-only. The caller must invoke
-// the returned cleanup before truncating or closing the file.
-func mapCacheFile(f *os.File, size int64) ([]byte, func(), error) {
-	if size == 0 {
-		return nil, func() {}, nil
-	}
-	if size != int64(int(size)) {
-		return nil, nil, syscall.EFBIG
-	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, nil, err
-	}
-	return data, func() { syscall.Munmap(data) }, nil
 }

@@ -128,7 +128,7 @@ func TestParallelILSMatchesSerial(t *testing.T) {
 			}
 			dump := serialArch.String()
 			for _, workers := range []int{1, 2, 8} {
-				peng, _, err := parallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
+				peng, err := parallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
 					ParallelConfig{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
@@ -159,7 +159,7 @@ func TestParallelILSRestartsDeterministic(t *testing.T) {
 	var baseObj int64
 	var baseDump string
 	for i, workers := range []int{1, 2, 8} {
-		eng, _, err := parallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
+		eng, err := parallelEngine(s, diffILSW, &SIEvaluator{Groups: groups, Model: m},
 			ParallelConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"sitam/internal/obs"
@@ -40,21 +39,15 @@ type Engine struct {
 	// bound applies to each restart independently.
 	MaxEvals int64
 
-	// cache is the memoization layer configure wrapped around Eval;
-	// nil when the engine evaluates uncached.
-	cache *CachedEvaluator
-
 	// workers is how many ILS restarts OptimizeILSCtx runs at once,
 	// resolved from ParallelConfig.Workers by configure. The NewEngine
-	// default, 0, runs them one after another like 1, so an engine
-	// shares its Evaluator across goroutines only when configured to.
+	// default, 0, runs them one after another like 1.
 	workers int
 
-	// evals counts objective evaluations. A pointer so that the
-	// shallow engine copies the ILS restart fan-out makes share one
-	// total (each restart still counts into its own — see
-	// OptimizeILSCtx).
-	evals *atomic.Int64
+	// evals counts objective evaluations. Each ILS restart counts
+	// into its own engine copy, folded into this total when the
+	// restarts end (see OptimizeILSCtx).
+	evals int64
 }
 
 // Phase names used by Status.Reason, the search trace and the
@@ -101,7 +94,7 @@ func NewEngine(s *soc.SOC, wmax int, eval Evaluator) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{SOC: s, Wmax: wmax, Times: tt, Eval: eval, evals: new(atomic.Int64)}, nil
+	return &Engine{SOC: s, Wmax: wmax, Times: tt, Eval: eval}, nil
 }
 
 // eval scores one candidate, counting the evaluation and enforcing the
@@ -109,21 +102,11 @@ func NewEngine(s *soc.SOC, wmax int, eval Evaluator) (*Engine, error) {
 // call fails with ErrBudgetExhausted, which the optimization loops
 // treat exactly like a done context.
 func (e *Engine) eval(a *tam.Architecture) (int64, error) {
-	if e.evals != nil {
-		n := e.evals.Add(1)
-		if e.MaxEvals > 0 && n > e.MaxEvals {
-			return 0, ErrBudgetExhausted
-		}
+	e.evals++
+	if e.MaxEvals > 0 && e.evals > e.MaxEvals {
+		return 0, ErrBudgetExhausted
 	}
 	return e.Eval.Evaluate(a)
-}
-
-// evalCount returns the evaluations spent so far.
-func (e *Engine) evalCount() int64 {
-	if e.evals == nil {
-		return 0
-	}
-	return e.evals.Load()
 }
 
 // phase opens a trace/metrics span for one optimization phase. The
@@ -136,7 +119,7 @@ func (e *Engine) phase(name string) func(best int64) {
 		return func(int64) {}
 	}
 	start := time.Now() // feeds only PhaseEnd.DurNS and the duration histogram, never the objective
-	n0 := e.evalCount()
+	n0 := e.evals
 	if e.Trace != nil {
 		e.Trace.Emit(obs.Event{Type: obs.PhaseStart, Phase: name})
 	}
@@ -145,7 +128,7 @@ func (e *Engine) phase(name string) func(best int64) {
 		if e.Trace != nil {
 			e.Trace.Emit(obs.Event{
 				Type: obs.PhaseEnd, Phase: name,
-				Best: best, N: e.evalCount() - n0, DurNS: dur,
+				Best: best, N: e.evals - n0, DurNS: dur,
 			})
 		}
 		e.Metrics.Histogram("phase_ns_" + strings.ReplaceAll(name, " ", "_")).Observe(dur)
@@ -180,19 +163,6 @@ func scoreCandidates(ctx context.Context, base *tam.Architecture, n int, job fun
 		objs[i] = obj
 	}
 	return objs, nil
-}
-
-// rebuild reconstructs the winning candidate: jobs only score
-// candidates into the batch's scratch, so the selected architecture
-// is rebuilt once from the base — one clone per improving batch
-// instead of one per candidate. With a memoized evaluator the
-// re-evaluation inside job is a cache hit.
-func rebuild(base *tam.Architecture, i int, job func(cand *tam.Architecture, i int) (int64, error)) (*tam.Architecture, error) {
-	cand := base.Clone()
-	if _, err := job(cand, i); err != nil {
-		return nil, err
-	}
-	return cand, nil
 }
 
 // emitCandidates reports one scored batch to the trace in candidate
@@ -491,7 +461,19 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 		}
 		return e.eval(cand)
 	}
-	objs, err := scoreCandidates(ctx, a, len(specs), build)
+	return e.selectCandidate(ctx, phase, a, curObj, len(specs), build)
+}
+
+// selectCandidate is one selection step of mergeTAMs and
+// coreReshuffle: it scores the n candidates job derives from base,
+// reports the batch to the trace, and returns the first candidate
+// strictly better than curObj with its objective, or base and curObj
+// when none is. Jobs only score candidates into the batch's scratch,
+// so the winner is rebuilt once from base — one clone per improving
+// batch instead of one per candidate; with a memoized evaluator the
+// re-evaluation inside job is a cache hit.
+func (e *Engine) selectCandidate(ctx context.Context, phase string, base *tam.Architecture, curObj int64, n int, job func(cand *tam.Architecture, i int) (int64, error)) (*tam.Architecture, int64, error) {
+	objs, err := scoreCandidates(ctx, base, n, job)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -503,20 +485,20 @@ func (e *Engine) mergeTAMs(ctx context.Context, a *tam.Architecture, curObj int6
 		}
 	}
 	if best < 0 {
-		if e.Trace != nil && len(specs) > 0 {
-			e.Trace.Emit(obs.Event{Type: obs.MergeRejected, Phase: phase, Obj: curObj, N: int64(len(specs))})
+		if e.Trace != nil && n > 0 {
+			e.Trace.Emit(obs.Event{Type: obs.MergeRejected, Phase: phase, Obj: curObj, N: int64(n)})
 		}
-		return a, curObj, nil
+		return base, curObj, nil
 	}
-	winner, err := rebuild(a, best, build)
-	if err != nil {
+	winner := base.Clone()
+	if _, err := job(winner, best); err != nil {
 		return nil, 0, err
 	}
 	if e.Trace != nil {
 		e.Trace.Emit(obs.Event{
 			Type: obs.MergeAccepted, Phase: phase,
 			Cand: best, Obj: bestObj, Best: bestObj,
-			Rails: len(winner.Rails), N: int64(len(specs)),
+			Rails: len(winner.Rails), N: int64(n),
 		})
 	}
 	return winner, bestObj, nil
@@ -550,35 +532,11 @@ func (e *Engine) coreReshuffle(ctx context.Context, a *tam.Architecture, curObj 
 			cand.MoveCore(mv.from, mv.to, mv.coreID)
 			return e.eval(cand)
 		}
-		objs, err := scoreCandidates(ctx, a, len(specs), build)
-		if err != nil {
-			return nil, 0, err
+		winner, obj, err := e.selectCandidate(ctx, phase, a, curObj, len(specs), build)
+		if err != nil || obj == curObj {
+			return winner, obj, err
 		}
-		e.emitCandidates(phase, objs)
-		best, bestObj := -1, curObj
-		for i, o := range objs {
-			if o < bestObj {
-				best, bestObj = i, o
-			}
-		}
-		if best < 0 {
-			if e.Trace != nil && len(specs) > 0 {
-				e.Trace.Emit(obs.Event{Type: obs.MergeRejected, Phase: phase, Obj: curObj, N: int64(len(specs))})
-			}
-			return a, curObj, nil
-		}
-		winner, err := rebuild(a, best, build)
-		if err != nil {
-			return nil, 0, err
-		}
-		if e.Trace != nil {
-			e.Trace.Emit(obs.Event{
-				Type: obs.MergeAccepted, Phase: phase,
-				Cand: best, Obj: bestObj, Best: bestObj,
-				Rails: len(winner.Rails), N: int64(len(specs)),
-			})
-		}
-		a, curObj = winner, bestObj
+		a, curObj = winner, obj
 	}
 }
 

@@ -53,13 +53,13 @@ func optimizeILSRestarts(e *Engine, kicks, restarts int, seed int64) (*tam.Archi
 // parallelEngine is Solve's engine wiring around a caller-chosen
 // objective, so the differential suites can pin the scratch evaluator
 // against the incremental one under the same worker count and cache.
-func parallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig) (*Engine, *CachedEvaluator, error) {
+func parallelEngine(s *soc.SOC, wmax int, eval Evaluator, cfg ParallelConfig) (*Engine, error) {
 	eng, err := NewEngine(s, wmax, eval)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	eng.configure(cfg, 0)
-	return eng, eng.cache, nil
+	return eng, nil
 }
 
 // solveSerial is Solve with MethodSI on a serial, uncached engine.

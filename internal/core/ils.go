@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"sitam/internal/obs"
 	"sitam/internal/tam"
@@ -91,11 +90,13 @@ func (e *Engine) ils(ctx context.Context, kicks int, seed int64) (*tam.Architect
 // result is never better than what the complete run would return. The
 // context's error comes back only when no restart produced anything.
 //
-// Each restart traces into its own buffer, drained into the engine's
-// sink in restart order once all restarts finish, and counts
-// evaluations into its own counter (folded into the engine total), so
-// the trace and the per-phase counts are deterministic at any worker
-// count. MaxEvals bounds each restart independently.
+// Each restart scores through its own fork of the engine's evaluator
+// (forkEvaluator), traces into its own buffer and counts evaluations
+// into its own counter. When all restarts finish, the buffers drain
+// into the engine's sink and the counters fold into the engine's, both
+// in restart order, so the trace, the evaluation count and the cache
+// counters are deterministic at any worker count. MaxEvals bounds each
+// restart independently.
 func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed int64) (*tam.Architecture, int64, Status, error) {
 	if restarts < 1 {
 		return nil, 0, Status{}, fmt.Errorf("core: restart count %d < 1", restarts)
@@ -110,23 +111,25 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed i
 		err error
 	}
 	res := make([]outcome, restarts)
+	subs := make([]Engine, restarts)
 	var locals []*obs.Local
-	if e.Trace != nil {
-		locals = make([]*obs.Local, restarts)
-		for i := range locals {
-			locals[i] = obs.NewLocal()
+	for i := range subs {
+		// Forked before any restart runs, so that every restart cache
+		// seeds from the cache file as the run found it.
+		subs[i] = *e
+		subs[i].evals = 0
+		subs[i].Eval = forkEvaluator(e.Eval, restarts)
+		if e.Trace != nil {
+			locals = append(locals, obs.NewLocal())
+			subs[i].Trace = locals[i]
 		}
 	}
-	counters := make([]*atomic.Int64, restarts)
 	run := func(i int) {
-		inner := *e
-		inner.evals = new(atomic.Int64)
-		counters[i] = inner.evals
-		if locals != nil {
-			inner.Trace = locals[i]
-		}
 		r := &res[i]
-		r.a, r.obj, r.st, r.err = inner.ils(ctx, kicks, seed+int64(i))
+		r.a, r.obj, r.st, r.err = subs[i].ils(ctx, kicks, seed+int64(i))
+		if c, ok := subs[i].Eval.(*CachedEvaluator); ok {
+			c.entries = nil // the restart is over; only its counters are kept
+		}
 	}
 	if e.workers > 1 {
 		ParallelFor(e.workers, restarts, run)
@@ -135,12 +138,9 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed i
 			run(i)
 		}
 	}
-	if e.evals != nil {
-		for _, c := range counters {
-			if c != nil {
-				e.evals.Add(c.Load())
-			}
-		}
+	for i := range subs {
+		e.evals += subs[i].evals
+		joinEvaluator(e.Eval, subs[i].Eval)
 	}
 	if locals != nil {
 		obs.Drain(e.Trace, locals...)
@@ -167,6 +167,42 @@ func (e *Engine) OptimizeILSCtx(ctx context.Context, kicks, restarts int, seed i
 		return nil, 0, Status{}, ctx.Err()
 	}
 	return res[best].a, res[best].obj, partial, nil
+}
+
+// forkEvaluator returns the evaluator one of restarts concurrent ILS
+// restarts scores through in place of ev: for a cache, a cache of its
+// own with ev's key salt and cache file and a 1/restarts share of its
+// capacity (at least one entry), over a fork of ev's inner evaluator;
+// for an incremental evaluator, one with counters of its own over the
+// same planner; any other evaluator is shared (InTestEvaluator and
+// SIEvaluator keep no state; others must be safe for concurrent use).
+func forkEvaluator(ev Evaluator, restarts int) Evaluator {
+	switch ev := ev.(type) {
+	case *CachedEvaluator:
+		c := NewCachedEvaluator(forkEvaluator(ev.Inner, restarts), max(1, ev.capacity/restarts))
+		c.salt = ev.salt
+		c.AttachPersistent(ev.persist)
+		return c
+	case *IncrementalSIEvaluator:
+		return &IncrementalSIEvaluator{planner: ev.planner}
+	}
+	return ev
+}
+
+// joinEvaluator folds the counters of f, forked from ev for a restart
+// that has ended, into ev's. A cache's loads are not folded: the fork
+// re-seeded inventory ev already counted.
+func joinEvaluator(ev, f Evaluator) {
+	switch ev := ev.(type) {
+	case *CachedEvaluator:
+		fc := f.(*CachedEvaluator)
+		ev.stats.Hits += fc.stats.Hits
+		ev.stats.Misses += fc.stats.Misses
+		ev.stats.Evictions += fc.stats.Evictions
+		joinEvaluator(ev.Inner, fc.Inner)
+	case *IncrementalSIEvaluator:
+		ev.stats.add(f.(*IncrementalSIEvaluator).stats)
+	}
 }
 
 // localSearch re-runs the polishing loops of Optimize on an existing

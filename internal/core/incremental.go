@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"sitam/internal/sischedule"
 	"sitam/internal/tam"
 )
@@ -17,28 +15,12 @@ import (
 // every fixture, width and worker count. Engine.Finish schedules the
 // final architecture with the same planner.
 //
-// The evaluator is safe for concurrent use (the planner memo is
-// shared).
+// The evaluator is not safe for concurrent use: every ILS restart
+// scores through a fork of its own over the one planner, whose memo is
+// built for concurrent use (forkEvaluator).
 type IncrementalSIEvaluator struct {
 	planner *sischedule.Planner
-	stripes [incStripes]incCounters
-}
-
-// incStripes is the number of copies of the recompute counters. An
-// evaluation adds to the copy its architecture's hash picks, so
-// concurrent evaluations rarely write the same cache line; Stats sums
-// the copies.
-const incStripes = 16
-
-// incCounters is one stripe of an IncrementalSIEvaluator's counters.
-type incCounters struct {
-	evals            atomic.Int64
-	dirtyRails       atomic.Int64
-	railsRecomputed  atomic.Int64
-	railsMemoized    atomic.Int64
-	groupsRecomputed atomic.Int64
-	groupsMemoized   atomic.Int64
-	_                [64]byte // keeps neighbouring stripes off one cache line
+	stats   IncrementalStats
 }
 
 // NewIncrementalSIEvaluator builds an incremental evaluator over the
@@ -64,13 +46,11 @@ func (e *IncrementalSIEvaluator) evaluate(a *tam.Architecture, stale int) (int64
 	if err != nil {
 		return 0, err
 	}
-	c := &e.stripes[(spread(a.Hash())>>32)%incStripes]
-	c.evals.Add(1)
-	c.dirtyRails.Add(int64(stale))
-	c.railsRecomputed.Add(int64(st.RailsRecomputed))
-	c.railsMemoized.Add(int64(st.RailsMemoized))
-	c.groupsRecomputed.Add(int64(st.GroupsRecomputed))
-	c.groupsMemoized.Add(int64(st.GroupsMemoized))
+	e.stats.add(IncrementalStats{
+		Evals: 1, DirtyRails: int64(stale),
+		RailsRecomputed: int64(st.RailsRecomputed), RailsMemoized: int64(st.RailsMemoized),
+		GroupsRecomputed: int64(st.GroupsRecomputed), GroupsMemoized: int64(st.GroupsMemoized),
+	})
 	return a.InTestTime() + si, nil
 }
 
@@ -96,17 +76,15 @@ type IncrementalStats struct {
 	GroupsMemoized   int64
 }
 
-// Stats returns a snapshot of the evaluator's recompute accounting.
-func (e *IncrementalSIEvaluator) Stats() IncrementalStats {
-	var st IncrementalStats
-	for i := range e.stripes {
-		c := &e.stripes[i]
-		st.Evals += c.evals.Load()
-		st.DirtyRails += c.dirtyRails.Load()
-		st.RailsRecomputed += c.railsRecomputed.Load()
-		st.RailsMemoized += c.railsMemoized.Load()
-		st.GroupsRecomputed += c.groupsRecomputed.Load()
-		st.GroupsMemoized += c.groupsMemoized.Load()
-	}
-	return st
+// add folds o into s.
+func (s *IncrementalStats) add(o IncrementalStats) {
+	s.Evals += o.Evals
+	s.DirtyRails += o.DirtyRails
+	s.RailsRecomputed += o.RailsRecomputed
+	s.RailsMemoized += o.RailsMemoized
+	s.GroupsRecomputed += o.GroupsRecomputed
+	s.GroupsMemoized += o.GroupsMemoized
 }
+
+// Stats returns a snapshot of the evaluator's recompute accounting.
+func (e *IncrementalSIEvaluator) Stats() IncrementalStats { return e.stats }

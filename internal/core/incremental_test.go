@@ -20,12 +20,12 @@ import (
 
 func incrEngines(t *testing.T, s *soc.SOC, w int, groups []*sischedule.Group, m sischedule.Model, workers int) (scratch, incr *Engine) {
 	t.Helper()
-	se, _, err := parallelEngine(s, w, &SIEvaluator{Groups: groups, Model: m},
+	se, err := parallelEngine(s, w, &SIEvaluator{Groups: groups, Model: m},
 		ParallelConfig{Workers: workers, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ie, _, err := parallelEngine(s, w, NewIncrementalSIEvaluator(groups, m, nil),
+	ie, err := parallelEngine(s, w, NewIncrementalSIEvaluator(groups, m, nil),
 		ParallelConfig{Workers: workers, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestIncrementalStatsAccount(t *testing.T) {
 	groups := diffGroups(t, s)
 	m := sischedule.DefaultModel()
 	eval := NewIncrementalSIEvaluator(groups, m, nil)
-	eng, _, err := parallelEngine(s, 32, eval, ParallelConfig{Workers: 1, CacheSize: -1})
+	eng, err := parallelEngine(s, 32, eval, ParallelConfig{Workers: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

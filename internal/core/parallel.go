@@ -68,7 +68,8 @@ type ParallelConfig struct {
 	Workers int
 
 	// CacheSize is the evaluation cache capacity in entries: 0 selects
-	// DefaultCacheSize, negative disables memoization.
+	// DefaultCacheSize, negative disables memoization. An ILS run of R
+	// restarts gives each restart a cache of CacheSize/R entries.
 	CacheSize int
 
 	// MaxEvals bounds the objective evaluations of the run; 0 means

@@ -406,8 +406,8 @@ func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.
 		Architecture: arch, Breakdown: bd, Schedule: sched,
 		Partial: st.Partial, Reason: st.Reason, Cause: st.Cause,
 	}
-	if e.cache != nil {
-		res.Cache = e.cache.Stats()
+	if c, ok := e.Eval.(*CachedEvaluator); ok {
+		res.Cache = c.Stats()
 	}
 	res.Metrics = e.snapshotMetrics()
 	return res, nil
@@ -419,9 +419,9 @@ func (e *Engine) Finish(arch *tam.Architecture, st Status, groups []*sischedule.
 // recompute accounting.
 func (e *Engine) snapshotMetrics() *obs.Snapshot {
 	snap := e.Metrics.Snapshot() // nil-safe: empty snapshot without a registry
-	snap.Counters["evals"] = e.evalCount()
-	if e.cache != nil {
-		st := e.cache.Stats()
+	snap.Counters["evals"] = e.evals
+	if c, ok := e.Eval.(*CachedEvaluator); ok {
+		st := c.Stats()
 		snap.Counters["cache_hits"] = st.Hits
 		snap.Counters["cache_misses"] = st.Misses
 		snap.Counters["cache_loads"] = st.Loads

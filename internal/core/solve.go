@@ -197,9 +197,10 @@ func fingerprint(m Method, p Problem) uint64 {
 // the trace and metrics sinks, and the persistent cache file.
 func (e *Engine) configure(cfg ParallelConfig, fp uint64) {
 	if cfg.CacheSize >= 0 {
-		e.cache = NewCachedEvaluator(e.Eval, cfg.CacheSize)
-		e.cache.salt = fp
-		e.Eval = e.cache
+		c := NewCachedEvaluator(e.Eval, cfg.CacheSize)
+		c.salt = fp
+		c.AttachPersistent(cfg.Persist)
+		e.Eval = c
 	}
 	e.workers = cfg.Workers
 	switch {
@@ -211,9 +212,6 @@ func (e *Engine) configure(cfg ParallelConfig, fp uint64) {
 	e.MaxEvals = cfg.MaxEvals
 	if cfg.Trace != nil {
 		e.Trace = cfg.Trace // never a nil *Tracer in a non-nil Sink
-	}
-	if e.cache != nil && cfg.Persist != nil {
-		e.cache.AttachPersistent(cfg.Persist)
 	}
 	e.Metrics = cfg.Metrics
 }

@@ -161,7 +161,7 @@ func TestTraceILSRestartsDeterministic(t *testing.T) {
 	run := func(workers int) []obs.Event {
 		t.Helper()
 		tr := obs.NewTracer()
-		eng, _, err := parallelEngine(s, traceW, &SIEvaluator{Groups: groups, Model: m},
+		eng, err := parallelEngine(s, traceW, &SIEvaluator{Groups: groups, Model: m},
 			ParallelConfig{Workers: workers, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
@@ -324,13 +324,17 @@ func noPoolMetrics(t *testing.T, snap *obs.Snapshot) {
 	}
 }
 
-// searchCounters picks the counters a single search's work determines:
-// evaluations, cache lookups and the incremental evaluator's recompute
-// accounting.
-func searchCounters(snap *obs.Snapshot) map[string]int64 {
+// searchCounters picks the counters a search's work determines:
+// evaluations, cache lookups and flushes, and the incremental
+// evaluator's recompute accounting. Concurrent ILS restarts share the
+// planner's memo, so which restart computes a rail profile first, and
+// with it every eval_rails_* and eval_groups_* count, depends on
+// timing; an ILS run keeps only eval_dirty_rails of them.
+func searchCounters(snap *obs.Snapshot, method Method) map[string]int64 {
 	out := map[string]int64{}
 	for name, v := range snap.Counters {
-		if name == "evals" || name == "cache_hits" || name == "cache_misses" || strings.HasPrefix(name, "eval_") {
+		if name == "evals" || strings.HasPrefix(name, "cache_") || name == "eval_dirty_rails" ||
+			strings.HasPrefix(name, "eval_") && method != MethodILS {
 			out[name] = v
 		}
 	}
@@ -338,9 +342,13 @@ func searchCounters(snap *obs.Snapshot) map[string]int64 {
 }
 
 // TestSolveCountersIndependentOfWorkers: the worker count does not
-// change an SI or baseline solve. Every candidate batch is scored
-// serially, so a Workers 8 run spends the same evaluations, cache hits
-// and misses and incremental recomputes as a Workers 1 run.
+// change what a search counts. An SI or baseline solve scores every
+// candidate batch serially, so a Workers 8 run spends the same
+// evaluations, cache hits, misses and flushes and incremental
+// recomputes as a Workers 1 run. ILS restarts each score through a
+// cache and evaluator of their own, so their summed counters do not
+// depend on how the restarts interleave either, apart from the planner
+// memo's share (searchCounters).
 func TestSolveCountersIndependentOfWorkers(t *testing.T) {
 	for _, name := range []string{"d695", "p93791"} {
 		t.Run(name, func(t *testing.T) {
@@ -349,16 +357,16 @@ func TestSolveCountersIndependentOfWorkers(t *testing.T) {
 			}
 			s := soc.MustLoadBenchmark(name)
 			p := Problem{SOC: s, Wmax: 64, Groups: diffGroups(t, s), Model: sischedule.DefaultModel()}
-			for _, method := range []Method{MethodSI, MethodBaseline} {
+			for _, method := range []Method{MethodSI, MethodBaseline, MethodILS} {
 				var want map[string]int64
-				for _, workers := range []int{1, 8} {
-					res, err := Solve(context.Background(), p, Options{Method: method,
+				for _, workers := range []int{1, 1, 2, 2, 8, 8} {
+					res, err := Solve(context.Background(), p, Options{Method: method, Kicks: 4, Restarts: 3, Seed: 7,
 						ParallelConfig: ParallelConfig{Workers: workers, Metrics: obs.NewRegistry()}})
 					if err != nil {
 						t.Fatalf("%s workers=%d: %v", method, workers, err)
 					}
 					noPoolMetrics(t, res.Metrics)
-					got := searchCounters(res.Metrics)
+					got := searchCounters(res.Metrics, method)
 					if want == nil {
 						want = got
 						continue
