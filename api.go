@@ -29,12 +29,12 @@
 // # Cancellation, deadlines, and partial results
 //
 // Every expensive entry point takes a context (Solve, ExactScheduleSI,
-// RunTableCtx) or has a context-aware variant (BuildGroupsCtx,
-// GeneratePatternsCtx). They are anytime algorithms: when
-// the context is cancelled or its deadline expires mid-search, the best
-// valid result found so far is returned with its Partial flag set and a
-// nil error; the context's error comes back only when nothing usable
-// was produced. See the README section of the same name for details.
+// RunTableCtx) or has a context-aware variant (BuildGroupsCtx). They
+// are anytime algorithms: when the context is cancelled or its
+// deadline expires mid-search, the best valid result found so far is
+// returned with its Partial flag set and a nil error; the context's
+// error comes back only when nothing usable was produced. See the
+// README section of the same name for details.
 //
 // # Observability
 //
@@ -128,16 +128,6 @@ type (
 func GeneratePatterns(s *SOC, cfg GenConfig) (ps []*Pattern, err error) {
 	defer guard(&err)
 	return sifault.Generate(s, cfg)
-}
-
-// GeneratePatternsCtx is GeneratePatterns as an anytime algorithm: on
-// cancellation or deadline expiry the prefix generated so far comes
-// back with partial set and a nil error (the prefix is exactly what a
-// full run with the same seed would have produced first). The context's
-// error is returned only when no pattern was generated at all.
-func GeneratePatternsCtx(ctx context.Context, s *SOC, cfg GenConfig) (ps []*Pattern, partial bool, err error) {
-	defer guard(&err)
-	return sifault.GenerateCtx(ctx, s, cfg)
 }
 
 // NewPatternSpace builds the WOC position space of an SOC.

@@ -13,6 +13,7 @@ package sitam
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -165,6 +166,25 @@ func BenchmarkPatternGeneration(b *testing.B) {
 		if _, err := sifault.Generate(s, sifault.GenConfig{N: 10000, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenerateCorpus draws p93791 patterns straight into a
+// corpus, as every tamopt run, sitamd job and sweep block does.
+// Against BenchmarkPatternGeneration it adds the packing and saves
+// the Pattern structs.
+func BenchmarkGenerateCorpus(b *testing.B) {
+	s := soc.MustLoadBenchmark("p93791")
+	sp := sifault.NewSpace(s)
+	for _, nr := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("Nr=%d", nr), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := compaction.GenerateCorpus(context.Background(), sp, sifault.GenConfig{N: nr, Seed: int64(i)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

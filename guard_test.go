@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sitam/internal/sifault"
 )
 
 // TestGuardConvertsPanics is the white-box contract of the recovery
@@ -79,8 +81,8 @@ func TestCtxFacades(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, _, err := GeneratePatternsCtx(cancelled, s, GenConfig{N: 100, Seed: 1}); !errors.Is(err, context.Canceled) {
-		t.Errorf("GeneratePatternsCtx pre-cancelled err = %v", err)
+	if _, _, err := sifault.GenerateCtx(cancelled, s, GenConfig{N: 100, Seed: 1}); !errors.Is(err, context.Canceled) {
+		t.Errorf("GenerateCtx pre-cancelled err = %v", err)
 	}
 	p := Problem{SOC: s, Wmax: 16, Model: DefaultModel()}
 	if _, err := Solve(cancelled, p, Options{}); !errors.Is(err, context.Canceled) {
@@ -90,9 +92,9 @@ func TestCtxFacades(t *testing.T) {
 		t.Errorf("Solve(MethodILS) pre-cancelled err = %v", err)
 	}
 
-	patterns, partial, err := GeneratePatternsCtx(context.Background(), s, GenConfig{N: 1000, Seed: 1})
+	patterns, partial, err := sifault.GenerateCtx(context.Background(), s, GenConfig{N: 1000, Seed: 1})
 	if err != nil || partial || len(patterns) != 1000 {
-		t.Fatalf("GeneratePatternsCtx = (%d patterns, partial=%v, %v)", len(patterns), partial, err)
+		t.Fatalf("GenerateCtx = (%d patterns, partial=%v, %v)", len(patterns), partial, err)
 	}
 	gr, err := BuildGroupsCtx(context.Background(), s, patterns, GroupingOptions{Parts: 2, Seed: 1})
 	if err != nil || gr.Partial {

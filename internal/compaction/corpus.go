@@ -1,6 +1,7 @@
 package compaction
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -8,15 +9,17 @@ import (
 	"sitam/internal/sifault"
 )
 
-// Corpus is an SI pattern set validated and packed once for first-fit
-// compaction. NewCorpus validates every pattern and walks its care list
-// block by block (a block is one core's WOC range, in space order),
-// recording its packed care words, its full-block contents as
-// corpus-wide classes, its loose care, its bus uses, its weight and its
-// care set: the blocks it cares about. Compact then first-fits any
-// index list into the corpus without going back to the patterns, so
-// the groupings of one pattern set share one packing and the patterns
-// themselves need not outlive NewCorpus.
+// Corpus is an SI pattern set packed once for first-fit compaction.
+// Every pattern goes through one packing step, add, which records its
+// packed care words and walks its care list block by block (a block is
+// one core's WOC range, in space order), recording its full-block
+// contents as corpus-wide classes, its loose care, its bus uses, its
+// weight and its care set: the blocks it cares about. There are two
+// ways in. NewCorpus validates and packs a pattern set it is given (a
+// pattern file, a caller-built set); GenerateCorpus packs each pattern
+// as sifault.Draw draws it, so no generated pattern is kept. Compact
+// then first-fits any index list into the corpus without going back to
+// the patterns, so the groupings of one pattern set share one packing.
 //
 // A Corpus is read-only once built: Compact runs over it may proceed
 // concurrently.
@@ -59,12 +62,9 @@ type CareSet struct {
 // goroutine.
 const minChunk = 1024
 
-// NewCorpus validates patterns against sp (sifault.Pattern.Validate)
-// and packs them, in contiguous chunks on at most workers goroutines;
-// the corpus is the same at any worker count. The error names the
-// first invalid pattern by index.
-func NewCorpus(sp *sifault.Space, patterns []*sifault.Pattern, workers int) (*Corpus, error) {
-	n := len(patterns)
+// newCorpus returns an empty corpus over sp with room for n patterns'
+// offsets, weights, victims and care sets.
+func newCorpus(sp *sifault.Space, n int) *Corpus {
 	c := &Corpus{
 		nPos:     sp.Total(),
 		nBus:     sp.BusWidth(),
@@ -84,7 +84,16 @@ func NewCorpus(sp *sifault.Space, patterns []*sifault.Pattern, workers int) (*Co
 		c.blockStart[i] = int32(start)
 		c.blockLen[i] = int32(n)
 	}
+	return c
+}
 
+// NewCorpus validates patterns against sp (sifault.Pattern.Validate)
+// and packs them, in contiguous chunks on at most workers goroutines;
+// the corpus is the same at any worker count. The error names the
+// first invalid pattern by index.
+func NewCorpus(sp *sifault.Space, patterns []*sifault.Pattern, workers int) (*Corpus, error) {
+	n := len(patterns)
+	c := newCorpus(sp, n)
 	chunks := make([]corpusChunk, max(1, min(workers, n/minChunk)))
 	per := (n + len(chunks) - 1) / len(chunks)
 	for k := range chunks {
@@ -112,6 +121,68 @@ func NewCorpus(sp *sifault.Space, patterns []*sifault.Pattern, workers int) (*Co
 	return c, nil
 }
 
+// GenerateCorpus draws cfg's patterns over sp with sifault.Draw and
+// packs each as it is drawn, on the calling goroutine: the corpus
+// NewCorpus(sp, GenerateCtx(...), 1) builds, record for record, with no
+// validation (the generator draws valid patterns), no counting pass
+// and no Pattern kept. Its arenas are sized once from the draw's
+// limits. It returns what Draw returns: on a cut, the corpus of the
+// patterns drawn with the cut flag set; Draw's error otherwise.
+func GenerateCorpus(ctx context.Context, sp *sifault.Space, cfg sifault.GenConfig) (*Corpus, bool, error) {
+	d := drawSink{sp: sp}
+	n, cut, err := sifault.Draw(ctx, sp, cfg, &d)
+	if err != nil {
+		return nil, false, err
+	}
+	c := d.c
+	c.wordOff, c.fullOff, c.looseOff, c.busOff = c.wordOff[:n+1], c.fullOff[:n+1], c.looseOff[:n+1], c.busOff[:n+1]
+	c.weight, c.victim, c.careSet = c.weight[:n], c.victim[:n], c.careSet[:n]
+	c.join([]corpusChunk{d.ch})
+	return c, cut, nil
+}
+
+// drawSink is GenerateCorpus's sifault.Sink: one chunk, filled in draw
+// order.
+type drawSink struct {
+	sp *sifault.Space
+	c  *Corpus
+	ch corpusChunk
+}
+
+// Start sizes the chunk's arenas for n patterns within lim. A
+// pattern's words are at most its care count, and at most the most
+// words a block spans plus one per position outside its victim's core;
+// it touches at most its victim's core's block plus one per outside
+// position; and its loose care is only those outside positions when
+// its victim's core is always full.
+func (d *drawSink) Start(n int, lim sifault.Limits) {
+	d.c = newCorpus(d.sp, n)
+	spanned := 0
+	for b, l := range d.c.blockLen {
+		if start := d.c.blockStart[b]; l > 0 {
+			spanned = max(spanned, int((start+l-1)>>6-start>>6+1))
+		}
+	}
+	words := min(lim.Care, spanned+lim.Outside)
+	loose := lim.Care
+	if lim.FullCore {
+		loose = lim.Outside
+	}
+	ch := &d.ch
+	ch.words = make([]sifault.PackedWord, 0, n*words)
+	ch.fulls = make([]fullRef, 0, n*(1+lim.Outside))
+	ch.contents = make([]byte, 0, n*lim.Care)
+	ch.looses = make([]looseRef, 0, n*loose)
+	ch.bus = make([]sifault.BusUse, 0, n*lim.Bus)
+	ch.setKeys = make([]byte, 0, 4*n*(1+lim.Outside))
+	ch.setEnd = make([]int32, 0, n)
+}
+
+func (d *drawSink) Add(p *sifault.Pattern) {
+	d.c.add(&d.ch, d.ch.hi, p)
+	d.ch.hi++
+}
+
 // corpusChunk is what one packing goroutine builds for the patterns
 // [lo, hi): arenas with chunk-local offsets, and the raw keys (block
 // contents, care-block lists) that join numbers corpus-wide in pattern
@@ -128,10 +199,9 @@ type corpusChunk struct {
 	err      error
 }
 
-// pack validates and walks the chunk's patterns, writing their
-// chunk-local offsets, weights and victims into c. The word and bus
-// arenas are sized exactly; the content arena by the care count, which
-// bounds it.
+// pack validates the chunk's patterns and packs them with add. The
+// word and bus arenas are sized exactly; the content arena by the care
+// count, which bounds it.
 func (c *Corpus) pack(ch *corpusChunk, sp *sifault.Space, patterns []*sifault.Pattern) {
 	var nWords, nCare, nBus int
 	for _, p := range patterns[ch.lo:ch.hi] {
@@ -145,48 +215,54 @@ func (c *Corpus) pack(ch *corpusChunk, sp *sifault.Space, patterns []*sifault.Pa
 	ch.fulls = make([]fullRef, 0, ch.hi-ch.lo)
 	ch.setEnd = make([]int32, 0, ch.hi-ch.lo)
 	for ci := ch.lo; ci < ch.hi; ci++ {
-		p := patterns[ci]
-		if err := p.Validate(sp); err != nil {
+		if err := patterns[ci].Validate(sp); err != nil {
 			ch.err = fmt.Errorf("pattern %d: %w", ci, err)
 			return
 		}
-		c.wordOff[ci] = int32(len(ch.words))
-		c.fullOff[ci] = int32(len(ch.fulls))
-		c.looseOff[ci] = int32(len(ch.looses))
-		c.busOff[ci] = int32(len(ch.bus))
-		c.weight[ci] = p.Weight
-		c.victim[ci] = [2]int32{p.VictimPos, p.VictimCore}
-		ch.words = sifault.AppendPackedWords(ch.words, p)
-		ch.bus = append(ch.bus, p.Bus...)
-
-		// Walk the sorted care list block by block: a run covering its
-		// whole block is a full-block class, anything else is loose.
-		care := p.Care
-		bi := 0
-		for i := 0; i < len(care); {
-			for care[i].Pos >= c.blockStart[bi]+c.blockLen[bi] {
-				bi++
-			}
-			end := c.blockStart[bi] + c.blockLen[bi]
-			j := i
-			for j < len(care) && care[j].Pos < end {
-				j++
-			}
-			ch.setKeys = append(ch.setKeys, byte(bi), byte(bi>>8), byte(bi>>16), byte(bi>>24))
-			if int32(j-i) == c.blockLen[bi] {
-				ch.fulls = append(ch.fulls, fullRef{block: int32(bi), cls: int32(len(ch.contents))})
-				for k := i; k < j; k++ {
-					ch.contents = append(ch.contents, uint8(care[k].Sym))
-				}
-			} else {
-				for k := i; k < j; k++ {
-					ch.looses = append(ch.looses, looseRef{pos: care[k].Pos, block: int32(bi), sym: uint8(care[k].Sym - 1)})
-				}
-			}
-			i = j
-		}
-		ch.setEnd = append(ch.setEnd, int32(len(ch.setKeys)))
+		c.add(ch, ci, patterns[ci])
 	}
+}
+
+// add packs the valid pattern p as pattern ci: its chunk-local
+// offsets, weight and victim go into c, its records into ch. It packs
+// the care words (sifault.AppendPackedWords) and walks the strictly
+// sorted care list block by block: a run covering its whole block is a
+// full-block class, copied in one run, and anything else is loose
+// care.
+func (c *Corpus) add(ch *corpusChunk, ci int, p *sifault.Pattern) {
+	c.wordOff[ci] = int32(len(ch.words))
+	c.fullOff[ci] = int32(len(ch.fulls))
+	c.looseOff[ci] = int32(len(ch.looses))
+	c.busOff[ci] = int32(len(ch.bus))
+	c.weight[ci] = p.Weight
+	c.victim[ci] = [2]int32{p.VictimPos, p.VictimCore}
+	ch.bus = append(ch.bus, p.Bus...)
+
+	ch.words = sifault.AppendPackedWords(ch.words, p)
+	care := p.Care
+	bi := int32(0)
+	for i := 0; i < len(care); {
+		for care[i].Pos >= c.blockStart[bi]+c.blockLen[bi] {
+			bi++
+		}
+		start, n := c.blockStart[bi], c.blockLen[bi]
+		ch.setKeys = append(ch.setKeys, byte(bi), byte(bi>>8), byte(bi>>16), byte(bi>>24))
+		// Positions are strictly sorted, so the run is its whole block
+		// exactly when its first and n-th positions are the block's
+		// first and last.
+		if care[i].Pos == start && i+int(n) <= len(care) && care[i+int(n)-1].Pos == start+n-1 {
+			ch.fulls = append(ch.fulls, fullRef{block: bi, cls: int32(len(ch.contents))})
+			for _, cr := range care[i : i+int(n)] {
+				ch.contents = append(ch.contents, uint8(cr.Sym))
+			}
+			i += int(n)
+			continue
+		}
+		for end := start + n; i < len(care) && care[i].Pos < end; i++ {
+			ch.looses = append(ch.looses, looseRef{pos: care[i].Pos, block: bi, sym: uint8(care[i].Sym - 1)})
+		}
+	}
+	ch.setEnd = append(ch.setEnd, int32(len(ch.setKeys)))
 }
 
 // join numbers the full-block classes and the care sets in first-use

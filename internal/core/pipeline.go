@@ -134,11 +134,10 @@ func BuildGroupsCtx(ctx context.Context, s *soc.SOC, patterns []*sifault.Pattern
 	return c.Group(ctx, opts)
 }
 
-// Corpus is an SI pattern set validated and packed once
-// (compaction.Corpus) together with its care-core hypergraph: all that
-// the groupings of one pattern set share. Group runs one grouping from
-// it; a Corpus is read-only, so groupings may run concurrently, and the
-// patterns need not outlive NewCorpus.
+// Corpus is an SI pattern set packed once (compaction.Corpus)
+// together with its care-core hypergraph: all that the groupings of
+// one pattern set share. Group runs one grouping from it; a Corpus is
+// read-only, so groupings may run concurrently. It keeps no pattern.
 type Corpus struct {
 	s      *soc.SOC
 	packed *compaction.Corpus
@@ -160,6 +159,27 @@ func NewCorpus(s *soc.SOC, patterns []*sifault.Pattern, workers int) (*Corpus, e
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	return withHypergraph(s, packed)
+}
+
+// GenerateCorpus draws cfg's patterns for s straight into a corpus
+// (compaction.GenerateCorpus), the corpus NewCorpus builds from
+// sifault.GenerateCtx's patterns, and builds its hypergraph. Like
+// GenerateCtx it is anytime: a done context cuts the draws short and
+// the corpus of the patterns drawn comes back with the cut flag set;
+// the context's error comes back only when it was done before the
+// first draw.
+func GenerateCorpus(ctx context.Context, s *soc.SOC, cfg sifault.GenConfig) (*Corpus, bool, error) {
+	packed, cut, err := compaction.GenerateCorpus(ctx, sifault.NewSpace(s), cfg)
+	if err != nil {
+		return nil, false, err
+	}
+	c, err := withHypergraph(s, packed)
+	return c, cut, err
+}
+
+// withHypergraph builds the hypergraph of a packed corpus.
+func withHypergraph(s *soc.SOC, packed *compaction.Corpus) (*Corpus, error) {
 	cores := s.Cores()
 	weights := make([]int64, len(cores))
 	for i, c := range cores {
@@ -191,6 +211,9 @@ func NewCorpus(s *soc.SOC, patterns []*sifault.Pattern, workers int) (*Corpus, e
 	}
 	return &Corpus{s: s, packed: packed, h: h}, nil
 }
+
+// Len returns the number of patterns in the corpus.
+func (c *Corpus) Len() int { return c.packed.Len() }
 
 // checkParts rejects a partition count outside [1, cores of s].
 func checkParts(s *soc.SOC, parts int) error {

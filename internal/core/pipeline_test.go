@@ -362,3 +362,57 @@ func TestBuildGroupsCountOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateCorpusMatchesNewCorpus is the core half of compaction's
+// test of the same name: a corpus drawn straight from the generator
+// has the hypergraph, and so the groupings, of NewCorpus over
+// GenerateCtx's patterns, on the embedded SOCs under the default
+// configuration, the settings that change which blocks are full or
+// loose and whether the bus is used, and the smallest counts.
+func TestGenerateCorpusMatchesNewCorpus(t *testing.T) {
+	configs := []sifault.GenConfig{
+		{N: 3000, Seed: 1},
+		{N: 3000, Seed: 2, QuiesceProb: 0.5},
+		{N: 3000, Seed: 3, QuiesceProb: -1},
+		{N: 3000, Seed: 4, BusProb: -1},
+		{N: 3000, Seed: 5, ExternalLocality: -1, MaxExternal: -1, ExternalProb: 0.9},
+		{N: 0, Seed: 6},
+		{N: 1, Seed: 7},
+	}
+	ctx := context.Background()
+	for _, name := range []string{"d695", "p34392", "p93791"} {
+		s := soc.MustLoadBenchmark(name)
+		for _, cfg := range configs {
+			got, cut, err := GenerateCorpus(ctx, s, cfg)
+			if err != nil || cut {
+				t.Fatalf("%s %+v: GenerateCorpus cut %v, err %v", name, cfg, cut, err)
+			}
+			patterns, _, err := sifault.GenerateCtx(ctx, s, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewCorpus(s, patterns, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() != want.Len() || !reflect.DeepEqual(got.h, want.h) {
+				t.Fatalf("%s %+v: %d patterns and hypergraph %+v, NewCorpus %d and %+v", name, cfg, got.Len(), got.h, want.Len(), want.h)
+			}
+			if cfg.N == 0 {
+				continue
+			}
+			opts := GroupingOptions{Parts: 4, Seed: cfg.Seed, CompactWorkers: 1}
+			gotGR, err := got.Group(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantGR, err := want.Group(ctx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameGrouping(gotGR, wantGR) {
+				t.Fatalf("%s %+v: grouping differs from NewCorpus's", name, cfg)
+			}
+		}
+	}
+}

@@ -115,27 +115,28 @@ type Cell struct {
 	Seed  int64
 }
 
-// Run is the pipeline of one cell: it generates c.Nr SI patterns,
-// groups them into c.Parts groups and solves the cell with o under
-// the default cost model. o.Workers also bounds the compaction
-// goroutines, o.Trace also receives the "pattern generation" span and
-// the grouping's events, and o.Metrics the grouping's counters.
+// Run is the pipeline of one cell: it draws c.Nr SI patterns straight
+// into a corpus (GenerateCorpus), groups it into c.Parts groups and
+// solves the cell with o under the default cost model. o.Workers also
+// bounds the compaction goroutines, o.Trace also receives the "pattern
+// generation" span, which covers the packing too, and the grouping's
+// events, and o.Metrics the grouping's counters.
 //
 // A cut generation ends the run: Run emits its deadline_hit inside the
-// "pattern generation" span and returns the context's error, because
-// grouping would refuse the done context anyway. Past generation Run
-// is anytime like its stages: when a done context cut grouping or the
-// search short, the Result's Partial, Reason and Cause describe the
-// first such stage. The error is non-nil only when a stage produced
-// nothing usable; the grouping comes back whenever it was built, even
-// when Solve then fails.
+// "pattern generation" span, which counts the patterns drawn, and
+// returns the context's error, because grouping would refuse the done
+// context anyway. Past generation Run is anytime like its stages: when
+// a done context cut grouping or the search short, the Result's
+// Partial, Reason and Cause describe the first such stage. The error
+// is non-nil only when a stage produced nothing usable; the grouping
+// comes back whenever it was built, even when Solve then fails.
 func Run(ctx context.Context, c Cell, o Options) (*Result, *GroupingResult, error) {
 	var sink obs.Sink
 	if o.Trace != nil {
 		sink = o.Trace // never a nil *Tracer in a non-nil Sink
 	}
 	span := obs.Span(sink, phaseGenerate)
-	patterns, cut, err := sifault.GenerateCtx(ctx, c.SOC, sifault.GenConfig{N: c.Nr, Seed: c.Seed})
+	corpus, cut, err := GenerateCorpus(ctx, c.SOC, sifault.GenConfig{N: c.Nr, Seed: c.Seed})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -144,12 +145,12 @@ func Run(ctx context.Context, c Cell, o Options) (*Result, *GroupingResult, erro
 		if sink != nil {
 			sink.Emit(obs.Event{Type: obs.DeadlineHit, Phase: phaseGenerate, Cause: CauseOf(err).Label()})
 		}
-		span.End(0, int64(len(patterns)))
+		span.End(0, int64(corpus.Len()))
 		return nil, nil, err
 	}
-	span.End(0, int64(len(patterns)))
+	span.End(0, int64(corpus.Len()))
 
-	gr, err := BuildGroupsCtx(ctx, c.SOC, patterns, GroupingOptions{
+	gr, err := corpus.Group(ctx, GroupingOptions{
 		Parts: c.Parts, Seed: c.Seed, Trace: sink, CompactWorkers: o.Workers, Metrics: o.Metrics,
 	})
 	if err != nil {

@@ -57,6 +57,15 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 			core.Options{ParallelConfig: core.ParallelConfig{Workers: 1, CacheSize: -1}})
 	}
 
+	// group draws cfg's patterns straight into a corpus and groups it.
+	group := func(cfg sifault.GenConfig, opts core.GroupingOptions) (*core.GroupingResult, error) {
+		c, _, err := core.GenerateCorpus(sectionCtx, s, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return c.Group(sectionCtx, opts)
+	}
+
 	fmt.Fprintf(w, "Ablation study on %s (Nr=%d, Wmax=%d, seed=%d)\n", s.Name, nr, wmax, seed)
 
 	// --- 1. Greedy vs DSATUR cover.
@@ -85,11 +94,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	}
 	fmt.Fprintf(w, "\n[2] victim-core quiescing probability vs compaction and T_soc (g=4, W=%d)\n", wmax)
 	for _, q := range []float64{-1, 0.25, 0.5, 1.0} {
-		pats, err := sifault.Generate(s, sifault.GenConfig{N: nr, Seed: seed, QuiesceProb: q})
-		if err != nil {
-			return err
-		}
-		gr, err := core.BuildGroupsCtx(sectionCtx, s, pats, core.GroupingOptions{Parts: 4, Seed: seed})
+		gr, err := group(sifault.GenConfig{N: nr, Seed: seed, QuiesceProb: q}, core.GroupingOptions{Parts: 4, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -112,11 +117,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 	}
 	fmt.Fprintf(w, "\n[3] shared-bus usage probability vs compaction (g=1)\n")
 	for _, bp := range []float64{-1, 0.25, 0.5, 0.75} {
-		pats, err := sifault.Generate(s, sifault.GenConfig{N: nr, Seed: seed, BusProb: bp})
-		if err != nil {
-			return err
-		}
-		gr, err := core.BuildGroupsCtx(sectionCtx, s, pats, core.GroupingOptions{Parts: 1, Seed: seed})
+		gr, err := group(sifault.GenConfig{N: nr, Seed: seed, BusProb: bp}, core.GroupingOptions{Parts: 1, Seed: seed})
 		if err != nil {
 			return err
 		}
@@ -133,12 +134,13 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[4] hypergraph balance tolerance vs residual patterns (g=4)\n")
-	patterns, err = sifault.Generate(s, sifault.GenConfig{N: nr, Seed: seed})
+	// Sections 4 and 5 group one corpus.
+	corpus, _, err := core.GenerateCorpus(sectionCtx, s, sifault.GenConfig{N: nr, Seed: seed})
 	if err != nil {
 		return err
 	}
 	for _, tol := range []float64{0.02, 0.10, 0.30, 0.60} {
-		gr, err := core.BuildGroupsCtx(sectionCtx, s, patterns, core.GroupingOptions{Parts: 4, Seed: seed, Tolerance: tol})
+		gr, err := corpus.Group(sectionCtx, core.GroupingOptions{Parts: 4, Seed: seed, Tolerance: tol})
 		if err != nil {
 			return err
 		}
@@ -152,7 +154,7 @@ func RunAblations(ctx context.Context, w io.Writer, seed int64, quick bool) erro
 		return err
 	}
 	fmt.Fprintf(w, "\n[5] Algorithm 1 concurrency vs serial SI application (g=8, W=%d)\n", wmax)
-	gr, err := core.BuildGroupsCtx(sectionCtx, s, patterns, core.GroupingOptions{Parts: 8, Seed: seed})
+	gr, err := corpus.Group(sectionCtx, core.GroupingOptions{Parts: 8, Seed: seed})
 	if err != nil {
 		return err
 	}

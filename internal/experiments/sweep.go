@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"sitam/internal/core"
-	"sitam/internal/sifault"
 	"sitam/internal/soc"
 	"sitam/internal/tam"
 )
@@ -141,16 +140,13 @@ type sweep struct {
 	steps []step  // table order
 
 	// Task outputs, each written by its task before it finishes. A
-	// block's first grouping to run packs its patterns into its corpus
-	// and drops them; its last grouping drops the corpus.
-	patterns [][]*sifault.Pattern // by N_r
-	corpora  []*core.Corpus       // by N_r
-	packErr  []error              // by N_r
-	packOnce []sync.Once          // by N_r
-	readers  []atomic.Int32       // by N_r: groupings yet to read the corpus
-	groups   [][]*core.GroupingResult
-	bases    []*tam.Architecture
-	solves   [][][]core.Breakdown
+	// block's generation draws its patterns straight into its corpus;
+	// its last grouping to finish drops the corpus.
+	corpora []*core.Corpus // by N_r
+	readers []atomic.Int32 // by N_r: groupings yet to read the corpus
+	groups  [][]*core.GroupingResult
+	bases   []*tam.Architecture
+	solves  [][][]core.Breakdown
 
 	// failAt is the lowest step of a task that did not finish; a task
 	// whose first step lies beyond it cannot reach the table and is
@@ -169,14 +165,11 @@ func newSweep(ctx context.Context, s *soc.SOC, cfg TableConfig, par core.Paralle
 	nNr, nW, nG := len(cfg.Nr), len(cfg.Widths), len(cfg.Groupings)
 	sw := &sweep{
 		ctx: ctx, s: s, cfg: cfg, par: par,
-		patterns: make([][]*sifault.Pattern, nNr),
-		corpora:  make([]*core.Corpus, nNr),
-		packErr:  make([]error, nNr),
-		packOnce: make([]sync.Once, nNr),
-		readers:  make([]atomic.Int32, nNr),
-		groups:   make([][]*core.GroupingResult, nNr),
-		bases:    make([]*tam.Architecture, nW),
-		solves:   make([][][]core.Breakdown, nNr),
+		corpora: make([]*core.Corpus, nNr),
+		readers: make([]atomic.Int32, nNr),
+		groups:  make([][]*core.GroupingResult, nNr),
+		bases:   make([]*tam.Architecture, nW),
+		solves:  make([][][]core.Breakdown, nNr),
 		tbl: &Table{
 			SOC:             s.Name,
 			Groupings:       append([]int(nil), cfg.Groupings...),
@@ -258,36 +251,26 @@ func newSweep(ctx context.Context, s *soc.SOC, cfg TableConfig, par core.Paralle
 	return sw
 }
 
-// generate is the pattern generation task of block ni.
+// generate is the pattern generation task of block ni: it draws the
+// block's patterns straight into its corpus (core.GenerateCorpus).
 func (sw *sweep) generate(ni int) func() (bool, error) {
 	return func() (bool, error) {
 		gen := sw.cfg.Gen
 		gen.N = sw.cfg.Nr[ni]
 		gen.Seed = sw.cfg.Seed + int64(gen.N)
-		patterns, cut, err := sifault.GenerateCtx(sw.ctx, sw.s, gen)
-		sw.patterns[ni] = patterns
+		c, cut, err := core.GenerateCorpus(sw.ctx, sw.s, gen)
+		sw.corpora[ni] = c
 		return cut, err
 	}
 }
 
-// group is the grouping task of block ni at Groupings[gi]. The first
-// grouping of a block to run builds the block's corpus, on its own
-// worker, while the others wait for it; the last to finish drops it.
+// group is the grouping task of block ni at Groupings[gi]. The last
+// grouping of a block to finish drops the block's corpus.
 func (sw *sweep) group(ni, gi int) func() (bool, error) {
 	return func() (bool, error) {
-		sw.packOnce[ni].Do(func() {
-			if sw.packErr[ni] = sw.ctx.Err(); sw.packErr[ni] == nil {
-				sw.corpora[ni], sw.packErr[ni] = core.NewCorpus(sw.s, sw.patterns[ni], 1)
-			}
-			sw.patterns[ni] = nil
+		gr, err := sw.corpora[ni].Group(sw.ctx, core.GroupingOptions{
+			Parts: sw.cfg.Groupings[gi], Seed: sw.cfg.Seed, CompactWorkers: 1,
 		})
-		c, err := sw.corpora[ni], sw.packErr[ni]
-		var gr *core.GroupingResult
-		if err == nil {
-			gr, err = c.Group(sw.ctx, core.GroupingOptions{
-				Parts: sw.cfg.Groupings[gi], Seed: sw.cfg.Seed, CompactWorkers: 1,
-			})
-		}
 		if sw.readers[ni].Add(-1) == 0 {
 			sw.corpora[ni] = nil
 		}

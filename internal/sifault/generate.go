@@ -122,84 +122,141 @@ func Generate(s *soc.SOC, cfg GenConfig) ([]*Pattern, error) {
 	return patterns, err
 }
 
-// GenerateCtx is Generate as an anytime algorithm: the context is
-// polled every 512 patterns, and on cancellation or deadline expiry the
-// prefix generated so far is returned with the partial flag set and a
-// nil error. The context is not polled within a pattern, but every
-// pattern finishes after a bounded expected number of draws: it never
-// asks for more distinct aggressors than there are positions in its
-// reach. The prefix is exactly what a full run with the same seed would
-// have produced first, so downstream consumers see a smaller but
-// otherwise identical workload. If the context fires before any
-// pattern was generated, the context's error is returned instead.
+// GenerateCtx is Generate as an anytime algorithm: it is Draw into
+// patterns, so on cancellation or deadline expiry the prefix generated
+// so far is returned with the partial flag set and a nil error. The
+// prefix is exactly what a full run with the same seed would have
+// produced first, so downstream consumers see a smaller but otherwise
+// identical workload. If the context fires before any pattern was
+// generated, the context's error is returned instead.
 //
 // The patterns share allocation chunks, but each care and bus list's
 // capacity is its length, so appending to one pattern's list never
 // changes another's.
 func GenerateCtx(ctx context.Context, s *soc.SOC, cfg GenConfig) ([]*Pattern, bool, error) {
-	cfg = cfg.withDefaults()
-	if cfg.N < 0 {
-		return nil, false, fmt.Errorf("sifault: negative pattern count %d", cfg.N)
-	}
-	if cfg.MinAggressors < 1 || cfg.MaxAggressors < cfg.MinAggressors {
-		return nil, false, fmt.Errorf("sifault: bad aggressor bounds [%d,%d]", cfg.MinAggressors, cfg.MaxAggressors)
-	}
-	sp := NewSpace(s)
-	if sp.Total() < 2 {
-		return nil, false, fmt.Errorf("sifault: SOC has %d WOC positions; need at least 2", sp.Total())
-	}
-	if err := ctx.Err(); err != nil {
+	var m materializer
+	_, cut, err := Draw(ctx, NewSpace(s), cfg, &m)
+	if err != nil {
 		return nil, false, err
 	}
-	g := newGenerator(sp, cfg)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	patterns := make([]*Pattern, 0, cfg.N)
-	var slab []Pattern
-	for i := 0; i < cfg.N; i++ {
-		if i > 0 && i&511 == 0 && ctx.Err() != nil {
-			return patterns, true, nil
-		}
-		if len(slab) == 0 {
-			slab = make([]Pattern, min(patternChunk, cfg.N-i))
-		}
-		p := &slab[0]
-		slab = slab[1:]
-		g.genOne(rng, p)
-		patterns = append(patterns, p)
-	}
-	return patterns, false, nil
+	return m.patterns, cut, nil
 }
 
-// The chunk sizes a GenerateCtx call carves its Pattern structs, care
-// lists and bus lists from. A corpus's patterns are dropped together,
-// so a chunk never outlives the corpus that shares it.
+// A Sink receives the patterns Draw draws.
+type Sink interface {
+	// Start is called once, after the configuration is checked and
+	// before the first draw, with the number of patterns to come and
+	// what any one of them holds at most.
+	Start(n int, lim Limits)
+
+	// Add receives each pattern as it is drawn. The pattern and its
+	// lists are Draw's scratch, overwritten by the next draw, so Add
+	// copies what it keeps.
+	Add(p *Pattern)
+}
+
+// Limits bounds one pattern Draw draws, so that a Sink can size its
+// buffers once.
+type Limits struct {
+	// Care bounds the care positions, and Outside those outside the
+	// victim's core (the external aggressors).
+	Care, Outside int
+
+	// Bus bounds the bus uses.
+	Bus int
+
+	// FullCore reports that every pattern determines every WOC of its
+	// victim's core (QuiesceProb of 1 or more).
+	FullCore bool
+}
+
+// Draw draws cfg.N random SI test patterns over sp, as Generate
+// describes, and hands each to sink as it is drawn. It returns the
+// number of patterns drawn. The context is polled every 512 patterns;
+// on cancellation or deadline expiry Draw stops with the cut flag set
+// and a nil error, having drawn exactly the prefix a full run with the
+// same seed draws first. The context is not polled within a pattern,
+// but every pattern finishes after a bounded expected number of draws:
+// it never asks for more distinct aggressors than there are positions
+// in its reach. A bad configuration, or a context done before the
+// first draw, returns an error before Start.
+func Draw(ctx context.Context, sp *Space, cfg GenConfig, sink Sink) (int, bool, error) {
+	cfg = cfg.withDefaults()
+	if cfg.N < 0 {
+		return 0, false, fmt.Errorf("sifault: negative pattern count %d", cfg.N)
+	}
+	if cfg.MinAggressors < 1 || cfg.MaxAggressors < cfg.MinAggressors {
+		return 0, false, fmt.Errorf("sifault: bad aggressor bounds [%d,%d]", cfg.MinAggressors, cfg.MaxAggressors)
+	}
+	if sp.Total() < 2 {
+		return 0, false, fmt.Errorf("sifault: SOC has %d WOC positions; need at least 2", sp.Total())
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, false, err
+	}
+	g := newGenerator(sp, cfg)
+	sink.Start(cfg.N, g.lim)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for i := 0; i < cfg.N; i++ {
+		if i > 0 && i&511 == 0 && ctx.Err() != nil {
+			return i, true, nil
+		}
+		g.genOne(rng)
+		sink.Add(&g.p)
+	}
+	return cfg.N, false, nil
+}
+
+// materializer is GenerateCtx's Sink. It copies each drawn pattern
+// into chunks: Pattern structs from slabs of patternChunk (or of the
+// patterns left to come, if fewer), care and bus lists from chunks of
+// careChunk and busChunk elements. A generated set's patterns are
+// dropped together, so a chunk never outlives the set that shares it.
+type materializer struct {
+	patterns []*Pattern
+	slab     []Pattern
+	care     []Care
+	bus      []BusUse
+}
+
 const (
 	patternChunk = 1 << 10
 	careChunk    = 16 << 10
 	busChunk     = 4 << 10
 )
 
-// reserve returns room for n elements at the front of *chunk, as a
-// zero-length slice whose capacity is n. A chunk of size elements
-// replaces *chunk when it is too short, and a request longer than a
-// chunk gets a chunk of its own length. The caller appends at most n
-// elements and then hands the result to commit.
-func reserve[T any](chunk *[]T, n, size int) []T {
-	if len(*chunk) < n {
-		*chunk = make([]T, max(n, size))
+func (m *materializer) Start(n int, _ Limits) { m.patterns = make([]*Pattern, 0, n) }
+
+func (m *materializer) Add(d *Pattern) {
+	if len(m.slab) == 0 {
+		m.slab = make([]Pattern, min(patternChunk, cap(m.patterns)-len(m.patterns)))
 	}
-	return (*chunk)[:0:n]
+	p := &m.slab[0]
+	m.slab = m.slab[1:]
+	*p = *d
+	p.Care = carve(&m.care, d.Care, careChunk)
+	if d.Bus != nil {
+		p.Bus = carve(&m.bus, d.Bus, busChunk)
+	}
+	m.patterns = append(m.patterns, p)
 }
 
-// commit cuts s, the filled slice reserve returned, from the front of
-// *chunk and caps its capacity at its length: appending to it then
-// reallocates instead of writing into the next slice carved.
-func commit[T any](chunk *[]T, s []T) []T {
-	*chunk = (*chunk)[len(s):]
-	return s[:len(s):len(s)]
+// carve copies src to the front of *chunk and cuts it off with its
+// capacity capped at its length: appending to it then reallocates
+// instead of writing into the next slice carved. A chunk of size
+// elements replaces *chunk when it is too short, and a slice longer
+// than a chunk gets a chunk of its own length.
+func carve[T any](chunk *[]T, src []T, size int) []T {
+	if len(*chunk) < len(src) {
+		*chunk = make([]T, max(len(src), size))
+	}
+	s := (*chunk)[:len(src):len(src)]
+	copy(s, src)
+	*chunk = (*chunk)[len(src):]
+	return s
 }
 
-// generator draws the patterns of one GenerateCtx call. It holds what a
+// generator draws the patterns of one Draw call. It holds what a
 // pattern needs to know about its victim's core, worked out once per
 // call, and the scratch each pattern is assembled in.
 type generator struct {
@@ -207,6 +264,7 @@ type generator struct {
 	total    int
 	busWidth int
 	cores    []victimCore // in position order
+	lim      Limits
 
 	// block holds, per offset in the victim's core, the victim's or an
 	// aggressor's symbol and X elsewhere; genOne leaves it all X. It is
@@ -220,8 +278,9 @@ type generator struct {
 	// perm is the bus-line permutation of rng.Perm, drawn in place.
 	perm []int
 
-	// care and bus are the chunks the care and bus lists are carved
-	// from.
+	// p is the pattern last drawn; its care and bus lists live in care
+	// and bus, sized by lim so that no draw reallocates them.
+	p    Pattern
 	care []Care
 	bus  []BusUse
 }
@@ -241,11 +300,11 @@ type victimCore struct {
 type posRange struct{ start, n int }
 
 // newGenerator works out each core's position block and external
-// aggressor ranges. External aggressors come from the cores within
-// cfg.ExternalLocality of the victim's core in layout order (a ring),
-// nearest first and the following core before the preceding one, or
-// from all other cores in position order when the locality is
-// unlimited or spans the ring.
+// aggressor ranges, and the limits of one pattern. External aggressors
+// come from the cores within cfg.ExternalLocality of the victim's core
+// in layout order (a ring), nearest first and the following core
+// before the preceding one, or from all other cores in position order
+// when the locality is unlimited or spans the ring.
 func newGenerator(sp *Space, cfg GenConfig) *generator {
 	nc := len(sp.order)
 	g := &generator{cfg: cfg, total: sp.Total(), busWidth: sp.busWidth, cores: make([]victimCore, nc), perm: make([]int, sp.busWidth)}
@@ -267,6 +326,34 @@ func newGenerator(sp *Space, cfg GenConfig) *generator {
 		}
 	}
 	g.block = make([]Symbol, widest)
+
+	// genOne's counts at their largest, core by core: at most
+	// MaxAggressors aggressors, of which at most MaxExternal external
+	// unless the core is too narrow for the rest, and never more
+	// externals than positions in reach. The care list is the victim,
+	// the aggressors and, with quiescing, the rest of the core's block.
+	// The bus lines are at most one per aggressor.
+	a := cfg.MaxAggressors
+	maxExt := cfg.MaxExternal
+	if maxExt < 0 || maxExt > a {
+		maxExt = a
+	}
+	g.lim.FullCore = cfg.QuiesceProb >= 1
+	for _, c := range g.cores {
+		if c.n == 0 {
+			continue // never a victim's core
+		}
+		ext := min(max(maxExt, a-(c.n-1)), c.extTotal)
+		care := min(1+a, c.n+ext)
+		if cfg.QuiesceProb > 0 {
+			care = c.n + ext
+		}
+		g.lim.Outside = max(g.lim.Outside, ext)
+		g.lim.Care = max(g.lim.Care, care)
+	}
+	g.lim.Bus = min(a, g.busWidth)
+	g.care = make([]Care, 0, g.lim.Care)
+	g.bus = make([]BusUse, 0, g.lim.Bus)
 	return g
 }
 
@@ -288,11 +375,11 @@ func (c *victimCore) extPos(off int) int32 {
 	return int32(c.ext[i].start + off)
 }
 
-// genOne draws one pattern into p. The draws and their order are the
+// genOne draws one pattern into g.p. The draws and their order are the
 // corpus's contract (equal seeds give equal corpora in every front
 // end), so they must not change; the care list is written in position
 // order as the draws come, with no sort.
-func (g *generator) genOne(rng *rand.Rand, p *Pattern) {
+func (g *generator) genOne(rng *rand.Rand) {
 	cfg := &g.cfg
 	victim := int32(rng.Intn(g.total))
 	// The victim's core is the first whose block ends past the victim.
@@ -347,11 +434,7 @@ func (g *generator) genOne(rng *rand.Rand, p *Pattern) {
 	// outputs are quiesced at steady random background values (see
 	// GenConfig.QuiesceProb), drawn in position order.
 	quiesce := cfg.QuiesceProb > 0
-	bound := 1 + nInt
-	if quiesce {
-		bound = vc.n
-	}
-	care := reserve(&g.care, nExt+bound, careChunk)
+	care := g.care[:0]
 	below, _ := slices.BinarySearch(ext, int32(vc.start))
 	for _, pos := range ext[:below] {
 		care = append(care, Care{Pos: pos, Sym: kind.aggressor})
@@ -374,8 +457,8 @@ func (g *generator) genOne(rng *rand.Rand, p *Pattern) {
 		care = append(care, Care{Pos: pos, Sym: kind.aggressor})
 	}
 
-	*p = Pattern{
-		Care:       commit(&g.care, care),
+	g.p = Pattern{
+		Care:       care,
 		VictimPos:  victim,
 		VictimCore: int32(vc.id),
 		Weight:     1,
@@ -392,11 +475,11 @@ func (g *generator) genOne(rng *rand.Rand, p *Pattern) {
 		}
 		lines := perm[:nLines]
 		slices.Sort(lines)
-		bus := reserve(&g.bus, nLines, busChunk)
+		bus := g.bus[:0]
 		for _, l := range lines {
 			bus = append(bus, BusUse{Line: int32(l), Driver: int32(vc.id)})
 		}
-		p.Bus = commit(&g.bus, bus)
+		g.p.Bus = bus
 	}
 }
 

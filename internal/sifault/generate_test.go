@@ -1,6 +1,7 @@
 package sifault
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -31,10 +32,38 @@ Module 2
   Patterns 3
 `
 
+// limitSink checks every pattern Draw hands it against the limits
+// Start announced.
+type limitSink struct {
+	t   *testing.T
+	sp  *Space
+	lim Limits
+}
+
+func (k *limitSink) Start(_ int, lim Limits) { k.lim = lim }
+
+func (k *limitSink) Add(p *Pattern) {
+	start, n := k.sp.Range(int(p.VictimCore))
+	inside := 0
+	for _, c := range p.Care {
+		if int(c.Pos) >= start && int(c.Pos) < start+n {
+			inside++
+		}
+	}
+	if len(p.Care) > k.lim.Care || len(p.Care)-inside > k.lim.Outside || len(p.Bus) > k.lim.Bus || k.lim.FullCore && inside != n {
+		k.t.Fatalf("pattern with %d care (%d in its %d-WOC core), %d bus uses exceeds %+v", len(p.Care), inside, n, len(p.Bus), k.lim)
+	}
+}
+
 // checkMatchesOracle requires Generate and the oracle to return equal
-// corpora for s under cfg.
+// corpora for s under cfg, and every pattern drawn to keep within the
+// limits Draw announces to its sink.
 func checkMatchesOracle(t *testing.T, s *soc.SOC, cfg GenConfig) {
 	t.Helper()
+	sp := NewSpace(s)
+	if _, _, err := Draw(context.Background(), sp, cfg, &limitSink{t: t, sp: sp}); err != nil {
+		t.Fatalf("%s %+v: %v", s.Name, cfg, err)
+	}
 	got, err := Generate(s, cfg)
 	if err != nil {
 		t.Fatalf("%s %+v: %v", s.Name, cfg, err)

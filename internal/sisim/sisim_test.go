@@ -1,6 +1,7 @@
 package sisim
 
 import (
+	"math"
 	"testing"
 
 	"sitam/internal/sifault"
@@ -231,4 +232,30 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(bad, Config{}); err == nil {
 		t.Error("accepted empty topology")
 	}
+}
+
+// RequiredPatternsEstimate returns the analytic MA pattern count for
+// the topology (6N), for comparison against how many random patterns
+// Grade needs for the same coverage.
+func (s *Simulator) RequiredPatternsEstimate() int64 {
+	return sifault.MACount(len(s.topo.Nets))
+}
+
+// MaxCoupling returns the largest single coupling weight in use, a
+// sanity handle for threshold selection.
+func MaxCoupling() float64 { return coupling(1) }
+
+// ThresholdForWindow returns the threshold fraction at which a single
+// nearest-track aggressor suffices to excite a fault in a window of
+// 2k nets — handy in tests that want patterns with few aggressors to
+// count.
+func ThresholdForWindow(k int) float64 {
+	worst := 0.0
+	for d := 1; d <= k; d++ {
+		worst += 2 * coupling(d)
+	}
+	if worst == 0 {
+		return 1
+	}
+	return math.Min(1, coupling(1)/worst)
 }
